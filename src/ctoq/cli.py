@@ -272,9 +272,11 @@ def _trial_row(seed: int, ell: int, r: TrialResult) -> dict[str, Any]:
 
 
 def _z_score(mean: float, reference: float, se: float) -> float:
-    """Standardized deviation; degenerate samples count as exact matches."""
+    """Standardized deviation.  A degenerate sample is an exact match (0)
+    or an infinite deviation carrying the sign of ``mean - reference``."""
     if se < 1e-12:
-        return 0.0 if abs(mean - reference) < 1e-9 else math.inf
+        diff = mean - reference
+        return 0.0 if abs(diff) < 1e-9 else math.copysign(math.inf, diff)
     return (mean - reference) / se
 
 
@@ -440,6 +442,10 @@ def cmd_hp_run(args: argparse.Namespace) -> int:
 
 def cmd_haar_mean(args: argparse.Namespace) -> int:
     spec = load_config(args.config, allow_large=args.allow_large)
+    if spec.trials < 2:
+        raise ConfigError(
+            f"haar-mean needs trials >= 2 for a standard error, got {spec.trials}"
+        )
     t0 = time.monotonic()
     worst_z = 0.0
     for ell in spec.ells:
@@ -447,11 +453,7 @@ def cmd_haar_mean(args: argparse.Namespace) -> int:
         closed = haar_mean_pairwise_overlap(cfg)
         samples = pairwise_overlap_samples(cfg)
         mean = float(samples.mean())
-        se = (
-            float(samples.std(ddof=1) / math.sqrt(samples.size))
-            if samples.size > 1
-            else 0.0
-        )
+        se = float(samples.std(ddof=1) / math.sqrt(samples.size))
         z = _z_score(mean, closed, se)
         worst_z = max(worst_z, abs(z))
         print(

@@ -32,8 +32,10 @@ from .qcore import (
     OrthoBasis,
     Povm,
     apply_channel,
+    basis_outputs,
     bhattacharyya,
     channel,
+    cross_overlap,
     max_correlated_classical,
     max_entangled,
     max_entangled_vector,
@@ -67,34 +69,24 @@ __all__ = [
 class NaimarkExtension:
     """Dilation of a POVM to a projective measurement on a larger space.
 
-    ``isometry`` maps the measured space C into the dilation space C'; the
-    ``projections`` are orthogonal, sum to the identity on C', and pull back
-    through the isometry to the source POVM elements.
+    ``isometry`` maps the measured space C into the dilation space
+    C' = C (x) (outcome register), whose last factor holds the outcome.  The
+    projective measurement is ``P_j = I (x) |j><j|``, so ``P_j V`` is the
+    row slice ``V[j::n_outcomes]``; it pulls back through the isometry to
+    the source POVM element ``M_j``.
     """
 
     isometry: Operator
-    projections: tuple[Operator, ...]
 
     def __post_init__(self) -> None:
         v = self.isometry.data
         err = np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])))
         if err > DEFAULT_TOLS.isometry:
             raise ValueError(f"dilation map is not an isometry (error {err:.3e})")
-        ps = tuple(self.projections)
-        total = np.zeros((v.shape[0], v.shape[0]), dtype=np.complex128)
-        for p in ps:
-            err = np.max(np.abs(p.data @ p.data - p.data))
-            if err > DEFAULT_TOLS.povm:
-                raise ValueError(f"not a projection (error {err:.3e})")
-            total += p.data
-        err = np.max(np.abs(total - np.eye(v.shape[0])))
-        if err > DEFAULT_TOLS.povm:
-            raise ValueError(f"projections do not resolve identity ({err:.3e})")
-        object.__setattr__(self, "projections", ps)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.projections)
+        return self.isometry.row_dims[-1]
 
 
 class CtoQDecoder:
@@ -183,13 +175,11 @@ def delta_q(decoder: Channel, chan: Channel) -> float:
             f"decoder input dim {decoder.dim_in} != channel output dim "
             f"{chan.dim_out}"
         )
-    phi_mat = max_entangled_vector(d).reshape(d, d)
-    branches = []
-    for k in chan.kraus:
-        x = k.data @ phi_mat
-        for h in decoder.kraus:
-            branches.append((h.data @ x).reshape(-1))
-    y = np.stack(branches)
+    kx = chan.kraus_stack() @ max_entangled_vector(d).reshape(d, d)
+    # branch (k, h) is H_h K_k phi, all of them in one contraction
+    y = np.einsum(
+        "hac,kcb->khab", decoder.kraus_stack(), kx, optimize=True
+    ).reshape(-1, d * d)
     out = Operator(y.T @ y.conj(), (d, d), (d, d))
     return trace_distance(max_entangled(d), out)
 
@@ -205,17 +195,7 @@ def delta_cl(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
         raise ValueError(
             f"POVM has {povm.n_outcomes} outcomes, basis has {d} vectors"
         )
-    ks = chan.kraus_stack()
-    total = 0.0
-    for i in range(d):
-        u = basis.column(i)
-        cols = ks @ u  # (n_kraus, dim_out) branch vectors
-        tau = cols.T @ cols.conj()
-        for j, m in enumerate(povm):
-            if j == i:
-                continue
-            total += float(np.einsum("ij,ji->", tau, m.data).real)
-    return total / d
+    return cross_overlap(basis_outputs(chan, basis), povm.element_stack()) / d
 
 
 def delta_cl_tracenorm(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
@@ -240,7 +220,7 @@ def naimark_extend(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> NaimarkExtens
     """Canonical dilation ``V = sum_j sqrt(M_j) (x) |j>`` of a POVM.
 
     The dilation space is C (x) (outcome register); the projections are
-    ``I (x) |j><j|``.
+    ``I (x) |j><j|``, and ``V^dag P_j V`` must give back ``M_j``.
     """
     m = povm.n_outcomes
     dc = povm.dim
@@ -248,16 +228,9 @@ def naimark_extend(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> NaimarkExtens
     v = np.zeros((dc * m, dc), dtype=np.complex128)
     for j, el in enumerate(povm):
         v[j::m, :] = sqrtm_psd(el.data, tols)
-    isometry = Operator(v, cdims + (m,), cdims)
-    eye = np.eye(dc)
-    projections = []
-    for j in range(m):
-        p = np.zeros((m, m))
-        p[j, j] = 1.0
-        projections.append(Operator(np.kron(eye, p), cdims + (m,), cdims + (m,)))
-    ext = NaimarkExtension(isometry, tuple(projections))
+    ext = NaimarkExtension(Operator(v, cdims + (m,), cdims))
     for j, el in enumerate(povm):
-        rec = v.conj().T @ projections[j].data @ v
+        rec = v[j::m].conj().T @ v[j::m]
         err = np.max(np.abs(rec - el.data))
         if err > tols.naimark:
             raise ValueError(f"dilation does not reproduce element {j} ({err:.3e})")
@@ -340,14 +313,14 @@ def _coherent_kraus(
         e0p = np.asarray(e0p, dtype=np.complex128).reshape(dc)
 
     u = e_basis.matrix
-    pv = [p.data @ v for p in ext.projections]  # P_j V, each (dcp, dc)
-    ms = [v.conj().T @ x for x in pv]  # POVM elements V^dag P_j V
+    roots = [v[j::d] for j in range(d)]  # nonzero rows of P_j V
+    ms = [r.conj().T @ r for r in roots]  # POVM elements V^dag P_j V
     # k_main[(c, a), c'] = sum_j ms[j][c, c'] u[a, j]
     k_main = np.einsum("jcp,aj->cap", np.stack(ms), u).reshape(dc * d, dc)
 
     comp = _range_complement(v)  # orthonormal basis of range(V)^perp
     if comp.shape[1]:
-        t = np.stack([comp.conj().T @ x for x in pv])  # (d, nb, dc)
+        t = np.stack([comp[j::d].conj().T @ r for j, r in enumerate(roots)])
         w = np.einsum("aj,jbc->bac", u, t)  # (nb, d, dc)
     else:
         w = np.zeros((0, d, dc), dtype=np.complex128)

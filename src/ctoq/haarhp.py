@@ -23,14 +23,15 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .decoder import build_ctoq, delta_q
-from .linop import Operator
-from .ppgm import PpgmBundle, support_bound, build_ppgm, ppgm_error, pairwise_bound
+from .linop import Operator, support_eigh
+from .ppgm import support_bound, build_ppgm, ppgm_error, pairwise_bound
 from .qcore import (
     Channel,
-    OrthoBasis,
-    apply_channel,
+    basis_outputs,
     channel,
     collision_entropy,
+    computational_basis,
+    cross_overlap,
     pauli_basis,
     purify_vector,
 )
@@ -42,7 +43,6 @@ __all__ = [
     "AverageErrorBound",
     "haar_unitary",
     "hp_channel",
-    "hp_states",
     "derived_quantities",
     "haar_mean_pairwise_overlap",
     "average_error_bound",
@@ -217,32 +217,16 @@ def hp_channel(
     d_new = 2**ell
 
     vec, _ = purify_vector(xi, tols)  # on (system, past), past least significant
-    # isometry A -> (scrambled, past): |a> -> (U (x) I)(|a> (x) |xi>)
-    emb = np.kron(np.eye(da, dtype=np.complex128), vec.reshape(-1, 1))
-    full = np.kron(u.data, np.eye(dbh)) @ emb
-    # rows are (kept, new, past); slice kept, reorder output to (past, new)
-    arr = full.reshape(d_kept, d_new, dbh, da)
-    ks = [
-        arr[m].transpose(1, 0, 2).reshape(dbh * d_new, da)
-        for m in range(d_kept)
-    ]
+    # |a> -> (U (x) I)(|a> (x) |xi>); U's rows split into (kept, new), its
+    # columns into (message, system).  Kraus operator m is the kept row m,
+    # with output (past, new).
+    ks = np.einsum(
+        "mnab,bp->mpna",
+        u.data.reshape(d_kept, d_new, da, dbh),
+        vec.reshape(dbh, dbh),
+        optimize=True,
+    ).reshape(d_kept, dbh * d_new, da)
     return channel(ks, (da,), (dbh, d_new), tp_tol=tols.channel_tp, tols=tols)
-
-
-def hp_states(
-    ch: Channel, basis: OrthoBasis
-) -> tuple[list[Operator], Operator]:
-    """Channel outputs for every basis vector, plus the average output."""
-    d = basis.dim
-    ks = ch.kraus_stack()
-    cdims = ch.out_dims
-    outs = []
-    for j in range(d):
-        cols = ks @ basis.column(j)
-        tau = cols.T @ cols.conj()
-        outs.append(Operator((tau + tau.conj().T) / 2, cdims, cdims))
-    pi = Operator(np.eye(d) / d, (d,), (d,))
-    return outs, apply_channel(ch, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +241,8 @@ def derived_quantities(
     xi = cfg.initial_state
     h2 = collision_entropy(xi)
     ell_th = cfg.n_msg + (cfg.n_bh - h2) / 2.0
-    w = np.linalg.eigvalsh((xi.data + xi.data.conj().T) / 2)
-    cut = tols.rank_tol(xi.dim_row) * max(float(w[-1]), 0.0)
-    nonzero = w[w > cut]
-    lam = float(nonzero.min()) * nonzero.size
+    w, _, on = support_eigh(xi.data, tols=tols)
+    lam = float(w[on][0]) * int(on.sum())
     return HpDerived(ell_th=ell_th, lambda_xi=lam, h2_bin=h2)
 
 
@@ -340,19 +322,15 @@ def _trial_rng(cfg: HpConfig, trial: int) -> np.random.Generator:
     )
 
 
-def _pairwise_overlap(bundle: PpgmBundle) -> float:
-    stack = np.stack([t.data for t in bundle.tau_states])
-    gram = np.einsum("iab,jba->ij", stack, stack).real
-    return float(gram.sum() - np.trace(gram))
-
-
 def run_trial(
     cfg: HpConfig, trial: int, reverse_bases: bool = False
 ) -> TrialResult:
     """One trial: sample U, build the channel and both measurements, build
     the composite decoder, and evaluate every error functional.
 
-    Numerical failures are recorded on the result rather than raised.
+    Numerical failures (``LinAlgError``, ``ValueError``) are recorded on
+    the result rather than raised; anything else, such as ``MemoryError``,
+    propagates.
     """
     rng = _trial_rng(cfg, trial)
     try:
@@ -361,6 +339,8 @@ def run_trial(
         basis_z = pauli_basis(cfg.n_msg, "z")
         basis_x = pauli_basis(cfg.n_msg, "x")
         bundle_z = build_ppgm(ch, basis_z)
+        taus_z = bundle_z.tau_states
+        purities_z = np.einsum("jab,jba->j", taus_z, taus_z).real
         bundle_x = build_ppgm(ch, basis_x)
         dcl_z = ppgm_error(bundle_z)
         dcl_x = ppgm_error(bundle_x)
@@ -391,14 +371,12 @@ def run_trial(
             support_overlap_x=support_bound(bundle_x),
             support_overlap_z=support_bound(bundle_z),
             bound_two_term=bound,
-            pairwise_overlap=_pairwise_overlap(bundle_z),
+            pairwise_overlap=cross_overlap(taus_z, taus_z),
             collision_entropy_avg=collision_entropy(bundle_z.tau_avg),
-            collision_entropies=tuple(
-                collision_entropy(t) for t in bundle_z.tau_states
-            ),
+            collision_entropies=tuple(-math.log2(p) for p in purities_z),
             ill_conditioned=bundle_z.ill_conditioned or bundle_x.ill_conditioned,
         )
-    except Exception as exc:  # recorded, not fatal
+    except (np.linalg.LinAlgError, ValueError) as exc:  # recorded, not fatal
         return TrialResult(trial=trial, seed_stream=trial, error=str(exc))
 
 
@@ -430,20 +408,12 @@ def pairwise_overlap_samples(cfg: HpConfig) -> np.ndarray:
     The value is basis independent in distribution; the computational basis
     is used.
     """
-    da = cfg.dim_msg
+    basis = computational_basis(cfg.dim_msg)
     out = np.empty(cfg.trials)
     for t in range(cfg.trials):
-        rng = _trial_rng(cfg, t)
-        u = haar_unitary(cfg.dim_scrambled, rng)
-        ch = hp_channel(u, cfg.initial_state, cfg)
-        ks = ch.kraus_stack()
-        taus = []
-        for j in range(da):
-            cols = ks[:, :, j]
-            taus.append(cols.T @ cols.conj())
-        stack = np.stack(taus)
-        gram = np.einsum("iab,jba->ij", stack, stack).real
-        out[t] = gram.sum() - np.trace(gram)
+        u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, t))
+        taus = basis_outputs(hp_channel(u, cfg.initial_state, cfg), basis)
+        out[t] = cross_overlap(taus, taus)
     return out
 
 
@@ -458,28 +428,16 @@ def min_eig_stats(
     leaves the kept register with a nonzero eigenvalue below
     ``(1 - epsilon) / 2^(N + k - ell)``.  Returns (fraction, threshold).
     """
-    n, k, ell = cfg.n_bh, cfg.n_msg, cfg.n_rad
-    da, dbh = 2**k, 2**n
-    d_kept = 2 ** (n + k - ell)
-    threshold = (1.0 - epsilon) / d_kept
-    vec, _ = purify_vector(cfg.initial_state, tols)
+    threshold = (1.0 - epsilon) / 2 ** (cfg.n_bh + cfg.n_msg - cfg.n_rad)
     hits = 0
     for t in range(cfg.trials):
-        rng = _trial_rng(cfg, t)
-        u = haar_unitary(cfg.dim_scrambled, rng)
-        big = np.kron(u.data, np.eye(dbh))
-        bad = False
-        for j in range(da):
-            uj = np.zeros(da, dtype=np.complex128)
-            uj[j] = 1.0
-            state = big @ np.kron(uj, vec)
-            m = state.reshape(d_kept, -1)
-            rho = m @ m.conj().T
-            w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-            cut = tols.rank_tol(d_kept) * max(float(w[-1]), 0.0)
-            nonzero = w[w > cut]
-            if nonzero.size and float(nonzero.min()) < threshold:
-                bad = True
+        u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, t))
+        ks = hp_channel(u, cfg.initial_state, cfg, tols).kraus_stack()
+        for j in range(cfg.dim_msg):
+            # kept-register state for input |j>: B_j B_j^dag, B_j = ks[:, :, j]
+            b = ks[:, :, j]
+            w, _, on = support_eigh(b @ b.conj().T, tols=tols)
+            if w[on][0] < threshold:
+                hits += 1
                 break
-        hits += bad
     return hits / cfg.trials, threshold

@@ -28,6 +28,7 @@ __all__ = [
     "schatten_norm",
     "trace_distance",
     "fidelity",
+    "support_eigh",
     "func_on_support",
     "sqrtm_psd",
 ]
@@ -264,6 +265,32 @@ def fidelity(
     return float(np.sum(s) ** 2)
 
 
+def support_eigh(
+    a: np.ndarray,
+    rank_tol: float | None = None,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition of a PSD matrix with its numerical support marked.
+
+    Returns ``(w, v, on)``: ascending eigenvalues, eigenvectors as columns,
+    and the mask of eigenvalues strictly above ``rank_tol * lambda_max``.
+    ``rank_tol`` defaults to the numerical-rank convention
+    ``dim * machine_eps``.  A negative eigenvalue below
+    ``-10 * rank_tol * lambda_max`` is an error.
+    """
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("support_eigh needs a square matrix")
+    if rank_tol is None:
+        rank_tol = tols.rank_tol(a.shape[0])
+    w, v = np.linalg.eigh(_hermitian_part(a, tols))
+    lam_max = max(float(w[-1]), 0.0)
+    if w[0] < -10.0 * rank_tol * lam_max:
+        raise ValueError(
+            f"input not PSD within tolerance (min eigenvalue {w[0]:.3e})"
+        )
+    return w, v, w > rank_tol * lam_max
+
+
 def func_on_support(
     a: Operator,
     f: Callable[[np.ndarray], np.ndarray],
@@ -272,27 +299,11 @@ def func_on_support(
 ) -> Operator:
     """Apply a real function to the spectrum of a PSD operator, on support only.
 
-    Eigenvalues strictly above ``rank_tol * lambda_max`` are mapped through
-    ``f``; the rest map to zero.  ``rank_tol`` defaults to the numerical-rank
-    convention ``dim * machine_eps``.  A negative eigenvalue below
-    ``-10 * rank_tol * lambda_max`` is an error.
+    Eigenvalues on the support found by :func:`support_eigh` are mapped
+    through ``f``; the rest map to zero.
     """
-    if a.data.shape[0] != a.data.shape[1]:
-        raise ValueError("func_on_support needs a square matrix")
-    dim = a.data.shape[0]
-    if rank_tol is None:
-        rank_tol = tols.rank_tol(dim)
-    herm = _hermitian_part(a.data, tols)
-    w, v = np.linalg.eigh(herm)
-    lam_max = max(float(w[-1]), 0.0)
-    if w[0] < -10.0 * rank_tol * lam_max:
-        raise ValueError(
-            f"input not PSD within tolerance (min eigenvalue {w[0]:.3e})"
-        )
-    cut = rank_tol * lam_max
-    on = w > cut
+    w, v, on = support_eigh(a.data, rank_tol, tols)
     fw = np.zeros_like(w)
     if np.any(on):
         fw[on] = f(w[on])
-    out = (v * fw) @ v.conj().T
-    return Operator(out, a.row_dims, a.col_dims)
+    return Operator((v * fw) @ v.conj().T, a.row_dims, a.col_dims)

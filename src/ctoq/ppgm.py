@@ -15,8 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .linop import Operator, func_on_support
-from .qcore import Channel, OrthoBasis, Povm, apply_channel, collision_entropy
+from .linop import Operator, func_on_support, support_eigh
+from .qcore import (
+    Channel,
+    OrthoBasis,
+    Povm,
+    basis_outputs,
+    collision_entropy,
+    cross_overlap,
+)
 
 __all__ = [
     "PpgmBundle",
@@ -32,16 +39,17 @@ __all__ = [
 class PpgmBundle:
     """A built measurement together with everything its bounds read.
 
-    ``lambda_min`` is the smallest nonzero eigenvalue over all cached output
-    states; instances where it sits within a decade of the support-detection
-    cutoff are flagged ``ill_conditioned`` because the overlap bounds blow up
-    there.
+    ``tau_states`` and ``projectors`` are read-only ``(d, dC, dC)`` stacks
+    of the outputs and their support projectors.  ``lambda_min`` is the
+    smallest nonzero eigenvalue over all outputs; instances where it sits
+    within a decade of the support-detection cutoff are flagged
+    ``ill_conditioned`` because the overlap bounds blow up there.
     """
 
     povm: Povm
-    projectors: tuple[Operator, ...]
+    projectors: np.ndarray
     pi_sum: Operator
-    tau_states: tuple[Operator, ...]
+    tau_states: np.ndarray
     tau_avg: Operator
     lambda_min: float
     ill_conditioned: bool
@@ -65,65 +73,48 @@ def build_ppgm(
 ) -> PpgmBundle:
     """Build the measurement for discriminating the channel's basis outputs.
 
-    The deficiency projector ``I - supp(Pi)``, on which no output state has
-    weight, is merged into outcome 0 so the POVM has exactly one outcome per
-    basis vector.
+    One eigendecomposition per output gives its support projector and its
+    smallest nonzero eigenvalue; one more, of ``Pi``, gives both
+    ``Pi^{-1/2}`` and ``supp(Pi)``.  The deficiency projector
+    ``I - supp(Pi)``, on which no output state has weight, is merged into
+    outcome 0 so the POVM has exactly one outcome per basis vector.
     """
-    d = basis.dim
-    if chan.dim_in != d:
-        raise ValueError(
-            f"channel input dim {chan.dim_in} != basis dim {d}"
-        )
     dc = chan.dim_out
     cdims = chan.out_dims
     if rank_tol is None:
         rank_tol = tols.rank_tol(dc)
 
-    ks = chan.kraus_stack()
-    taus = []
+    taus = basis_outputs(chan, basis)
+    projectors = np.empty_like(taus)
     lam_min = math.inf
     ill = False
-    for j in range(d):
-        cols = ks @ basis.column(j)
-        tau = cols.T @ cols.conj()
-        tau = (tau + tau.conj().T) / 2
-        taus.append(Operator(tau, cdims, cdims))
-        w = np.linalg.eigvalsh(tau)
-        cut = rank_tol * max(float(w[-1]), 0.0)
-        nonzero = w[w > cut]
-        if nonzero.size == 0:
+    for j, tau in enumerate(taus):
+        w, v, on = support_eigh(tau, rank_tol, tols)
+        if not on.any():
             raise ValueError(f"output state {j} is numerically zero")
-        lam_j = float(nonzero[0])
+        projectors[j] = (v * on) @ v.conj().T
+        lam_j = float(w[on][0])
         lam_min = min(lam_min, lam_j)
-        ill = ill or lam_j < 10.0 * cut
+        ill = ill or lam_j < 10.0 * (rank_tol * float(w[-1]))
+    projectors.setflags(write=False)
 
-    pi_d = Operator(np.eye(d) / d, (d,), (d,))
-    tau_avg = apply_channel(chan, pi_d)
-
-    projectors = tuple(
-        support_projection(tau, rank_tol=rank_tol, tols=tols) for tau in taus
-    )
-    pi_sum = Operator(
-        sum(p.data for p in projectors), cdims, cdims
-    )
-    inv_root = func_on_support(
-        pi_sum, lambda x: x**-0.5, rank_tol=rank_tol, tols=tols
-    )
-    elements = []
-    for p in projectors:
-        m = inv_root.data @ p.data @ inv_root.data
-        elements.append((m + m.conj().T) / 2)
+    pi_sum = Operator(projectors.sum(axis=0), cdims, cdims)
+    w, v, on = support_eigh(pi_sum.data, rank_tol, tols)
+    root_w = np.zeros_like(w)
+    root_w[on] = w[on] ** -0.5
+    inv_root = (v * root_w) @ v.conj().T
+    elements = inv_root @ projectors @ inv_root
+    elements = (elements + elements.conj().transpose(0, 2, 1)) / 2
     # deficiency of supp(Pi): outputs never land there, fold into outcome 0
-    support = func_on_support(pi_sum, np.ones_like, rank_tol=rank_tol, tols=tols)
-    elements[0] = elements[0] + (np.eye(dc) - support.data)
+    elements[0] += np.eye(dc) - (v * on) @ v.conj().T
     povm = Povm(tuple(Operator(m, cdims, cdims) for m in elements))
 
     return PpgmBundle(
         povm=povm,
         projectors=projectors,
         pi_sum=pi_sum,
-        tau_states=tuple(taus),
-        tau_avg=tau_avg,
+        tau_states=taus,
+        tau_avg=Operator(taus.mean(axis=0), cdims, cdims),
         lambda_min=lam_min,
         ill_conditioned=ill,
         rank_tol=rank_tol,
@@ -136,14 +127,8 @@ def ppgm_error(bundle: PpgmBundle) -> float:
     Reads the cached output states, so every bound below is evaluated on
     exactly the same data.
     """
-    d = len(bundle.tau_states)
-    total = 0.0
-    for i, tau in enumerate(bundle.tau_states):
-        for j, m in enumerate(bundle.povm):
-            if j == i:
-                continue
-            total += float(np.einsum("ij,ji->", tau.data, m.data).real)
-    return total / d
+    taus = bundle.tau_states
+    return cross_overlap(taus, bundle.povm.element_stack()) / len(taus)
 
 
 def pairwise_bound(bundle: PpgmBundle) -> tuple[float, float, float]:
@@ -159,16 +144,14 @@ def pairwise_bound(bundle: PpgmBundle) -> tuple[float, float, float]:
     ``tau_j``.  Values above 1 are vacuous; they occur when ``lambda_min``
     is small (the flagged ill-conditioned instances).
     """
-    d = len(bundle.tau_states)
+    taus = bundle.tau_states
+    d = len(taus)
     lam = bundle.lambda_min
-    stack = np.stack([t.data for t in bundle.tau_states])
-    gram = np.einsum("iab,jba->ij", stack, stack).real
-    off = float(gram.sum() - np.trace(gram))
-    sum_form = off / (d * lam)
-    h2_avg = collision_entropy(bundle.tau_avg)
-    h2_each = [collision_entropy(t) for t in bundle.tau_states]
+    sum_form = cross_overlap(taus, taus) / (d * lam)
+    # 2^{-H2(rho)} is the purity tr[rho^2]
+    purities = np.einsum("jab,jba->j", taus, taus).real
     entropy_form = (
-        d * 2.0**-h2_avg - sum(2.0**-h for h in h2_each) / d
+        d * 2.0 ** -collision_entropy(bundle.tau_avg) - purities.sum() / d
     ) / lam
     return sum_form, entropy_form, lam
 
@@ -180,8 +163,5 @@ def support_bound(bundle: PpgmBundle) -> float:
     dominate the error analysis, and ``lambda_min Pi_i <= tau_i`` turns each
     projector into a state overlap.
     """
-    d = len(bundle.tau_states)
-    p = np.stack([q.data for q in bundle.projectors])
-    t = np.stack([q.data for q in bundle.tau_states])
-    cross = np.einsum("iab,jba->ij", p, t).real
-    return float(cross.sum() - np.trace(cross)) / d
+    taus = bundle.tau_states
+    return cross_overlap(bundle.projectors, taus) / len(taus)

@@ -25,6 +25,8 @@ __all__ = [
     "max_entangled",
     "max_correlated_classical",
     "apply_channel",
+    "basis_outputs",
+    "cross_overlap",
     "compose",
     "reduce_kraus",
     "bhattacharyya",
@@ -178,18 +180,23 @@ class Povm:
         if not els:
             raise ValueError("a POVM needs at least one element")
         dims = els[0].row_dims
-        total = np.zeros((els[0].dim_row, els[0].dim_row), dtype=np.complex128)
-        for e in els:
-            if e.row_dims != dims or e.col_dims != dims:
-                raise ValueError("POVM elements must share a common square space")
-            w = np.linalg.eigvalsh((e.data + e.data.conj().T) / 2)
-            if w.size and w[0] < -DEFAULT_TOLS.povm:
-                raise ValueError(f"POVM element not PSD (min eig {w[0]:.3e})")
-            total += e.data
-        err = np.max(np.abs(total - np.eye(els[0].dim_row)))
+        if any(e.row_dims != dims or e.col_dims != dims for e in els):
+            raise ValueError("POVM elements must share a common square space")
+        stack = np.stack([e.data for e in els])
+        herm = (stack + stack.conj().transpose(0, 2, 1)) / 2
+        low = float(np.linalg.eigvalsh(herm)[:, 0].min())
+        if low < -DEFAULT_TOLS.povm:
+            raise ValueError(f"POVM element not PSD (min eig {low:.3e})")
+        err = np.max(np.abs(stack.sum(axis=0) - np.eye(els[0].dim_row)))
         if err > DEFAULT_TOLS.povm:
             raise ValueError(f"POVM does not sum to identity (error {err:.3e})")
+        stack.setflags(write=False)
         object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "_stack", stack)
+
+    def element_stack(self) -> np.ndarray:
+        """All elements as one read-only (n, dim, dim) array."""
+        return self._stack
 
     @property
     def n_outcomes(self) -> int:
@@ -347,6 +354,33 @@ def apply_channel(
     if order != list(range(len(cur))):
         result = permute(result, order)
     return result
+
+
+def basis_outputs(ch: Channel, basis: OrthoBasis) -> np.ndarray:
+    """Outputs ``tau_j = T(|j><j|)`` for every basis vector ``|j>``.
+
+    Returns one read-only ``(d, dim_out, dim_out)`` array of Hermitian
+    matrices; every reader of the basis outputs goes through here.
+    """
+    if ch.dim_in != basis.dim:
+        raise ValueError(f"channel input dim {ch.dim_in} != basis dim {basis.dim}")
+    # cols[j, :, n] = K_n |j>
+    cols = (ch.kraus_stack() @ basis.matrix).transpose(2, 1, 0)
+    taus = cols @ cols.conj().transpose(0, 2, 1)
+    taus += taus.conj().transpose(0, 2, 1)  # in place: outputs can be large
+    taus /= 2
+    taus.setflags(write=False)
+    return taus
+
+
+def cross_overlap(a: np.ndarray, b: np.ndarray) -> float:
+    """``sum_{i != j} tr[a_i b_j]`` over two equally long matrix stacks.
+
+    The off-diagonal terms are summed under a mask rather than as total
+    minus trace, so a small result keeps its full precision.
+    """
+    gram = np.einsum("iab,jba->ij", a, b).real
+    return float(gram[~np.eye(len(gram), dtype=bool)].sum())
 
 
 def compose(

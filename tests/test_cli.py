@@ -1,11 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from ctoq.cli import ConfigError, load_config, main, parse_config
+from ctoq.cli import ConfigError, _z_score, load_config, main, parse_config
 
 CONFIG = """\
 # comment line
@@ -212,3 +213,18 @@ def test_haar_mean_reports_and_passes(tmp_path):
     assert "closed_form=0.238095238" in lines[0]
     # everything radiated: exact zero on both sides
     assert "closed_form=0" in lines[1] and "z=+0.00" in lines[1]
+
+
+def test_haar_mean_single_trial_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "n_bh = 2\nn_msg = 1\nell = 1\ntrials = 1\n")
+    assert main(["haar-mean", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "trials >= 2" in captured.err
+
+
+def test_z_score_degenerate_sample_keeps_the_sign():
+    assert _z_score(1.0, 1.0 + 1e-12, 0.0) == 0.0
+    assert _z_score(2.0, 1.0, 0.0) == math.inf
+    assert _z_score(0.0, 1.0, 0.0) == -math.inf
+    assert _z_score(1.5, 1.0, 0.25) == pytest.approx(2.0)

@@ -108,12 +108,20 @@ def test_delta_cl_sum_form_equals_tracenorm_form():
 # dilation
 
 
+def outcome_projection(ext, j):
+    """Dense projection ``I (x) |j><j|`` of the dilation space."""
+    d = ext.n_outcomes
+    p = np.zeros((d, d))
+    p[j, j] = 1.0
+    return np.kron(np.eye(ext.isometry.data.shape[1]), p)
+
+
 def test_naimark_projective_exact():
     z = computational_basis(2)
     ext = naimark_extend(projective_povm(z))
     v = ext.isometry.data
     for j, el in enumerate(projective_povm(z)):
-        rec = v.conj().T @ ext.projections[j].data @ v
+        rec = v.conj().T @ outcome_projection(ext, j) @ v
         np.testing.assert_allclose(rec, el.data, atol=1e-14)
 
 
@@ -129,7 +137,7 @@ def test_naimark_trine_reconstruction():
     v = ext.isometry.data
     np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
     for j, el in enumerate(povm):
-        rec = v.conj().T @ ext.projections[j].data @ v
+        rec = v.conj().T @ outcome_projection(ext, j) @ v
         assert np.max(np.abs(rec - el.data)) < 1e-12
 
 
@@ -200,8 +208,8 @@ def explicit_coherent_channel(ext, e_basis, rho: Operator) -> Operator:
     e0p[0] = 1.0
     vinv = build_v_inv(ext, e0, e0p).data
     g = sum(
-        np.kron(p.data, e_basis.column(j).reshape(-1, 1))
-        for j, p in enumerate(ext.projections)
+        np.kron(outcome_projection(ext, j), e_basis.column(j).reshape(-1, 1))
+        for j in range(d)
     )
     r_full = np.kron(vinv, np.eye(d)) @ g @ v  # C -> (C, C', A)
     big = Operator(

@@ -1,0 +1,248 @@
+"""The batched output kernel against the per-output loops it replaced.
+
+The oracles below are the earlier implementations, kept verbatim in spirit:
+one ``tau_j`` per basis vector from the Kraus stack, the retrieval isometry
+through ``np.kron(U, I)``, the kept-register tail statistic built from that
+isometry, the pretty-good measurement with one ``eigvalsh`` per output and
+separate decompositions for every support function, the error functionals
+as double loops and the overlap sums as ``total - trace``.  Every quantity
+the library reports must agree with them to 1e-12 (relative where it is
+divided by ``lambda_min``).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ctoq.config import DEFAULT_TOLS
+from ctoq.decoder import build_ctoq, delta_cl, delta_q
+from ctoq.haarhp import (
+    HpConfig,
+    _trial_rng,
+    haar_unitary,
+    hp_channel,
+    maximally_mixed_state,
+    min_eig_stats,
+    pure_state,
+)
+from ctoq.linop import Operator, trace_distance
+from ctoq.ppgm import build_ppgm, pairwise_bound, ppgm_error, support_bound
+from ctoq.qcore import (
+    basis_outputs,
+    channel,
+    max_entangled,
+    max_entangled_vector,
+    pauli_basis,
+    purify_vector,
+)
+from ctoq.sampling import random_basis, random_channel
+
+TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def oracle_taus(ch, basis):
+    ks = ch.kraus_stack()
+    taus = []
+    for j in range(basis.dim):
+        cols = ks @ basis.column(j)
+        tau = cols.T @ cols.conj()
+        taus.append((tau + tau.conj().T) / 2)
+    return taus
+
+
+def oracle_hp_kraus(u, xi, cfg):
+    n, k, ell = cfg.n_bh, cfg.n_msg, cfg.n_rad
+    da, dbh = 2**k, 2**n
+    d_kept, d_new = 2 ** (n + k - ell), 2**ell
+    vec, _ = purify_vector(xi)
+    emb = np.kron(np.eye(da, dtype=np.complex128), vec.reshape(-1, 1))
+    full = np.kron(u.data, np.eye(dbh)) @ emb
+    arr = full.reshape(d_kept, d_new, dbh, da)
+    return [
+        arr[m].transpose(1, 0, 2).reshape(dbh * d_new, da)
+        for m in range(d_kept)
+    ]
+
+
+def _on_support(a, f, rank_tol):
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    on = w > rank_tol * max(float(w[-1]), 0.0)
+    fw = np.zeros_like(w)
+    fw[on] = f(w[on])
+    return (v * fw) @ v.conj().T
+
+
+def oracle_ppgm(ch, basis):
+    dc = ch.dim_out
+    rank_tol = DEFAULT_TOLS.rank_tol(dc)
+    taus = oracle_taus(ch, basis)
+    lam_min, ill = math.inf, False
+    for tau in taus:
+        w = np.linalg.eigvalsh(tau)
+        cut = rank_tol * max(float(w[-1]), 0.0)
+        lam_j = float(w[w > cut][0])
+        lam_min = min(lam_min, lam_j)
+        ill = ill or lam_j < 10.0 * cut
+    projectors = [_on_support(t, np.ones_like, rank_tol) for t in taus]
+    pi_sum = sum(projectors)
+    inv_root = _on_support(pi_sum, lambda x: x**-0.5, rank_tol)
+    elements = []
+    for p in projectors:
+        m = inv_root @ p @ inv_root
+        elements.append((m + m.conj().T) / 2)
+    elements[0] = elements[0] + np.eye(dc) - _on_support(
+        pi_sum, np.ones_like, rank_tol
+    )
+    return taus, projectors, elements, lam_min, ill
+
+
+def _off_diagonal_sum(a, b):
+    gram = np.einsum("iab,jba->ij", np.stack(a), np.stack(b)).real
+    return float(gram.sum() - np.trace(gram))
+
+
+def oracle_delta_cl(elements, taus):
+    d = len(taus)
+    total = 0.0
+    for i, tau in enumerate(taus):
+        for j, m in enumerate(elements):
+            if j != i:
+                total += float(np.einsum("ij,ji->", tau, m).real)
+    return total / d
+
+
+def oracle_bounds(taus, projectors, lam):
+    d = len(taus)
+    sum_form = _off_diagonal_sum(taus, taus) / (d * lam)
+    avg = sum(taus) / d
+    purity = lambda r: float(np.einsum("ij,ji->", r, r).real)  # noqa: E731
+    entropy_form = (d * purity(avg) - sum(purity(t) for t in taus) / d) / lam
+    support = _off_diagonal_sum(projectors, taus) / d
+    return sum_form, entropy_form, support
+
+
+def oracle_delta_q(decoder_kraus, chan_kraus, d):
+    phi_mat = max_entangled_vector(d).reshape(d, d)
+    branches = []
+    for k in chan_kraus:
+        x = k @ phi_mat
+        for h in decoder_kraus:
+            branches.append((h @ x).reshape(-1))
+    y = np.stack(branches)
+    return trace_distance(max_entangled(d), Operator(y.T @ y.conj(), (d, d), (d, d)))
+
+
+def oracle_min_eig_stats(cfg, epsilon):
+    n, k, ell = cfg.n_bh, cfg.n_msg, cfg.n_rad
+    da, dbh = 2**k, 2**n
+    d_kept = 2 ** (n + k - ell)
+    threshold = (1.0 - epsilon) / d_kept
+    vec, _ = purify_vector(cfg.initial_state)
+    hits = 0
+    for t in range(cfg.trials):
+        u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, t))
+        big = np.kron(u.data, np.eye(dbh))
+        for j in range(da):
+            uj = np.zeros(da, dtype=np.complex128)
+            uj[j] = 1.0
+            m = (big @ np.kron(uj, vec)).reshape(d_kept, -1)
+            rho = m @ m.conj().T
+            w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+            nonzero = w[w > DEFAULT_TOLS.rank_tol(d_kept) * max(float(w[-1]), 0.0)]
+            if nonzero.size and float(nonzero.min()) < threshold:
+                hits += 1
+                break
+    return hits / cfg.trials, threshold
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def assert_close(got, want, what, rel_to=None):
+    scale = 1.0 if rel_to is None else abs(rel_to)
+    assert abs(got - want) <= TOL * scale, f"{what}: {got!r} vs {want!r}"
+
+
+def check_basis(ch, oracle_ch, basis):
+    """Every reported quantity of one basis against the oracles."""
+    taus_o, projectors_o, elements_o, lam_o, ill_o = oracle_ppgm(oracle_ch, basis)
+    bundle = build_ppgm(ch, basis)
+    np.testing.assert_allclose(basis_outputs(ch, basis), taus_o, rtol=0, atol=TOL)
+    np.testing.assert_allclose(bundle.tau_states, taus_o, rtol=0, atol=TOL)
+    np.testing.assert_allclose(bundle.projectors, projectors_o, rtol=0, atol=TOL)
+    got_elements = bundle.povm.element_stack()
+    np.testing.assert_allclose(got_elements, elements_o, rtol=0, atol=TOL)
+    assert_close(bundle.lambda_min, lam_o, "lambda_min", rel_to=lam_o)
+    assert bundle.ill_conditioned == ill_o
+
+    dcl_o = oracle_delta_cl(elements_o, taus_o)
+    assert_close(ppgm_error(bundle), dcl_o, "ppgm_error")
+    assert_close(delta_cl(bundle.povm, ch, basis), dcl_o, "delta_cl")
+    sum_o, ent_o, sup_o = oracle_bounds(taus_o, projectors_o, lam_o)
+    sum_form, entropy_form, lam = pairwise_bound(bundle)
+    assert lam == bundle.lambda_min
+    assert_close(sum_form, sum_o, "pairwise sum form", rel_to=max(sum_o, 1.0))
+    assert_close(
+        entropy_form, ent_o, "pairwise entropy form", rel_to=max(ent_o, 1.0)
+    )
+    assert_close(support_bound(bundle), sup_o, "support bound")
+    return bundle, elements_o
+
+
+def check_delta_q(ch, oracle_kraus, bundle_e, bundle_f, e_basis, f_basis):
+    dec = build_ctoq(bundle_e.povm, bundle_f.povm, e_basis, f_basis)
+    want = oracle_delta_q(
+        [k.data for k in dec.total.kraus], oracle_kraus, e_basis.dim
+    )
+    assert_close(delta_q(dec.total, ch), want, "delta_q")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_suite_sized_channels_match_the_oracles(seed):
+    rng = np.random.default_rng(900 + seed)
+    d = (2, 3, 4)[seed % 3]
+    ch = random_channel(rng, d, d + seed % 3, 1 + int(rng.integers(4)))
+    e_basis, f_basis = random_basis(rng, d), random_basis(rng, d)
+    bundle_e, _ = check_basis(ch, ch, e_basis)
+    bundle_f, _ = check_basis(ch, ch, f_basis)
+    check_delta_q(
+        ch, [k.data for k in ch.kraus], bundle_e, bundle_f, e_basis, f_basis
+    )
+
+
+HP_SHAPES = [(2, 1, 1), (3, 1, 2), (3, 1, 4), (4, 2, 3), (5, 2, 3)]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_hp_trials_match_the_oracles(shape, mixed):
+    n, k, ell = shape
+    xi = maximally_mixed_state(n) if mixed else pure_state(n)
+    cfg = HpConfig(n, k, ell, xi, seed=77)
+    u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, 0))
+    ch = hp_channel(u, xi, cfg)
+    oracle_kraus = oracle_hp_kraus(u, xi, cfg)
+    np.testing.assert_allclose(ch.kraus_stack(), oracle_kraus, rtol=0, atol=TOL)
+    oracle_ch = channel(oracle_kraus, (2**k,), (2**n, 2**ell))
+    z, x = pauli_basis(k, "z"), pauli_basis(k, "x")
+    bundle_z, _ = check_basis(ch, oracle_ch, z)
+    bundle_x, _ = check_basis(ch, oracle_ch, x)
+    check_delta_q(ch, oracle_kraus, bundle_z, bundle_x, z, x)
+
+
+@pytest.mark.parametrize(
+    "shape, trials", [((2, 1, 0), 6), ((3, 1, 2), 20), ((5, 2, 3), 2)]
+)
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_min_eig_stats_matches_the_kron_oracle(shape, trials, mixed):
+    n, k, ell = shape
+    xi = maximally_mixed_state(n) if mixed else pure_state(n)
+    cfg = HpConfig(n, k, ell, xi, seed=53, trials=trials)
+    for epsilon in (0.2, 0.5, 0.9):
+        assert min_eig_stats(cfg, epsilon) == oracle_min_eig_stats(cfg, epsilon)

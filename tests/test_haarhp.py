@@ -9,7 +9,6 @@ from ctoq.haarhp import (
     haar_mean_pairwise_overlap,
     haar_unitary,
     hp_channel,
-    hp_states,
     maximally_mixed_state,
     min_eig_stats,
     pairwise_overlap_samples,
@@ -19,10 +18,9 @@ from ctoq.haarhp import (
     state_from_spectrum,
     average_error_bound,
 )
-from ctoq.linop import partial_trace
-from ctoq.qcore import apply_channel, pauli_basis, purify
+from ctoq.linop import Operator, partial_trace
 from ctoq.ppgm import build_ppgm, ppgm_error
-from ctoq.qcore import apply_channel, pauli_basis, purify
+from ctoq.qcore import apply_channel, basis_outputs, pauli_basis, purify
 from ctoq.sampling import random_density
 
 
@@ -85,12 +83,13 @@ def test_hp_channel_ell_zero_is_constant():
     rng = np.random.default_rng(4)
     u = haar_unitary(cfg.dim_scrambled, rng)
     ch = hp_channel(u, cfg.initial_state, cfg)
-    outs, _ = hp_states(ch, pauli_basis(1, "z"))
-    np.testing.assert_allclose(outs[0].data, outs[1].data, atol=1e-12)
+    outs = basis_outputs(ch, pauli_basis(1, "z"))
+    np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
     # the constant is the past-radiation marginal of the purification
     want = partial_trace(purify(cfg.initial_state), [1])
+    out0 = Operator(outs[0], ch.out_dims, ch.out_dims)
     np.testing.assert_allclose(
-        partial_trace(outs[0], [0]).data, want.data, atol=1e-12
+        partial_trace(out0, [0]).data, want.data, atol=1e-12
     )
     bundle = build_ppgm(ch, pauli_basis(1, "z"))
     assert ppgm_error(bundle) == pytest.approx(1 - 0.5, abs=1e-10)
@@ -138,19 +137,19 @@ def test_hp_channel_matches_global_state_construction():
     np.testing.assert_allclose(got.data, want.data, atol=1e-12)
 
 
-def test_hp_states_linearity_and_basis_independence():
+def test_basis_outputs_linearity_and_basis_independence():
     rng = np.random.default_rng(7)
     cfg = cfg_with(n=2, k=1, ell=1, xi=maximally_mixed_state(2))
     u = haar_unitary(cfg.dim_scrambled, rng)
     ch = hp_channel(u, cfg.initial_state, cfg)
-    outs_z, avg_z = hp_states(ch, pauli_basis(1, "z"))
-    outs_x, avg_x = hp_states(ch, pauli_basis(1, "x"))
-    mean = sum(o.data for o in outs_z) / 2
-    np.testing.assert_allclose(avg_z.data, mean, atol=1e-10)
-    np.testing.assert_allclose(avg_z.data, avg_x.data, atol=1e-10)
-    for o in outs_z + outs_x:
-        assert o.trace() == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.eigvalsh(o.data).min() > -1e-10
+    outs_z = basis_outputs(ch, pauli_basis(1, "z"))
+    outs_x = basis_outputs(ch, pauli_basis(1, "x"))
+    avg = apply_channel(ch, maximally_mixed_state(1)).data
+    np.testing.assert_allclose(outs_z.mean(axis=0), avg, atol=1e-10)
+    np.testing.assert_allclose(outs_x.mean(axis=0), avg, atol=1e-10)
+    for o in np.concatenate([outs_z, outs_x]):
+        assert np.trace(o) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(o).min() > -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +302,40 @@ def test_run_experiment_per_trial_bounds():
         assert r.delta_cl_z <= r.pairwise_entropy_z + 1e-9
         assert r.delta_cl_x <= r.pairwise_entropy_x + 1e-9
         assert r.delta_q_ctoq <= r.bound_two_term + 1e-9
+
+
+def test_run_trial_records_numerical_errors_only(monkeypatch):
+    import ctoq.haarhp as haarhp
+
+    def raise_(exc):
+        def fake_channel(*args, **kwargs):
+            raise exc
+
+        return fake_channel
+
+    cfg = cfg_with(n=2, k=1, ell=2, seed=41)
+    monkeypatch.setattr(haarhp, "hp_channel", raise_(ValueError("bad input")))
+    r = run_trial(cfg, 0)
+    assert r.error == "bad input"
+    assert math.isnan(r.delta_q_ctoq)
+    monkeypatch.setattr(haarhp, "hp_channel", raise_(MemoryError("no room")))
+    with pytest.raises(MemoryError):
+        run_trial(cfg, 0)
+
+
+def test_hp_channel_memory_stays_small_at_six_two_four():
+    import tracemalloc
+
+    cfg = cfg_with(n=6, k=2, ell=4)
+    u = haar_unitary(cfg.dim_scrambled, np.random.default_rng(43))
+    tracemalloc.start()
+    try:
+        ch = hp_channel(u, cfg.initial_state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ch.kraus_stack().shape == (16, 64 * 16, 4)
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_reverse_basis_order_also_satisfies_bound():

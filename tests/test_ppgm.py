@@ -71,11 +71,11 @@ def test_residual_never_fires_on_outputs():
     rng = np.random.default_rng(3)
     chan = random_channel(rng, 2, 4, 1)  # rank-1 outputs, real deficiency
     bundle = build_ppgm(chan, random_basis(rng, 2))
-    support = sum(p.data for p in bundle.projectors)
+    support = bundle.projectors.sum(axis=0)
     w = np.linalg.eigvalsh(bundle.pi_sum.data)
     residual = np.eye(4) - support_projection(bundle.pi_sum).data
     for tau in bundle.tau_states:
-        fire = float(np.einsum("ij,ji->", residual, tau.data).real)
+        fire = float(np.einsum("ij,ji->", residual, tau).real)
         assert fire <= 1e-9
 
 
