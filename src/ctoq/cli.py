@@ -189,6 +189,8 @@ def load_config(path: str, allow_large: bool = False) -> RunSpec:
         raise ConfigError(f"missing config key {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if n_bh < 1 or n_msg < 1:
+        raise ConfigError(f"n_bh and n_msg must be >= 1, got {n_bh} and {n_msg}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     allow_large = allow_large or kv.get("allow_large", "").lower() in (

@@ -52,7 +52,6 @@ __all__ = [
     "delta_cl",
     "delta_cl_tracenorm",
     "naimark_extend",
-    "build_v_inv",
     "build_coherent_measurement",
     "build_theta",
     "build_eraser",
@@ -89,50 +88,18 @@ class NaimarkExtension:
         return self.isometry.row_dims[-1]
 
 
+@dataclass(frozen=True, eq=False)
 class CtoQDecoder:
-    """Assembled decoder with its two stages and working parts.
+    """Assembled decoder: the composite channel C -> A and the eraser's
+    phase corrections ``Theta_l``.
 
-    ``total`` acts identically to ``compose(eraser, coherent)`` but carries a
-    directly assembled, smaller Kraus set.  The stage channels ``coherent``
-    and ``eraser`` are built on first access; evaluating the composite never
-    materializes them.
+    ``total`` acts as the eraser after the coherent measurement but carries
+    a directly assembled, smaller Kraus set; the two stage channels are
+    never built.
     """
 
-    def __init__(
-        self,
-        total: Channel,
-        e_basis: OrthoBasis,
-        f_basis: OrthoBasis,
-        thetas: tuple[Operator, ...],
-        extension: NaimarkExtension,
-        povm_f: Povm,
-        tols: Tolerances = DEFAULT_TOLS,
-    ) -> None:
-        self.total = total
-        self.e_basis = e_basis
-        self.f_basis = f_basis
-        self.thetas = thetas
-        self.extension = extension
-        self._povm_f = povm_f
-        self._tols = tols
-        self._coherent: Channel | None = None
-        self._eraser: Channel | None = None
-
-    @property
-    def coherent(self) -> Channel:
-        """Stage one: C -> C (x) A coherent measurement channel."""
-        if self._coherent is None:
-            self._coherent = build_coherent_measurement(
-                self.extension, self.e_basis, tols=self._tols
-            )
-        return self._coherent
-
-    @property
-    def eraser(self) -> Channel:
-        """Stage two: C (x) A -> A measure-and-phase-correct channel."""
-        if self._eraser is None:
-            self._eraser = build_eraser(self._povm_f, self.thetas, self._tols)
-        return self._eraser
+    total: Channel
+    thetas: tuple[Operator, ...]
 
 
 @dataclass(frozen=True)
@@ -175,10 +142,10 @@ def delta_q(decoder: Channel, chan: Channel) -> float:
             f"decoder input dim {decoder.dim_in} != channel output dim "
             f"{chan.dim_out}"
         )
-    kx = chan.kraus_stack() @ max_entangled_vector(d).reshape(d, d)
+    kx = chan.kraus @ max_entangled_vector(d).reshape(d, d)
     # branch (k, h) is H_h K_k phi, all of them in one contraction
     y = np.einsum(
-        "hac,kcb->khab", decoder.kraus_stack(), kx, optimize=True
+        "hac,kcb->khab", decoder.kraus, kx, optimize=True
     ).reshape(-1, d * d)
     out = Operator(y.T @ y.conj(), (d, d), (d, d))
     return trace_distance(max_entangled(d), out)
@@ -237,40 +204,6 @@ def naimark_extend(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> NaimarkExtens
     return ext
 
 
-def build_v_inv(
-    ext: NaimarkExtension,
-    e0: np.ndarray,
-    e0p: np.ndarray,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> Operator:
-    """Isometry that undoes the dilation as far as possible.
-
-    ``V_inv = V^dag (x) |e0> + |e0'> (x) (I - V V^dag)`` maps C' into
-    C (x) C'.  ``e0`` must be a unit vector in the range of the dilation
-    isometry; ``e0p`` is any unit vector in C.
-    """
-    v = ext.isometry.data
-    dcp, dc = v.shape
-    e0 = np.asarray(e0, dtype=np.complex128).reshape(dcp)
-    e0p = np.asarray(e0p, dtype=np.complex128).reshape(dc)
-    for name, vec in (("e0", e0), ("e0p", e0p)):
-        if abs(np.linalg.norm(vec) - 1.0) > tols.isometry:
-            raise ValueError(f"{name} is not a unit vector")
-    proj = v @ v.conj().T
-    if np.linalg.norm(e0 - proj @ e0) > tols.isometry:
-        raise ValueError("e0 is not in the range of the dilation isometry")
-    vinv = np.kron(v.conj().T, e0.reshape(-1, 1)) + np.kron(
-        e0p.reshape(-1, 1), np.eye(dcp) - proj
-    )
-    out = Operator(
-        vinv, ext.isometry.col_dims + ext.isometry.row_dims, ext.isometry.row_dims
-    )
-    err = np.max(np.abs(vinv.conj().T @ vinv - np.eye(dcp)))
-    if err > tols.isometry:
-        raise ValueError(f"inverse map is not an isometry (error {err:.3e})")
-    return out
-
-
 def _range_complement(v: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(v)^perp for an isometry v, via full QR."""
     q = np.linalg.qr(v, mode="complete")[0]
@@ -278,45 +211,30 @@ def _range_complement(v: np.ndarray) -> np.ndarray:
 
 
 def _coherent_kraus(
-    ext: NaimarkExtension,
-    e_basis: OrthoBasis,
-    e0: np.ndarray | None,
-    e0p: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    ext: NaimarkExtension, e_basis: OrthoBasis
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Kraus data of the coherent measurement, environment sliced smartly.
 
-    Tracing out C' in the orthonormal basis {e0} + basis(range(V)^perp)
-    (the remaining directions contribute zero) yields one Kraus operator
+    The dilation is undone by ``V^dag (x) |e0> + |e0'> (x) (I - V V^dag)``
+    with ``e0`` in the range of ``V`` and ``e0' = |0>``.  Tracing out C' in
+    the orthonormal basis {e0} + basis(range(V)^perp) (the remaining
+    directions contribute zero) yields one Kraus operator
     ``sum_j M_j (x) |j_E>`` plus, for each direction ``b`` orthogonal to the
     isometry's range, a rank-one-in-C operator ``|e0'> (x) w_b`` with
-    ``w_b = sum_j |j_E><b| P_j V``.  Returns the main Kraus operator, the
-    stacked ``w_b`` (nb, d, dC), the vector e0p, and the POVM elements.
+    ``w_b = sum_j |j_E><b| P_j V``.  Any in-range ``e0`` traces out
+    identically.  Returns the POVM elements ``M_j = V^dag P_j V`` and the
+    stacked ``w_b`` (nb, d, dC).
     """
     v = ext.isometry.data
-    dcp, dc = v.shape
+    dc = v.shape[1]
     d = ext.n_outcomes
     if e_basis.dim != d:
         raise ValueError(
             f"basis dim {e_basis.dim} != number of outcomes {d}"
         )
-    if e0 is None:
-        e0 = v[:, 0]
-    else:
-        e0 = np.asarray(e0, dtype=np.complex128).reshape(dcp)
-        proj = v @ v.conj().T
-        if np.linalg.norm(e0 - proj @ e0) > DEFAULT_TOLS.isometry:
-            raise ValueError("e0 is not in the range of the dilation isometry")
-    if e0p is None:
-        e0p = np.zeros(dc, dtype=np.complex128)
-        e0p[0] = 1.0
-    else:
-        e0p = np.asarray(e0p, dtype=np.complex128).reshape(dc)
-
     u = e_basis.matrix
     roots = [v[j::d] for j in range(d)]  # nonzero rows of P_j V
-    ms = [r.conj().T @ r for r in roots]  # POVM elements V^dag P_j V
-    # k_main[(c, a), c'] = sum_j ms[j][c, c'] u[a, j]
-    k_main = np.einsum("jcp,aj->cap", np.stack(ms), u).reshape(dc * d, dc)
+    ms = [r.conj().T @ r for r in roots]
 
     comp = _range_complement(v)  # orthonormal basis of range(V)^perp
     if comp.shape[1]:
@@ -324,37 +242,25 @@ def _coherent_kraus(
         w = np.einsum("aj,jbc->bac", u, t)  # (nb, d, dc)
     else:
         w = np.zeros((0, d, dc), dtype=np.complex128)
-    return k_main, w, e0p, ms
-
-
-def _rank_one_kraus(e0p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stacked operators ``|e0'> (x) w_b``: (nb, dC*d, dC)."""
-    nb, d, dc = w.shape
-    out = e0p[None, :, None, None] * w[:, None, :, :]
-    return out.reshape(nb, dc * d, dc)
+    return ms, w
 
 
 def build_coherent_measurement(
     ext: NaimarkExtension,
     e_basis: OrthoBasis,
-    e0: np.ndarray | None = None,
-    e0p: np.ndarray | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> Channel:
     """Channel C -> C (x) A that coherently measures C and stores the
-    outcome in A in the given basis.
-
-    Defaults fix ``e0`` to the image of the first computational vector of C
-    under the dilation isometry and ``e0p`` to the first computational
-    vector of C, making runs reproducible.  The channel itself depends only
-    on ``e0p``: the undo isometry routes the in-range and out-of-range parts
-    of the dilation space to orthogonal environment sectors, so any in-range
-    ``e0`` traces out identically.
-    """
-    k_main, w, e0p_vec, _ = _coherent_kraus(ext, e_basis, e0, e0p)
-    d = ext.n_outcomes
+    outcome in A in the given basis, undoing the dilation with
+    ``e0' = |0>`` (see :func:`_coherent_kraus`)."""
+    ms, w = _coherent_kraus(ext, e_basis)
+    nb, d, dc = w.shape
+    ks = np.zeros((1 + nb, dc, d, dc), dtype=np.complex128)
+    # main operator: ks[0][c, a, c'] = sum_j ms[j][c, c'] u[a, j]
+    ks[0] = np.einsum("jcp,aj->cap", np.stack(ms), e_basis.matrix)
+    ks[1:, 0] = w  # rank-one family |e0'> (x) w_b
     cdims = ext.isometry.col_dims
-    ks = [k_main, *_rank_one_kraus(e0p_vec, w)]
+    ks = ks.reshape(1 + nb, dc * d, dc)
     return channel(ks, cdims, cdims + (d,), tp_tol=tols.channel_tp, tols=tols)
 
 
@@ -401,11 +307,11 @@ def build_ctoq(
 ) -> CtoQDecoder:
     """Assemble the full decoder from the two POVMs and their bases.
 
-    Besides the two stage channels, the composite is built directly by
-    fusing the eraser with the coherent measurement's Kraus structure: the
-    rank-one-in-C Kraus family collapses under the eraser's partial trace,
-    which keeps the composite Kraus set at ``d * (dC + nb)`` operators
-    instead of the naive pairwise product.
+    The composite of the coherent measurement and the eraser is built
+    directly by fusing the eraser with the coherent measurement's Kraus
+    structure: the rank-one-in-C Kraus family collapses under the eraser's
+    partial trace, which keeps the composite Kraus set at ``d * (dC + nb)``
+    operators instead of the naive pairwise product.
     """
     d = e_basis.dim
     if f_basis.dim != d:
@@ -414,30 +320,27 @@ def build_ctoq(
         raise ValueError("both POVMs need one outcome per basis vector")
 
     ext = naimark_extend(povm_e, tols)
-    k_main, w, e0p_vec, ms_e = _coherent_kraus(ext, e_basis, None, None)
-    cdims = ext.isometry.col_dims
-
+    ms_e, w = _coherent_kraus(ext, e_basis)
+    nb, _, dc = w.shape
     thetas = tuple(build_theta(e_basis, f_basis, l) for l in range(d))
 
     u = e_basis.matrix
-    total_ks = []
+    ks = np.empty((d, dc + nb, d, dc), dtype=np.complex128)
     for l in range(d):
-        root_f = sqrtm_psd(povm_f.elements[l].data, tols)
+        m_f = povm_f.elements[l].data
+        root_f = sqrtm_psd(m_f, tols)
         wu = thetas[l].data @ u
         # main family: Theta_l U_E stack_j(<m| sqrt(M_F,l) M_E,j)
         z = np.stack([root_f @ mj for mj in ms_e])  # (d, dC_m, dC)
-        total_ks.extend(np.einsum("ab,bmc->mac", wu, z))
-        if w.shape[0]:
-            # rank-one family: the eraser's C-trace collapses every slice of
-            # |e0'> to the single weight <e0'| M_F,l |e0'>
-            c_l = float(
-                (e0p_vec.conj() @ (povm_f.elements[l].data @ e0p_vec)).real
-            )
-            amp = math.sqrt(max(c_l, 0.0))
-            total_ks.extend(amp * np.einsum("ab,nbc->nac", thetas[l].data, w))
-    total = channel(total_ks, cdims, (d,), tp_tol=tols.compose_tp, tols=tols)
-
-    return CtoQDecoder(total, e_basis, f_basis, thetas, ext, povm_f, tols)
+        ks[l, :dc] = np.einsum("ab,bmc->mac", wu, z)
+        # rank-one family: the eraser's C-trace collapses every slice of
+        # |e0'> = |0> to the single weight <0| M_F,l |0>
+        amp = math.sqrt(max(float(m_f[0, 0].real), 0.0))
+        ks[l, dc:] = amp * np.einsum("ab,nbc->nac", thetas[l].data, w)
+    ks = ks.reshape(d * (dc + nb), d, dc)
+    cdims = ext.isometry.col_dims
+    total = channel(ks, cdims, (d,), tp_tol=tols.compose_tp, tols=tols)
+    return CtoQDecoder(total, thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +443,7 @@ def povm_from_decoder(decoder: Channel, basis: OrthoBasis) -> Povm:
     d = basis.dim
     if decoder.dim_out != d:
         raise ValueError("decoder output dim must match the basis dim")
-    ks = decoder.kraus_stack()
+    ks = decoder.kraus
     elements = []
     cdims = decoder.in_dims
     for j in range(d):
@@ -558,7 +461,7 @@ def noisy_ghz_state(chan: Channel, e_basis: OrthoBasis) -> Operator:
     exactly the coherent measurement's output on half of a maximally
     entangled state (with subsystems reordered to (C, A, R))."""
     d = e_basis.dim
-    ks = chan.kraus_stack()
+    ks = chan.kraus
     u = e_basis.matrix
     ys = np.einsum("noi,ij->njo", ks, u)  # ys[n, j] = K_n |j_E>
     dc = chan.dim_out

@@ -73,8 +73,8 @@ class HpConfig:
     trials: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_bh < 1 or self.n_msg < 0:
-            raise ValueError("need at least one system qubit")
+        if self.n_bh < 1 or self.n_msg < 1:
+            raise ValueError("need at least one system and one message qubit")
         if not 0 <= self.n_rad <= self.n_bh + self.n_msg:
             raise ValueError(
                 f"n_rad must lie in [0, {self.n_bh + self.n_msg}]"
@@ -322,9 +322,7 @@ def _trial_rng(cfg: HpConfig, trial: int) -> np.random.Generator:
     )
 
 
-def run_trial(
-    cfg: HpConfig, trial: int, reverse_bases: bool = False
-) -> TrialResult:
+def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
     """One trial: sample U, build the channel and both measurements, build
     the composite decoder, and evaluate every error functional.
 
@@ -347,14 +345,9 @@ def run_trial(
         sum_z, ent_z, lam_z = pairwise_bound(bundle_z)
         sum_x, ent_x, lam_x = pairwise_bound(bundle_x)
 
-        if reverse_bases:
-            dec = build_ctoq(bundle_x.povm, bundle_z.povm, basis_x, basis_z)
-            de, df = dcl_x, dcl_z
-        else:
-            dec = build_ctoq(bundle_z.povm, bundle_x.povm, basis_z, basis_x)
-            de, df = dcl_z, dcl_x
+        dec = build_ctoq(bundle_z.povm, bundle_x.povm, basis_z, basis_x)
         dq = delta_q(dec.total, ch)
-        bound = math.sqrt(max(de * (2.0 - de), 0.0)) + math.sqrt(max(df, 0.0))
+        bound = math.sqrt(max(dcl_z * (2.0 - dcl_z), 0.0)) + math.sqrt(max(dcl_x, 0.0))
 
         return TrialResult(
             trial=trial,
@@ -380,11 +373,7 @@ def run_trial(
         return TrialResult(trial=trial, seed_stream=trial, error=str(exc))
 
 
-def run_experiment(
-    cfg: HpConfig,
-    n_jobs: int = 1,
-    reverse_bases: bool = False,
-) -> list[TrialResult]:
+def run_experiment(cfg: HpConfig, n_jobs: int = 1) -> list[TrialResult]:
     """All trials of a config, in trial order; deterministic given the seed.
 
     Trials are independent; with ``n_jobs > 1`` they fan out over a process
@@ -392,11 +381,9 @@ def run_experiment(
     """
     trials = range(cfg.trials)
     if n_jobs <= 1:
-        return [run_trial(cfg, t, reverse_bases) for t in trials]
+        return [run_trial(cfg, t) for t in trials]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        futures = [
-            pool.submit(run_trial, cfg, t, reverse_bases) for t in trials
-        ]
+        futures = [pool.submit(run_trial, cfg, t) for t in trials]
         return [f.result() for f in futures]
 
 
@@ -432,7 +419,7 @@ def min_eig_stats(
     hits = 0
     for t in range(cfg.trials):
         u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, t))
-        ks = hp_channel(u, cfg.initial_state, cfg, tols).kraus_stack()
+        ks = hp_channel(u, cfg.initial_state, cfg, tols).kraus
         for j in range(cfg.dim_msg):
             # kept-register state for input |j>: B_j B_j^dag, B_j = ks[:, :, j]
             b = ks[:, :, j]

@@ -18,16 +18,12 @@ from .config import DEFAULT_TOLS, Tolerances
 
 __all__ = [
     "Operator",
-    "HermitianEig",
     "operator",
     "identity",
     "kron",
     "partial_trace",
     "permute",
-    "eig_hermitian",
-    "schatten_norm",
     "trace_distance",
-    "fidelity",
     "support_eigh",
     "func_on_support",
     "sqrtm_psd",
@@ -86,18 +82,6 @@ class Operator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.data))
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianEig:
-    """Eigendecomposition of a Hermitian operator.
-
-    ``eigenvalues`` are real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: Operator
 
 
 def operator(data: np.ndarray, dims: Sequence[int] | int) -> Operator:
@@ -173,34 +157,6 @@ def _hermitian_part(
     return (data + data.conj().T) / 2.0
 
 
-def eig_hermitian(a: Operator, tols: Tolerances = DEFAULT_TOLS) -> HermitianEig:
-    """Eigendecomposition of a Hermitian operator.
-
-    Symmetrizes ``(A + A^dag)/2`` first; asymmetry beyond the hermiticity
-    tolerance is an error rather than silently absorbed.
-    """
-    if a.data.shape[0] != a.data.shape[1]:
-        raise ValueError("eig_hermitian needs a square matrix")
-    herm = _hermitian_part(a.data, tols)
-    w, v = np.linalg.eigh(herm)
-    return HermitianEig(w, Operator(v, a.row_dims, a.col_dims))
-
-
-def schatten_norm(a: Operator, p: float) -> float:
-    """Schatten p-norm ``(sum_i s_i^p)^(1/p)`` over singular values.
-
-    ``p = inf`` returns the largest singular value.  ``p < 1`` is rejected.
-    """
-    if p < 1:
-        raise ValueError(f"Schatten norm needs p >= 1, got {p}")
-    s = np.linalg.svd(a.data, compute_uv=False)
-    if math.isinf(p):
-        return float(s[0]) if s.size else 0.0
-    if p == 1:
-        return float(np.sum(s))
-    return float(np.sum(s**p) ** (1.0 / p))
-
-
 def _check_density(rho: Operator, tols: Tolerances, name: str) -> None:
     if not rho.is_square:
         raise ValueError(f"{name} must be square")
@@ -248,21 +204,6 @@ def sqrtm_psd(data: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     cut = tols.rank_tol(data.shape[0]) * (float(w[-1]) if w.size else 0.0)
     w[w <= cut] = 0.0
     return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(
-    rho: Operator, sigma: Operator, tols: Tolerances = DEFAULT_TOLS
-) -> float:
-    """Uhlmann fidelity ``||sqrt(rho) sqrt(sigma)||_1^2`` between states."""
-    if rho.row_dims != sigma.row_dims or rho.col_dims != sigma.col_dims:
-        raise ValueError(
-            f"dimension mismatch: {rho.row_dims} vs {sigma.row_dims}"
-        )
-    _check_density(rho, tols, "rho")
-    _check_density(sigma, tols, "sigma")
-    a = sqrtm_psd(rho.data, tols) @ sqrtm_psd(sigma.data, tols)
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(np.sum(s) ** 2)
 
 
 def support_eigh(

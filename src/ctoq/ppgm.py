@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .linop import Operator, func_on_support, support_eigh
+from .linop import Operator, support_eigh
 from .qcore import (
     Channel,
     OrthoBasis,
@@ -27,7 +27,6 @@ from .qcore import (
 
 __all__ = [
     "PpgmBundle",
-    "support_projection",
     "build_ppgm",
     "ppgm_error",
     "pairwise_bound",
@@ -54,15 +53,6 @@ class PpgmBundle:
     lambda_min: float
     ill_conditioned: bool
     rank_tol: float
-
-
-def support_projection(
-    rho: Operator,
-    rank_tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> Operator:
-    """Projector onto the eigenspaces above ``rank_tol * lambda_max``."""
-    return func_on_support(rho, np.ones_like, rank_tol=rank_tol, tols=tols)
 
 
 def build_ppgm(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +27,6 @@ __all__ = [
     "apply_channel",
     "basis_outputs",
     "cross_overlap",
-    "compose",
-    "reduce_kraus",
     "bhattacharyya",
     "collision_entropy",
     "overlap_distribution",
@@ -101,24 +99,28 @@ class ProbDist:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Completely positive trace-preserving map in Kraus form."""
+    """Completely positive trace-preserving map in Kraus form.
 
-    kraus: tuple[Operator, ...]
+    ``kraus`` holds every Kraus operator in one read-only
+    ``(n, dim_out, dim_in)`` array.
+    """
+
+    kraus: np.ndarray
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ks = tuple(self.kraus)
-        if not ks:
-            raise ValueError("a channel needs at least one Kraus operator")
+        ks = np.ascontiguousarray(self.kraus, dtype=np.complex128)
         in_dims = tuple(int(d) for d in self.in_dims)
         out_dims = tuple(int(d) for d in self.out_dims)
-        for k in ks:
-            if k.col_dims != in_dims or k.row_dims != out_dims:
-                raise ValueError(
-                    f"Kraus dims {k.row_dims}x{k.col_dims} do not match "
-                    f"channel dims {out_dims}x{in_dims}"
-                )
+        if ks.ndim != 3 or not len(ks):
+            raise ValueError("a channel needs a nonempty stack of Kraus matrices")
+        if ks.shape[1:] != (math.prod(out_dims), math.prod(in_dims)):
+            raise ValueError(
+                f"Kraus shape {ks.shape[1:]} does not match "
+                f"channel dims {out_dims}x{in_dims}"
+            )
+        ks.setflags(write=False)
         object.__setattr__(self, "kraus", ks)
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)
@@ -131,41 +133,25 @@ class Channel:
     def dim_out(self) -> int:
         return math.prod(self.out_dims)
 
-    def kraus_stack(self) -> np.ndarray:
-        """All Kraus operators as one (n, dim_out, dim_in) array, cached."""
-        cached = getattr(self, "_stack", None)
-        if cached is None:
-            cached = np.stack([k.data for k in self.kraus])
-            cached.setflags(write=False)
-            object.__setattr__(self, "_stack", cached)
-        return cached
-
 
 def channel(
-    kraus: Iterable[np.ndarray],
+    kraus: Sequence[np.ndarray] | np.ndarray,
     in_dims: Sequence[int],
     out_dims: Sequence[int],
     tp_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> Channel:
-    """Build a Channel from raw Kraus matrices, checking trace preservation."""
-    in_dims = tuple(int(d) for d in in_dims)
-    out_dims = tuple(int(d) for d in out_dims)
-    stack = np.stack([np.asarray(k) for k in kraus]).astype(
-        np.complex128, copy=False
-    )
+    """Build a Channel from Kraus matrices, checking trace preservation.
+
+    A contiguous complex stack is taken over without a copy.
+    """
+    ch = Channel(kraus, in_dims, out_dims)
     if tp_tol is None:
         tp_tol = tols.channel_tp
-    flat = stack.reshape(-1, stack.shape[2])
-    total = flat.conj().T @ flat
-    err = np.max(np.abs(total - np.eye(math.prod(in_dims))))
+    flat = ch.kraus.reshape(-1, ch.dim_in)
+    err = np.max(np.abs(flat.conj().T @ flat - np.eye(ch.dim_in)))
     if err > tp_tol:
         raise ValueError(f"Kraus set is not trace preserving (error {err:.3e})")
-    ch = Channel(
-        tuple(Operator(k, out_dims, in_dims) for k in stack), in_dims, out_dims
-    )
-    stack.setflags(write=False)
-    object.__setattr__(ch, "_stack", stack)
     return ch
 
 
@@ -201,10 +187,6 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(range(len(self.elements)))
 
     @property
     def dim(self) -> int:
@@ -280,7 +262,7 @@ def purify_vector(
 
 
 # ---------------------------------------------------------------------------
-# channel application and composition
+# channel application
 
 
 def _resolve_targets(
@@ -317,7 +299,7 @@ def apply_channel(
     dims = state.row_dims
     n = len(dims)
     targets = _resolve_targets(state, ch, targets)
-    ks = ch.kraus_stack()
+    ks = ch.kraus
 
     if len(targets) == n:
         out = np.einsum(
@@ -365,7 +347,7 @@ def basis_outputs(ch: Channel, basis: OrthoBasis) -> np.ndarray:
     if ch.dim_in != basis.dim:
         raise ValueError(f"channel input dim {ch.dim_in} != basis dim {basis.dim}")
     # cols[j, :, n] = K_n |j>
-    cols = (ch.kraus_stack() @ basis.matrix).transpose(2, 1, 0)
+    cols = (ch.kraus @ basis.matrix).transpose(2, 1, 0)
     taus = cols @ cols.conj().transpose(0, 2, 1)
     taus += taus.conj().transpose(0, 2, 1)  # in place: outputs can be large
     taus /= 2
@@ -381,46 +363,6 @@ def cross_overlap(a: np.ndarray, b: np.ndarray) -> float:
     """
     gram = np.einsum("iab,jba->ij", a, b).real
     return float(gram[~np.eye(len(gram), dtype=bool)].sum())
-
-
-def compose(
-    later: Channel, earlier: Channel, tols: Tolerances = DEFAULT_TOLS
-) -> Channel:
-    """Channel composition later(earlier(.)) with all pairwise Kraus products."""
-    if earlier.out_dims != later.in_dims:
-        raise ValueError(
-            f"cannot compose: earlier outputs {earlier.out_dims}, "
-            f"later expects {later.in_dims}"
-        )
-    products = [
-        b.data @ a.data for b in later.kraus for a in earlier.kraus
-    ]
-    return channel(
-        products,
-        earlier.in_dims,
-        later.out_dims,
-        tp_tol=tols.compose_tp,
-        tols=tols,
-    )
-
-
-def reduce_kraus(ch: Channel, tols: Tolerances = DEFAULT_TOLS) -> Channel:
-    """Equivalent channel with a minimal Kraus set.
-
-    Diagonalizes sum_k |vec K_k><vec K_k|, which determines the map, and
-    keeps the eigenvectors with nonnegligible weight.
-    """
-    di, do = ch.dim_in, ch.dim_out
-    b = ch.kraus_stack().reshape(len(ch.kraus), do * di)
-    x = b.T @ b.conj()
-    w, v = np.linalg.eigh((x + x.conj().T) / 2)
-    cut = tols.rank_tol(do * di) * max(float(w[-1]), 0.0)
-    ks = [
-        (v[:, i] * math.sqrt(w[i])).reshape(do, di)
-        for i in range(w.size)
-        if w[i] > cut
-    ]
-    return channel(ks, ch.in_dims, ch.out_dims, tp_tol=tols.compose_tp, tols=tols)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,17 @@ def test_bad_config_exits_two(tmp_path):
     assert "config error" in proc.stderr
 
 
+def test_zero_message_qubits_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, "n_bh = 2\nn_msg = 0\nell = 1\ntrials = 2\n")
+    out = tmp_path / "o"
+    assert main(["hp-run", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "results.jsonl").exists()
+    assert main(["haar-mean", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("config error") == 2
+
+
 def test_seed_env_fallback(tmp_path):
     cfg = write_config(tmp_path, "n_bh = 2\nn_msg = 1\nell = 1\ntrials = 3\n")
     out_a = tmp_path / "a"

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ctoq.config import DEFAULT_TOLS
 from ctoq.decoder import (
     build_coherent_measurement,
     build_ctoq,
     build_eraser,
     build_theta,
-    build_v_inv,
     delta_cl,
     delta_cl_tracenorm,
     delta_q,
@@ -26,7 +26,6 @@ from ctoq.qcore import (
     Channel,
     Povm,
     apply_channel,
-    compose,
     computational_basis,
     dephasing_channel,
     depolarizing_channel,
@@ -44,7 +43,7 @@ from ctoq.sampling import (
     random_density,
     random_povm,
 )
-from tests.test_qcore import projective_povm, spanning_states
+from tests.test_qcore import compose, projective_povm, spanning_states
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +146,33 @@ def test_naimark_random_povm_isometry():
     ext = naimark_extend(povm)
     v = ext.isometry.data
     np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
+
+
+def build_v_inv(ext, e0, e0p, tols=DEFAULT_TOLS) -> Operator:
+    """Oracle: the isometry that undoes the dilation as far as possible.
+
+    ``V_inv = V^dag (x) |e0> + |e0'> (x) (I - V V^dag)`` maps C' into
+    C (x) C'.  ``e0`` must be a unit vector in the range of the dilation
+    isometry; ``e0p`` is any unit vector in C.
+    """
+    v = ext.isometry.data
+    dcp, dc = v.shape
+    e0 = np.asarray(e0, dtype=np.complex128).reshape(dcp)
+    e0p = np.asarray(e0p, dtype=np.complex128).reshape(dc)
+    for name, vec in (("e0", e0), ("e0p", e0p)):
+        if abs(np.linalg.norm(vec) - 1.0) > tols.isometry:
+            raise ValueError(f"{name} is not a unit vector")
+    proj = v @ v.conj().T
+    if np.linalg.norm(e0 - proj @ e0) > tols.isometry:
+        raise ValueError("e0 is not in the range of the dilation isometry")
+    vinv = np.kron(v.conj().T, e0.reshape(-1, 1)) + np.kron(
+        e0p.reshape(-1, 1), np.eye(dcp) - proj
+    )
+    err = np.max(np.abs(vinv.conj().T @ vinv - np.eye(dcp)))
+    if err > tols.isometry:
+        raise ValueError(f"inverse map is not an isometry (error {err:.3e})")
+    dims = ext.isometry.row_dims
+    return Operator(vinv, ext.isometry.col_dims + dims, dims)
 
 
 def test_build_v_inv_isometry_and_range_action():
@@ -397,8 +423,12 @@ def test_ctoq_total_equals_composition():
     for d, dc in ((2, 2), (2, 3), (3, 3)):
         pe = random_povm(rng, dc, d)
         pf = random_povm(rng, dc, d)
-        dec = build_ctoq(pe, pf, random_basis(rng, d), random_basis(rng, d))
-        comp = compose(dec.eraser, dec.coherent)
+        e, f = random_basis(rng, d), random_basis(rng, d)
+        dec = build_ctoq(pe, pf, e, f)
+        comp = compose(
+            build_eraser(pf, dec.thetas),
+            build_coherent_measurement(naimark_extend(pe), e),
+        )
         for s in spanning_states(dc):
             np.testing.assert_allclose(
                 apply_channel(dec.total, s).data,
@@ -417,8 +447,9 @@ def test_ctoq_handles_multi_factor_measured_space():
     z, x = pauli_basis(1, "z"), pauli_basis(1, "x")
     dec = build_ctoq(pe, pf, z, x)
     assert dec.total.in_dims == (2, 2) and dec.total.out_dims == (2,)
-    assert dec.coherent.out_dims == (2, 2, 2)
-    comp = compose(dec.eraser, dec.coherent)
+    coherent = build_coherent_measurement(naimark_extend(pe), z)
+    assert coherent.out_dims == (2, 2, 2)
+    comp = compose(build_eraser(pf, dec.thetas), coherent)
     for s in spanning_states(4)[:6]:
         state = Operator(s.data, (2, 2), (2, 2))
         np.testing.assert_allclose(
@@ -427,9 +458,7 @@ def test_ctoq_handles_multi_factor_measured_space():
             atol=1e-9,
         )
     chan = random_channel(rng, 2, 4, 2)
-    chan = Channel(
-        tuple(Operator(k.data, (2, 2), (2,)) for k in chan.kraus), (2,), (2, 2)
-    )
+    chan = Channel(chan.kraus, (2,), (2, 2))
     assert delta_q(dec.total, chan) <= 1.0 + 1e-9
 
 

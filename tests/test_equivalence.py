@@ -5,9 +5,10 @@ one ``tau_j`` per basis vector from the Kraus stack, the retrieval isometry
 through ``np.kron(U, I)``, the kept-register tail statistic built from that
 isometry, the pretty-good measurement with one ``eigvalsh`` per output and
 separate decompositions for every support function, the error functionals
-as double loops and the overlap sums as ``total - trace``.  Every quantity
-the library reports must agree with them to 1e-12 (relative where it is
-divided by ``lambda_min``).
+as double loops, the overlap sums as ``total - trace`` and the composite
+decoder's Kraus set as a list of per-operator arrays.  Every quantity the
+library reports must agree with them to 1e-12 (relative where it is divided
+by ``lambda_min``); the decoder's Kraus set must agree, in order, to 1e-15.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from ctoq.config import DEFAULT_TOLS
-from ctoq.decoder import build_ctoq, delta_cl, delta_q
+from ctoq.decoder import build_ctoq, build_theta, delta_cl, delta_q, naimark_extend
 from ctoq.haarhp import (
     HpConfig,
     _trial_rng,
@@ -26,7 +27,7 @@ from ctoq.haarhp import (
     min_eig_stats,
     pure_state,
 )
-from ctoq.linop import Operator, trace_distance
+from ctoq.linop import Operator, sqrtm_psd, trace_distance
 from ctoq.ppgm import build_ppgm, pairwise_bound, ppgm_error, support_bound
 from ctoq.qcore import (
     basis_outputs,
@@ -46,7 +47,7 @@ TOL = 1e-12
 
 
 def oracle_taus(ch, basis):
-    ks = ch.kraus_stack()
+    ks = ch.kraus
     taus = []
     for j in range(basis.dim):
         cols = ks @ basis.column(j)
@@ -137,6 +138,40 @@ def oracle_delta_q(decoder_kraus, chan_kraus, d):
     return trace_distance(max_entangled(d), Operator(y.T @ y.conj(), (d, d), (d, d)))
 
 
+def oracle_ctoq_kraus(povm_e, povm_f, e_basis, f_basis):
+    """The composite decoder's Kraus set, assembled one operator at a time.
+
+    Coherent measurement with ``e0' = |0>`` and the range complement of the
+    dilation from a full QR, fused with the eraser outcome by outcome.
+    """
+    d = e_basis.dim
+    v = naimark_extend(povm_e).isometry.data
+    dc = v.shape[1]
+    e0p = np.zeros(dc, dtype=np.complex128)
+    e0p[0] = 1.0
+    u = e_basis.matrix
+    roots = [v[j::d] for j in range(d)]
+    ms = [r.conj().T @ r for r in roots]
+    comp = np.linalg.qr(v, mode="complete")[0][:, dc:]
+    if comp.shape[1]:
+        t = np.stack([comp[j::d].conj().T @ r for j, r in enumerate(roots)])
+        w = np.einsum("aj,jbc->bac", u, t)
+    else:
+        w = np.zeros((0, d, dc), dtype=np.complex128)
+    total_ks = []
+    for l in range(d):
+        theta = build_theta(e_basis, f_basis, l).data
+        m_f = povm_f.elements[l].data
+        root_f = sqrtm_psd(m_f)
+        z = np.stack([root_f @ mj for mj in ms])
+        total_ks.extend(np.einsum("ab,bmc->mac", theta @ u, z))
+        if w.shape[0]:
+            c_l = float((e0p.conj() @ (m_f @ e0p)).real)
+            amp = math.sqrt(max(c_l, 0.0))
+            total_ks.extend(amp * np.einsum("ab,nbc->nac", theta, w))
+    return total_ks
+
+
 def oracle_min_eig_stats(cfg, epsilon):
     n, k, ell = cfg.n_bh, cfg.n_msg, cfg.n_rad
     da, dbh = 2**k, 2**n
@@ -195,11 +230,13 @@ def check_basis(ch, oracle_ch, basis):
     return bundle, elements_o
 
 
-def check_delta_q(ch, oracle_kraus, bundle_e, bundle_f, e_basis, f_basis):
+def check_decoder(ch, oracle_kraus, bundle_e, bundle_f, e_basis, f_basis):
+    """The decoder's Kraus set and its ``delta_q`` against the oracles."""
     dec = build_ctoq(bundle_e.povm, bundle_f.povm, e_basis, f_basis)
-    want = oracle_delta_q(
-        [k.data for k in dec.total.kraus], oracle_kraus, e_basis.dim
-    )
+    want_ks = oracle_ctoq_kraus(bundle_e.povm, bundle_f.povm, e_basis, f_basis)
+    assert dec.total.kraus.shape == (len(want_ks),) + want_ks[0].shape
+    np.testing.assert_allclose(dec.total.kraus, want_ks, rtol=0, atol=1e-15)
+    want = oracle_delta_q(dec.total.kraus, oracle_kraus, e_basis.dim)
     assert_close(delta_q(dec.total, ch), want, "delta_q")
 
 
@@ -211,9 +248,7 @@ def test_suite_sized_channels_match_the_oracles(seed):
     e_basis, f_basis = random_basis(rng, d), random_basis(rng, d)
     bundle_e, _ = check_basis(ch, ch, e_basis)
     bundle_f, _ = check_basis(ch, ch, f_basis)
-    check_delta_q(
-        ch, [k.data for k in ch.kraus], bundle_e, bundle_f, e_basis, f_basis
-    )
+    check_decoder(ch, ch.kraus, bundle_e, bundle_f, e_basis, f_basis)
 
 
 HP_SHAPES = [(2, 1, 1), (3, 1, 2), (3, 1, 4), (4, 2, 3), (5, 2, 3)]
@@ -228,12 +263,12 @@ def test_hp_trials_match_the_oracles(shape, mixed):
     u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, 0))
     ch = hp_channel(u, xi, cfg)
     oracle_kraus = oracle_hp_kraus(u, xi, cfg)
-    np.testing.assert_allclose(ch.kraus_stack(), oracle_kraus, rtol=0, atol=TOL)
+    np.testing.assert_allclose(ch.kraus, oracle_kraus, rtol=0, atol=TOL)
     oracle_ch = channel(oracle_kraus, (2**k,), (2**n, 2**ell))
     z, x = pauli_basis(k, "z"), pauli_basis(k, "x")
     bundle_z, _ = check_basis(ch, oracle_ch, z)
     bundle_x, _ = check_basis(ch, oracle_ch, x)
-    check_delta_q(ch, oracle_kraus, bundle_z, bundle_x, z, x)
+    check_decoder(ch, oracle_kraus, bundle_z, bundle_x, z, x)
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ctoq.decoder import build_ctoq, delta_q
 from ctoq.haarhp import (
     HpConfig,
+    _trial_rng,
     derived_quantities,
     haar_mean_pairwise_overlap,
     haar_unitary,
@@ -100,7 +102,7 @@ def test_hp_channel_trace_preserving_randomized():
     cfg = cfg_with(n=2, k=1, ell=2, xi=maximally_mixed_state(2))
     u = haar_unitary(cfg.dim_scrambled, rng)
     ch = hp_channel(u, cfg.initial_state, cfg)
-    ks = ch.kraus_stack()
+    ks = ch.kraus
     flat = ks.reshape(-1, ks.shape[2])
     np.testing.assert_allclose(
         flat.conj().T @ flat, np.eye(2), atol=1e-12
@@ -175,11 +177,8 @@ def test_derived_quantities_from_spectrum():
 
 
 def test_closed_form_vanishing_cases():
-    # no message pairs
-    assert haar_mean_pairwise_overlap(
-        HpConfig(2, 0, 1, maximally_mixed_state(2), 0, 1)
-    ) == pytest.approx(0.0, abs=1e-15)
-    # everything radiated: outputs orthogonal and pure
+    # everything radiated: outputs orthogonal and pure (a config without
+    # message qubits, the other vanishing case, is refused by HpConfig)
     assert haar_mean_pairwise_overlap(
         cfg_with(n=2, k=1, ell=3)
     ) == pytest.approx(0.0, abs=1e-15)
@@ -334,20 +333,26 @@ def test_hp_channel_memory_stays_small_at_six_two_four():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ch.kraus_stack().shape == (16, 64 * 16, 4)
+    assert ch.kraus.shape == (16, 64 * 16, 4)
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_reverse_basis_order_also_satisfies_bound():
+    # the decoder with the X record as E and the Z record as F; run_trial
+    # builds it the other way round
     cfg = cfg_with(n=2, k=1, ell=2, seed=29, trials=5)
     fwd = run_experiment(cfg)
-    rev = run_experiment(cfg, reverse_bases=True)
-    for r in rev:
-        assert r.error is None
-        assert r.delta_q_ctoq <= r.bound_two_term + 1e-9
-    assert any(
-        abs(a.delta_q_ctoq - b.delta_q_ctoq) > 1e-12 for a, b in zip(fwd, rev)
-    )
+    z, x = pauli_basis(1, "z"), pauli_basis(1, "x")
+    moved = False
+    for t, r in enumerate(fwd):
+        u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, t))
+        ch = hp_channel(u, cfg.initial_state, cfg)
+        bundle_z, bundle_x = build_ppgm(ch, z), build_ppgm(ch, x)
+        de, df = ppgm_error(bundle_x), ppgm_error(bundle_z)
+        dq = delta_q(build_ctoq(bundle_x.povm, bundle_z.povm, x, z).total, ch)
+        assert dq <= math.sqrt(de * (2 - de)) + math.sqrt(df) + 1e-9
+        moved = moved or abs(dq - r.delta_q_ctoq) > 1e-12
+    assert moved
 
 
 def test_min_eig_stats_deterministic_when_nothing_radiated():
@@ -379,3 +384,5 @@ def test_config_validation():
         HpConfig(2, 1, 1, maximally_mixed_state(3), 0, 1)
     with pytest.raises(ValueError):
         cfg_with(trials=0)
+    with pytest.raises(ValueError, match="message qubit"):
+        cfg_with(k=0, ell=1)

@@ -5,26 +5,20 @@ import pytest
 
 from ctoq.linop import (
     Operator,
-    eig_hermitian,
-    fidelity,
     func_on_support,
     identity,
     kron,
     operator,
     partial_trace,
     permute,
-    schatten_norm,
+    sqrtm_psd,
+    support_eigh,
     trace_distance,
 )
 from ctoq.sampling import ginibre, random_density
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def rand_herm(rng, d):
-    g = ginibre(rng, d, d)
-    return (g + g.conj().T) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -184,58 +178,40 @@ def test_permute_roundtrip():
 # eigendecomposition
 
 
-def test_eig_hermitian_diagonal():
-    e = eig_hermitian(operator(np.diag([1.0, 3.0]), 2))
-    np.testing.assert_allclose(e.eigenvalues, [1.0, 3.0])
-    np.testing.assert_allclose(np.abs(e.eigenvectors.data), np.eye(2))
+def test_support_eigh_diagonal():
+    w, v, on = support_eigh(np.diag([3.0, 0.0]))
+    np.testing.assert_allclose(w, [0.0, 3.0])
+    np.testing.assert_allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]])
+    assert on.tolist() == [False, True]
 
 
-def test_eig_hermitian_pauli_x():
-    e = eig_hermitian(operator(PAULI_X, 2))
-    np.testing.assert_allclose(e.eigenvalues, [-1.0, 1.0], atol=1e-14)
-
-
-def test_eig_hermitian_reconstruction():
+def test_support_eigh_reconstruction():
     rng = np.random.default_rng(7)
-    a = operator(rand_herm(rng, 6), 6)
-    e = eig_hermitian(a)
-    v = e.eigenvectors.data
-    recon = (v * e.eigenvalues) @ v.conj().T
-    scale = schatten_norm(a, math.inf)
-    assert np.max(np.abs(recon - a.data)) <= 1e-10 * scale
+    g = ginibre(rng, 6, 4)  # rank-4 PSD on 6 dims
+    a = g @ g.conj().T
+    w, v, on = support_eigh(a)
+    recon = (v * w) @ v.conj().T
+    assert np.max(np.abs(recon - a)) <= 1e-10 * np.linalg.norm(a, 2)
     assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-10
+    assert int(on.sum()) == 4
 
 
-def test_eig_hermitian_rejects_nonsquare_and_asymmetric():
+def test_support_eigh_rejects_nonsquare_and_asymmetric():
     with pytest.raises(ValueError):
-        eig_hermitian(Operator(np.ones((2, 3)), (2,), (3,)))
+        support_eigh(np.ones((2, 3)))
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        eig_hermitian(operator(bad, 2))
+        support_eigh(bad)
 
 
 # ---------------------------------------------------------------------------
-# norms, distance, fidelity
+# distance, fidelity
 
 
-def test_schatten_norm_identity_and_diag():
-    assert schatten_norm(identity(5), 1) == pytest.approx(5.0)
-    a = operator(np.diag([3.0, -4.0]), 2)
-    assert schatten_norm(a, 1) == pytest.approx(7.0)
-    assert schatten_norm(a, math.inf) == pytest.approx(4.0)
-
-
-def test_schatten_two_norm_trace_oracle():
-    rng = np.random.default_rng(11)
-    g = ginibre(rng, 5, 5)
-    a = operator(g, 5)
-    direct = float(np.trace(g.conj().T @ g).real)
-    assert schatten_norm(a, 2) ** 2 == pytest.approx(direct, rel=1e-12)
-
-
-def test_schatten_norm_rejects_small_p():
-    with pytest.raises(ValueError):
-        schatten_norm(identity(2), 0.5)
+def fidelity(rho: Operator, sigma: Operator) -> float:
+    """Oracle: Uhlmann fidelity ``||sqrt(rho) sqrt(sigma)||_1^2``."""
+    a = sqrtm_psd(rho.data) @ sqrtm_psd(sigma.data)
+    return float(np.linalg.svd(a, compute_uv=False).sum() ** 2)
 
 
 def test_trace_distance_basic():

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from ctoq.linop import operator
+from ctoq.linop import func_on_support, operator
 from ctoq.ppgm import (
     support_bound,
     build_ppgm,
     ppgm_error,
     pairwise_bound,
-    support_projection,
 )
 from ctoq.qcore import Povm, computational_basis, depolarizing_channel, measure_prepare_channel, pauli_basis
 from ctoq.sampling import ginibre, random_basis, random_block_channel, random_channel
+
+
+def support_projection(rho):
+    """Projector onto the numerical support of a PSD operator."""
+    return func_on_support(rho, np.ones_like)
 
 
 def test_support_projection_pure_and_mixed():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ctoq.config import DEFAULT_TOLS
 from ctoq.linop import Operator, operator, partial_trace
 from ctoq.qcore import (
     Channel,
@@ -13,7 +14,6 @@ from ctoq.qcore import (
     bhattacharyya,
     channel,
     collision_entropy,
-    compose,
     computational_basis,
     dephasing_channel,
     depolarizing_channel,
@@ -26,7 +26,6 @@ from ctoq.qcore import (
     pauli_basis,
     povm_channel,
     purify,
-    reduce_kraus,
     unitary_channel,
 )
 from ctoq.sampling import ginibre, random_basis, random_channel, random_density, random_povm
@@ -77,6 +76,38 @@ def test_povm_validation():
 def test_channel_requires_trace_preservation():
     with pytest.raises(ValueError):
         channel([np.eye(2) * 0.5], (2,), (2,))
+
+
+def test_channel_rejects_empty_and_misshapen_stacks():
+    with pytest.raises(ValueError):
+        Channel(np.zeros((0, 2, 2)), (2,), (2,))
+    with pytest.raises(ValueError):
+        channel([], (2,), (2,))
+    with pytest.raises(ValueError):
+        Channel(np.zeros((2, 3, 2)), (2,), (2,))
+    with pytest.raises(ValueError):
+        Channel(np.zeros((3, 2)), (2,), (2,))
+    with pytest.raises(ValueError):
+        channel(np.eye(2)[None], (2,), (2, 2))
+
+
+def test_channel_kraus_is_read_only():
+    ch = random_channel(np.random.default_rng(1), 2, 3, 2)
+    assert ch.kraus.shape == (2, 3, 2)
+    with pytest.raises(ValueError):
+        ch.kraus[0, 0, 0] = 1.0
+
+
+def test_channel_from_list_equals_channel_from_stack():
+    ch = random_channel(np.random.default_rng(2), 3, 2, 4)
+    ks = [np.array(k) for k in ch.kraus]
+    from_list = channel(ks, (3,), (2,))
+    from_stack = channel(np.stack(ks), (3,), (2,))
+    assert from_list.kraus.dtype == from_stack.kraus.dtype == np.complex128
+    np.testing.assert_array_equal(from_list.kraus, from_stack.kraus)
+    np.testing.assert_array_equal(from_list.kraus, ch.kraus)
+    assert from_list.in_dims == from_stack.in_dims == (3,)
+    assert from_list.out_dims == from_stack.out_dims == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +197,7 @@ def kraus_embed_oracle(ch: Channel, state: Operator, target: int) -> np.ndarray:
             if target + 1 < len(dims)
             else np.eye(1)
         )
-        big = np.kron(np.kron(factors_left, k.data), factors_right)
+        big = np.kron(np.kron(factors_left, k), factors_right)
         out = out + big @ state.data @ big.conj().T
     return out
 
@@ -194,7 +225,7 @@ def test_apply_channel_dim_changing_positions():
     # reference: embed on the right
     want = 0.0
     for k in ch.kraus:
-        big = np.kron(np.eye(2), k.data)
+        big = np.kron(np.eye(2), k)
         want = want + big @ rho.data @ big.conj().T
     np.testing.assert_allclose(out.data, want, atol=1e-12)
 
@@ -208,6 +239,19 @@ def test_apply_channel_rejects_mismatch():
 
 # ---------------------------------------------------------------------------
 # composition
+
+
+def compose(later: Channel, earlier: Channel, tols=DEFAULT_TOLS) -> Channel:
+    """Oracle: ``later(earlier(.))`` with all pairwise Kraus products."""
+    if earlier.out_dims != later.in_dims:
+        raise ValueError(
+            f"cannot compose: earlier outputs {earlier.out_dims}, "
+            f"later expects {later.in_dims}"
+        )
+    products = [b @ a for b in later.kraus for a in earlier.kraus]
+    return channel(
+        products, earlier.in_dims, later.out_dims, tp_tol=tols.compose_tp, tols=tols
+    )
 
 
 def spanning_states(d: int) -> list[Operator]:
@@ -271,19 +315,6 @@ def test_compose_rejects_dim_mismatch():
     rng = np.random.default_rng(16)
     with pytest.raises(ValueError):
         compose(random_channel(rng, 3, 2, 2), random_channel(rng, 2, 2, 2))
-
-
-def test_reduce_kraus_preserves_action():
-    rng = np.random.default_rng(18)
-    a = random_channel(rng, 2, 2, 3)
-    b = random_channel(rng, 2, 2, 3)
-    comp = compose(b, a)  # 9 Kraus operators, rank <= 4
-    red = reduce_kraus(comp)
-    assert len(red.kraus) <= 4
-    for s in spanning_states(2):
-        np.testing.assert_allclose(
-            apply_channel(red, s).data, apply_channel(comp, s).data, atol=1e-12
-        )
 
 
 # ---------------------------------------------------------------------------
