@@ -12,16 +12,20 @@ assembles a channel ``C -> A`` that decodes quantum information:
   outcome-dependent diagonal phase to the register, deleting the record of
   which E outcome occurred.
 
-The resulting decoding error for quantum information is controlled by the
-two classical errors plus a complementarity defect of the basis pair,
-evaluated here along with its computable upper bounds.
+The two stages fuse into a decoder fixed in closed form by products of
+the two POVMs' elements.  :func:`ctoq_delta_q` evaluates its quantum
+decoding error from that form, on the ``d^2 x d^2`` image of a maximally
+entangled state under channel and decoder, without assembling a Kraus set.
+The coherent measurement itself is built as a channel for the three-party
+diagnostic.  The decoding error is controlled by the two classical errors
+plus a complementarity defect of the basis pair, evaluated here along with
+its computable upper bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -46,16 +50,13 @@ from .qcore import (
 
 __all__ = [
     "NaimarkExtension",
-    "CtoQDecoder",
     "ErrorReport",
     "delta_q",
     "delta_cl",
     "delta_cl_tracenorm",
     "naimark_extend",
     "build_coherent_measurement",
-    "build_theta",
-    "build_eraser",
-    "build_ctoq",
+    "ctoq_delta_q",
     "xi_ef",
     "xi_bounds",
     "error_report",
@@ -86,20 +87,6 @@ class NaimarkExtension:
     @property
     def n_outcomes(self) -> int:
         return self.isometry.row_dims[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class CtoQDecoder:
-    """Assembled decoder: the composite channel C -> A and the eraser's
-    phase corrections ``Theta_l``.
-
-    ``total`` acts as the eraser after the coherent measurement but carries
-    a directly assembled, smaller Kraus set; the two stage channels are
-    never built.
-    """
-
-    total: Channel
-    thetas: tuple[Operator, ...]
 
 
 @dataclass(frozen=True)
@@ -210,10 +197,13 @@ def _range_complement(v: np.ndarray) -> np.ndarray:
     return q[:, v.shape[1] :]
 
 
-def _coherent_kraus(
-    ext: NaimarkExtension, e_basis: OrthoBasis
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Kraus data of the coherent measurement, environment sliced smartly.
+def build_coherent_measurement(
+    ext: NaimarkExtension,
+    e_basis: OrthoBasis,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> Channel:
+    """Channel C -> C (x) A that coherently measures C and stores the
+    outcome in A in the given basis.
 
     The dilation is undone by ``V^dag (x) |e0> + |e0'> (x) (I - V V^dag)``
     with ``e0`` in the range of ``V`` and ``e0' = |0>``.  Tracing out C' in
@@ -222,8 +212,7 @@ def _coherent_kraus(
     ``sum_j M_j (x) |j_E>`` plus, for each direction ``b`` orthogonal to the
     isometry's range, a rank-one-in-C operator ``|e0'> (x) w_b`` with
     ``w_b = sum_j |j_E><b| P_j V``.  Any in-range ``e0`` traces out
-    identically.  Returns the POVM elements ``M_j = V^dag P_j V`` and the
-    stacked ``w_b`` (nb, d, dC).
+    identically.
     """
     v = ext.isometry.data
     dc = v.shape[1]
@@ -234,113 +223,119 @@ def _coherent_kraus(
         )
     u = e_basis.matrix
     roots = [v[j::d] for j in range(d)]  # nonzero rows of P_j V
-    ms = [r.conj().T @ r for r in roots]
-
     comp = _range_complement(v)  # orthonormal basis of range(V)^perp
-    if comp.shape[1]:
-        t = np.stack([comp[j::d].conj().T @ r for j, r in enumerate(roots)])
-        w = np.einsum("aj,jbc->bac", u, t)  # (nb, d, dc)
-    else:
-        w = np.zeros((0, d, dc), dtype=np.complex128)
-    return ms, w
-
-
-def build_coherent_measurement(
-    ext: NaimarkExtension,
-    e_basis: OrthoBasis,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> Channel:
-    """Channel C -> C (x) A that coherently measures C and stores the
-    outcome in A in the given basis, undoing the dilation with
-    ``e0' = |0>`` (see :func:`_coherent_kraus`)."""
-    ms, w = _coherent_kraus(ext, e_basis)
-    nb, d, dc = w.shape
+    nb = comp.shape[1]
     ks = np.zeros((1 + nb, dc, d, dc), dtype=np.complex128)
-    # main operator: ks[0][c, a, c'] = sum_j ms[j][c, c'] u[a, j]
-    ks[0] = np.einsum("jcp,aj->cap", np.stack(ms), e_basis.matrix)
-    ks[1:, 0] = w  # rank-one family |e0'> (x) w_b
+    # main operator: ks[0][c, a, c'] = sum_j M_j[c, c'] u[a, j]
+    ms = np.stack([r.conj().T @ r for r in roots])
+    ks[0] = np.einsum("jcp,aj->cap", ms, u)
+    # rank-one family |e0'> (x) w_b
+    t = np.stack([comp[j::d].conj().T @ r for j, r in enumerate(roots)])
+    ks[1:, 0] = np.einsum("aj,jbc->bac", u, t)
     cdims = ext.isometry.col_dims
     ks = ks.reshape(1 + nb, dc * d, dc)
     return channel(ks, cdims, cdims + (d,), tp_tol=tols.channel_tp, tols=tols)
 
 
-def build_theta(e_basis: OrthoBasis, f_basis: OrthoBasis, l: int) -> Operator:
-    """Eraser phase correction: diagonal in the e-basis, with the phase of
-    each overlap ``<j_e|l_f>`` (zero overlaps contribute phase 0)."""
-    if e_basis.dim != f_basis.dim:
-        raise ValueError("bases must share a dimension")
-    amps = e_basis.matrix.conj().T @ f_basis.column(l)
-    phases = np.exp(1j * np.angle(amps))
-    u = e_basis.matrix
-    return Operator(
-        (u * phases) @ u.conj().T, (e_basis.dim,), (e_basis.dim,)
-    )
-
-
-def build_eraser(
-    povm_f: Povm,
-    thetas: Sequence[Operator],
-    tols: Tolerances = DEFAULT_TOLS,
-) -> Channel:
-    """Channel C (x) A -> A: measure C with the POVM, apply the matching
-    phase correction to A, discard C."""
-    if len(thetas) != povm_f.n_outcomes:
-        raise ValueError("need one phase correction per POVM outcome")
-    d = thetas[0].dim_row
-    dc = povm_f.dim
-    cdims = povm_f.elements[0].row_dims
-    ks = []
-    for m_el, th in zip(povm_f, thetas):
-        root = sqrtm_psd(m_el.data, tols)
-        # K_{l,m}[a, (c, b)] = Theta_l[a, b] root[m, c]
-        block = np.einsum("mc,ab->macb", root, th.data)
-        ks.extend(block.reshape(dc, d, dc * d))
-    return channel(ks, cdims + (d,), (d,), tp_tol=tols.channel_tp, tols=tols)
-
-
-def build_ctoq(
+def _ctoq_state(
+    chan: Channel,
     povm_e: Povm,
     povm_f: Povm,
     e_basis: OrthoBasis,
     f_basis: OrthoBasis,
     tols: Tolerances = DEFAULT_TOLS,
-) -> CtoQDecoder:
-    """Assemble the full decoder from the two POVMs and their bases.
+) -> np.ndarray:
+    """``(D o T (x) id_R)(Phi)`` for the decoder ``D`` of :func:`ctoq_delta_q`.
 
-    The composite of the coherent measurement and the eraser is built
-    directly by fusing the eraser with the coherent measurement's Kraus
-    structure: the rank-one-in-C Kraus family collapses under the eraser's
-    partial trace, which keeps the composite Kraus set at ``d * (dC + nb)``
-    operators instead of the naive pairwise product.
+    ``Phi`` is maximally entangled on two copies of the channel's input
+    space R; the result is a ``(d dim R) x (d dim R)`` matrix on
+    ``A (x) R``.  With ``T`` the identity on C it is the Choi matrix of
+    ``D`` over ``dim C``, which fixes ``D`` on all of C.  The R-marginal must
+    be ``I / dim R`` within ``tols.compose_tp``: the decoder preserves the
+    trace of the channel's outputs.
     """
     d = e_basis.dim
     if f_basis.dim != d:
         raise ValueError("bases must share a dimension")
     if povm_e.n_outcomes != d or povm_f.n_outcomes != d:
         raise ValueError("both POVMs need one outcome per basis vector")
-
-    ext = naimark_extend(povm_e, tols)
-    ms_e, w = _coherent_kraus(ext, e_basis)
-    nb, _, dc = w.shape
-    thetas = tuple(build_theta(e_basis, f_basis, l) for l in range(d))
+    dc = chan.dim_out
+    if povm_e.dim != dc or povm_f.dim != dc:
+        raise ValueError(
+            f"POVMs act on dim {povm_e.dim}/{povm_f.dim}, channel outputs "
+            f"dim {dc}"
+        )
+    ks = chan.kraus
+    n_kraus, _, d_in = ks.shape
+    m_e = povm_e.element_stack()
+    m_f = povm_f.element_stack()
+    # B = [K_n|a>] with columns (n, a); Y_j = M_E,j B; Z_lj = M_F,l Y_j
+    b = ks.transpose(1, 0, 2).reshape(dc, n_kraus * d_in)
+    y = (m_e @ b).reshape(d, dc, n_kraus, d_in)
+    z = (m_f[:, None] @ y.reshape(1, d, dc, -1)).reshape((d,) + y.shape)
+    # traces against X = sum_n K_n|a><b|K_n^dag, contracted over (C, n):
+    # p[l, j, a, k, b] = tr(M_F,l M_E,j X M_E,k) and
+    # q[j, a, k, b] = delta_jk tr(M_E,j X) - tr(M_E,k M_E,j X)
+    p = np.einsum("ljcna,kcnb->ljakb", z, y.conj(), optimize=True)
+    q = -np.einsum("jcna,kcnb->jakb", y, y.conj(), optimize=True)
+    diag = np.einsum("jcna,ncb->jab", y, ks.conj(), optimize=True)
+    q[np.arange(d), :, np.arange(d), :] += diag
+    c = m_f[:, 0, 0].real
+    g = p + c[:, None, None, None, None] * q
 
     u = e_basis.matrix
-    ks = np.empty((d, dc + nb, d, dc), dtype=np.complex128)
-    for l in range(d):
-        m_f = povm_f.elements[l].data
-        root_f = sqrtm_psd(m_f, tols)
-        wu = thetas[l].data @ u
-        # main family: Theta_l U_E stack_j(<m| sqrt(M_F,l) M_E,j)
-        z = np.stack([root_f @ mj for mj in ms_e])  # (d, dC_m, dC)
-        ks[l, :dc] = np.einsum("ab,bmc->mac", wu, z)
-        # rank-one family: the eraser's C-trace collapses every slice of
-        # |e0'> = |0> to the single weight <0| M_F,l |0>
-        amp = math.sqrt(max(float(m_f[0, 0].real), 0.0))
-        ks[l, dc:] = amp * np.einsum("ab,nbc->nac", thetas[l].data, w)
-    ks = ks.reshape(d * (dc + nb), d, dc)
-    cdims = ext.isometry.col_dims
-    total = channel(ks, cdims, (d,), tp_tol=tols.compose_tp, tols=tols)
-    return CtoQDecoder(total, thetas)
+    phases = np.exp(1j * np.angle(u.conj().T @ f_basis.matrix))  # [j, l]
+    h = np.einsum("jl,ljayb,yl->jayb", phases, g, phases.conj())
+    rho = np.einsum("xj,jayb,zy->xazb", u, h, u.conj(), optimize=True) / d_in
+    marginal = np.einsum("xaxb->ab", rho)
+    err = np.max(np.abs(marginal - np.eye(d_in) / d_in))
+    if err > tols.compose_tp:
+        raise ValueError(
+            f"decoder does not preserve the trace of the channel outputs "
+            f"(error {err:.3e})"
+        )
+    return rho.reshape(d * d_in, d * d_in)
+
+
+def ctoq_delta_q(
+    chan: Channel,
+    povm_e: Povm,
+    povm_f: Povm,
+    e_basis: OrthoBasis,
+    f_basis: OrthoBasis,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> float:
+    """Quantum decoding error of the decoder built from two POVMs.
+
+    The decoder ``D`` is the coherent measurement of ``povm_e`` in
+    ``e_basis`` followed by the eraser of ``povm_f``, whose phase correction
+    ``Theta_l`` is diagonal in the E basis with the phases of
+    ``<j_E|l_F>``.  It is never assembled as a Kraus set.  With
+    ``A_l = Theta_l U_E`` and ``c_l = <0|M_F,l|0>`` it acts as
+
+        ``D(X) = sum_l A_l ( [tr(M_F,l M_E,j X M_E,j')]_{jj'}
+        + c_l [delta_jj' tr(M_E,j X) - tr(M_E,j' M_E,j X)]_{jj'} ) A_l^dag``.
+
+    The first term is the measured branch.  The second is the part that
+    undoing the dilation leaves outside its range, ``I - V V^dag``, written
+    with ``V^dag P_j' P_j V = delta_jj' M_E,j``.  That part is put on the
+    dilation's fixed vector ``e0' = |0>`` of C, and the eraser then
+    measures ``e0'``, so ``c_l`` reads the ``(0, 0)`` entry of ``M_F,l``.
+    A compression of C onto the span of the channel outputs has to keep
+    ``e0'`` inside that span, or ``c_l`` changes.
+    ``A_l = U_E diag(phase(U_E^dag f_l))`` needs no ``d x d`` product.
+
+    Every ``X = K_n|a><a'|K_n^dag`` enters through the branch matrix
+    ``B = [K_n|a>]``: two batched products ``Y_j = M_E,j B`` and
+    ``M_F,l Y_j`` and three contractions over ``(C, n)`` give all three
+    traces on the ``d^2 x d^2`` state ``(D o T (x) id)(Phi)``.  The error is
+    its trace distance to the maximally entangled state ``Phi``.
+    """
+    d = e_basis.dim
+    if chan.dim_in != d:
+        raise ValueError(f"basis dim {d} != channel input dim {chan.dim_in}")
+    rho = _ctoq_state(chan, povm_e, povm_f, e_basis, f_basis, tols)
+    return trace_distance(max_entangled(d), Operator(rho, (d, d), (d, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +404,14 @@ def error_report(
     f_basis: OrthoBasis,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> ErrorReport:
-    """Build the decoder and evaluate its error against the three-term bound.
+    """Evaluate the decoder's error against the three-term bound.
 
     The bound is ``sqrt(de (2 - de)) + sqrt(df) + sqrt(xi)`` with ``de``,
     ``df`` the classical errors of the two POVMs and ``xi`` the
     complementarity defect.  Swapping the roles of (E, F) generally changes
     both the decoder and the bound.
     """
-    dec = build_ctoq(povm_e, povm_f, e_basis, f_basis, tols)
-    dq = delta_q(dec.total, chan)
+    dq = ctoq_delta_q(chan, povm_e, povm_f, e_basis, f_basis, tols)
     de = delta_cl(povm_e, chan, e_basis)
     df = delta_cl(povm_f, chan, f_basis)
     xi = xi_ef(chan, povm_f, e_basis, f_basis)

@@ -5,7 +5,8 @@ N-qubit system whose state is purified by a "past radiation" register.  A
 Haar-random unitary scrambles message + system, after which ``ell`` qubits
 are radiated.  The retrieval channel maps the message space to past + new
 radiation; decoding uses projection-based pretty-good measurements for the
-Pauli-X and -Z classical records and the composite decoder built from them.
+Pauli-X and -Z classical records and the decoder built from them, whose
+quantum error is evaluated in closed form.
 
 Besides the Monte-Carlo experiment itself, this module evaluates the exact
 Haar average of the pairwise output overlaps (a two-design moment with a
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .decoder import build_ctoq, delta_q
+from .decoder import ctoq_delta_q
 from .linop import Operator, support_eigh
 from .ppgm import support_bound, build_ppgm, ppgm_error, pairwise_bound
 from .qcore import (
@@ -47,7 +48,6 @@ __all__ = [
     "haar_mean_pairwise_overlap",
     "average_error_bound",
     "run_experiment",
-    "min_eig_stats",
     "pure_state",
     "maximally_mixed_state",
     "state_from_spectrum",
@@ -323,8 +323,8 @@ def _trial_rng(cfg: HpConfig, trial: int) -> np.random.Generator:
 
 
 def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
-    """One trial: sample U, build the channel and both measurements, build
-    the composite decoder, and evaluate every error functional.
+    """One trial: sample U, build the channel and both measurements, and
+    evaluate every error functional, the decoder's in closed form.
 
     Numerical failures (``LinAlgError``, ``ValueError``) are recorded on
     the result rather than raised; anything else, such as ``MemoryError``,
@@ -345,8 +345,7 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
         sum_z, ent_z, lam_z = pairwise_bound(bundle_z)
         sum_x, ent_x, lam_x = pairwise_bound(bundle_x)
 
-        dec = build_ctoq(bundle_z.povm, bundle_x.povm, basis_z, basis_x)
-        dq = delta_q(dec.total, ch)
+        dq = ctoq_delta_q(ch, bundle_z.povm, bundle_x.povm, basis_z, basis_x)
         bound = math.sqrt(max(dcl_z * (2.0 - dcl_z), 0.0)) + math.sqrt(max(dcl_x, 0.0))
 
         return TrialResult(
@@ -402,29 +401,3 @@ def pairwise_overlap_samples(cfg: HpConfig) -> np.ndarray:
         taus = basis_outputs(hp_channel(u, cfg.initial_state, cfg), basis)
         out[t] = cross_overlap(taus, taus)
     return out
-
-
-def min_eig_stats(
-    cfg: HpConfig,
-    epsilon: float,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[float, float]:
-    """Empirical tail statistic of the kept subsystem's smallest eigenvalue.
-
-    Over ``cfg.trials`` Haar samples, the fraction where any basis input
-    leaves the kept register with a nonzero eigenvalue below
-    ``(1 - epsilon) / 2^(N + k - ell)``.  Returns (fraction, threshold).
-    """
-    threshold = (1.0 - epsilon) / 2 ** (cfg.n_bh + cfg.n_msg - cfg.n_rad)
-    hits = 0
-    for t in range(cfg.trials):
-        u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, t))
-        ks = hp_channel(u, cfg.initial_state, cfg, tols).kraus
-        for j in range(cfg.dim_msg):
-            # kept-register state for input |j>: B_j B_j^dag, B_j = ks[:, :, j]
-            b = ks[:, :, j]
-            w, _, on = support_eigh(b @ b.conj().T, tols=tols)
-            if w[on][0] < threshold:
-                hits += 1
-                break
-    return hits / cfg.trials, threshold

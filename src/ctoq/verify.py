@@ -14,7 +14,7 @@ import numpy as np
 
 from .decoder import (
     build_coherent_measurement,
-    build_ctoq,
+    ctoq_delta_q,
     delta_cl,
     delta_q,
     naimark_extend,
@@ -113,8 +113,7 @@ def suite_mub_bound(instances: int, seed: int) -> SuiteResult:
         d, chan, pe, pf, _, _ = _instance(rng, i)
         eb, fb = mub_pair(d)
         assert is_mub(eb, fb)
-        dec = build_ctoq(pe, pf, eb, fb)
-        dq = delta_q(dec.total, chan)
+        dq = ctoq_delta_q(chan, pe, pf, eb, fb)
         de = delta_cl(pe, chan, eb)
         df = delta_cl(pf, chan, fb)
         two_term = math.sqrt(max(de * (2 - de), 0.0)) + math.sqrt(max(df, 0.0))
@@ -210,8 +209,7 @@ def suite_sandwich(instances: int, seed: int) -> SuiteResult:
         rec.check(
             dq_ref + 1e-10 - delta_cl(pf, chan, fb), f"i={i} d={d} derived-f"
         )
-        dec = build_ctoq(pe, pf, eb, fb)
-        dq = delta_q(dec.total, chan)
+        dq = ctoq_delta_q(chan, pe, pf, eb, fb)
         bound = (1 + math.sqrt(2)) * math.sqrt(dq_ref) + 1e-6
         rec.check(bound - dq, f"i={i} d={d} sandwich")
     return rec.done(instances)

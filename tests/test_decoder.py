@@ -5,10 +5,9 @@ import pytest
 
 from ctoq.config import DEFAULT_TOLS
 from ctoq.decoder import (
+    _ctoq_state,
     build_coherent_measurement,
-    build_ctoq,
-    build_eraser,
-    build_theta,
+    ctoq_delta_q,
     delta_cl,
     delta_cl_tracenorm,
     delta_q,
@@ -43,7 +42,8 @@ from ctoq.sampling import (
     random_density,
     random_povm,
 )
-from tests.test_qcore import compose, projective_povm, spanning_states
+from tests.test_equivalence import build_eraser, build_theta
+from tests.test_qcore import compose, projective_povm
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +393,8 @@ def test_eraser_trace_preserving():
 
 def test_ctoq_perfect_case():
     z, x = pauli_basis(1, "z"), pauli_basis(1, "x")
-    dec = build_ctoq(projective_povm(z), projective_povm(x), z, x)
-    assert delta_q(dec.total, identity_channel(2)) < 1e-9
+    pz, px = projective_povm(z), projective_povm(x)
+    assert ctoq_delta_q(identity_channel(2), pz, px, z, x) < 1e-9
 
 
 def test_report_all_zero_for_perfect_mub_instance():
@@ -418,23 +418,31 @@ def test_ctoq_dephasing_case():
     assert rep.delta_q_bound == pytest.approx(math.sqrt(0.5), abs=1e-7)
 
 
+def composite_choi_state(pe, pf, e, f, cdims):
+    """``(D (x) id)(Phi_C)`` for the decoder composed from its two stages,
+    the eraser after the coherent measurement, on (A, C)."""
+    d = e.dim
+    thetas = [build_theta(e, f, l) for l in range(d)]
+    comp = compose(
+        build_eraser(pf, thetas),
+        build_coherent_measurement(naimark_extend(pe), e),
+    )
+    dc = pe.dim
+    phi = Operator(max_entangled(dc).data, cdims + cdims, cdims + cdims)
+    return apply_channel(comp, phi, targets=list(range(len(cdims)))).data
+
+
 def test_ctoq_total_equals_composition():
+    # with T the identity on C the state is the Choi matrix of the decoder,
+    # which fixes it on all of C
     rng = np.random.default_rng(14)
     for d, dc in ((2, 2), (2, 3), (3, 3)):
         pe = random_povm(rng, dc, d)
         pf = random_povm(rng, dc, d)
         e, f = random_basis(rng, d), random_basis(rng, d)
-        dec = build_ctoq(pe, pf, e, f)
-        comp = compose(
-            build_eraser(pf, dec.thetas),
-            build_coherent_measurement(naimark_extend(pe), e),
-        )
-        for s in spanning_states(dc):
-            np.testing.assert_allclose(
-                apply_channel(dec.total, s).data,
-                apply_channel(comp, s).data,
-                atol=1e-9,
-            )
+        got = _ctoq_state(identity_channel(dc), pe, pf, e, f)
+        want = composite_choi_state(pe, pf, e, f, (dc,))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_ctoq_handles_multi_factor_measured_space():
@@ -445,31 +453,21 @@ def test_ctoq_handles_multi_factor_measured_space():
     raw = random_povm(rng, 4, 2)
     pf = Povm(tuple(Operator(m.data, (2, 2), (2, 2)) for m in raw))
     z, x = pauli_basis(1, "z"), pauli_basis(1, "x")
-    dec = build_ctoq(pe, pf, z, x)
-    assert dec.total.in_dims == (2, 2) and dec.total.out_dims == (2,)
     coherent = build_coherent_measurement(naimark_extend(pe), z)
     assert coherent.out_dims == (2, 2, 2)
-    comp = compose(build_eraser(pf, dec.thetas), coherent)
-    for s in spanning_states(4)[:6]:
-        state = Operator(s.data, (2, 2), (2, 2))
-        np.testing.assert_allclose(
-            apply_channel(dec.total, state, targets=[0, 1]).data,
-            apply_channel(comp, state, targets=[0, 1]).data,
-            atol=1e-9,
-        )
+    got = _ctoq_state(identity_channel((2, 2)), pe, pf, z, x)
+    want = composite_choi_state(pe, pf, z, x, (2, 2))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     chan = random_channel(rng, 2, 4, 2)
     chan = Channel(chan.kraus, (2,), (2, 2))
-    assert delta_q(dec.total, chan) <= 1.0 + 1e-9
+    assert 0.0 <= ctoq_delta_q(chan, pe, pf, z, x) <= 1.0 + 1e-9
 
 
 def test_ctoq_thetas_diagonal_in_storage_basis():
     rng = np.random.default_rng(15)
     e = random_basis(rng, 3)
     f = random_basis(rng, 3)
-    dec = build_ctoq(
-        random_povm(rng, 3, 3), random_povm(rng, 3, 3), e, f
-    )
-    for th in dec.thetas:
+    for th in (build_theta(e, f, l) for l in range(3)):
         diag = e.matrix.conj().T @ th.data @ e.matrix
         np.testing.assert_allclose(
             diag, np.diag(np.diagonal(diag)), atol=1e-12

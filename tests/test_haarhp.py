@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctoq.decoder import build_ctoq, delta_q
+from ctoq.decoder import ctoq_delta_q
 from ctoq.haarhp import (
     HpConfig,
     _trial_rng,
@@ -12,7 +12,6 @@ from ctoq.haarhp import (
     haar_unitary,
     hp_channel,
     maximally_mixed_state,
-    min_eig_stats,
     pairwise_overlap_samples,
     pure_state,
     run_experiment,
@@ -337,6 +336,22 @@ def test_hp_channel_memory_stays_small_at_six_two_four():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_run_trial_memory_stays_small_at_five_two_three_mixed():
+    # the decoder's error needs arrays of at most d^3 dim C #Kraus entries
+    # (4 MiB here); the composite decoder's Kraus stack alone is 64 MiB
+    import tracemalloc
+
+    cfg = cfg_with(n=5, k=2, ell=3, xi=maximally_mixed_state(5), seed=1)
+    tracemalloc.start()
+    try:
+        r = run_trial(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.error is None
+    assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_reverse_basis_order_also_satisfies_bound():
     # the decoder with the X record as E and the Z record as F; run_trial
     # builds it the other way round
@@ -349,32 +364,10 @@ def test_reverse_basis_order_also_satisfies_bound():
         ch = hp_channel(u, cfg.initial_state, cfg)
         bundle_z, bundle_x = build_ppgm(ch, z), build_ppgm(ch, x)
         de, df = ppgm_error(bundle_x), ppgm_error(bundle_z)
-        dq = delta_q(build_ctoq(bundle_x.povm, bundle_z.povm, x, z).total, ch)
+        dq = ctoq_delta_q(ch, bundle_x.povm, bundle_z.povm, x, z)
         assert dq <= math.sqrt(de * (2 - de)) + math.sqrt(df) + 1e-9
         moved = moved or abs(dq - r.delta_q_ctoq) > 1e-12
     assert moved
-
-
-def test_min_eig_stats_deterministic_when_nothing_radiated():
-    cfg = cfg_with(n=2, k=1, ell=0, seed=31, trials=8)
-    frac, threshold = min_eig_stats(cfg, 0.5)
-    assert frac == 0.0
-    assert threshold == pytest.approx(0.5 / 8)
-
-
-def test_min_eig_stats_tail_depends_on_purifier_entanglement():
-    # pure initial state: the purifier is unentangled, the kept register is
-    # an induced state with square aspect ratio, and its smallest eigenvalue
-    # concentrates near zero, so nearly every sample crosses the threshold
-    frac_pure, _ = min_eig_stats(cfg_with(n=3, k=1, ell=2, seed=37, trials=60), 0.5)
-    assert frac_pure >= 0.9
-    # maximally mixed initial state: the purifier supplies a large
-    # environment and the spectrum flattens well above the threshold
-    frac_mixed, _ = min_eig_stats(
-        cfg_with(n=3, k=1, ell=2, xi=maximally_mixed_state(3), seed=37, trials=60),
-        0.5,
-    )
-    assert frac_mixed <= 0.1
 
 
 def test_config_validation():
