@@ -322,7 +322,8 @@ def ctoq_delta_q(
     dilation's fixed vector ``e0' = |0>`` of C, and the eraser then
     measures ``e0'``, so ``c_l`` reads the ``(0, 0)`` entry of ``M_F,l``.
     A compression of C onto the span of the channel outputs has to keep
-    ``e0'`` inside that span, or ``c_l`` changes.
+    ``e0'`` as its index 0, or ``c_l`` changes; the one the Hayden-Preskill
+    trials use, :func:`ctoq.qcore.output_span_channel`, does.
     ``A_l = U_E diag(phase(U_E^dag f_l))`` needs no ``d x d`` product.
 
     Every ``X = K_n|a><a'|K_n^dag`` enters through the branch matrix

@@ -6,7 +6,9 @@ Haar-random unitary scrambles message + system, after which ``ell`` qubits
 are radiated.  The retrieval channel maps the message space to past + new
 radiation; decoding uses projection-based pretty-good measurements for the
 Pauli-X and -Z classical records and the decoder built from them, whose
-quantum error is evaluated in closed form.
+quantum error is evaluated in closed form.  A trial works on the span of the
+channel outputs, whose dimension is at most ``2^k`` times the Kraus count
+and usually far below that of past + new radiation.
 
 Besides the Monte-Carlo experiment itself, this module evaluates the exact
 Haar average of the pairwise output overlaps (a two-design moment with a
@@ -33,6 +35,7 @@ from .qcore import (
     collision_entropy,
     computational_basis,
     cross_overlap,
+    output_span_channel,
     pauli_basis,
     purify_vector,
 )
@@ -326,6 +329,11 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
     """One trial: sample U, build the channel and both measurements, and
     evaluate every error functional, the decoder's in closed form.
 
+    The channel is compressed onto the span of its outputs plus ``|0>``
+    (:func:`output_span_channel`) before anything else is built, and the
+    measurements keep the support cutoff of the full output space, so every
+    value is the one the full space gives, at the cost of the span.
+
     Numerical failures (``LinAlgError``, ``ValueError``) are recorded on
     the result rather than raised; anything else, such as ``MemoryError``,
     propagates.
@@ -333,13 +341,15 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
     rng = _trial_rng(cfg, trial)
     try:
         u = haar_unitary(cfg.dim_scrambled, rng)
-        ch = hp_channel(u, cfg.initial_state, cfg)
+        full = hp_channel(u, cfg.initial_state, cfg)
+        ch, _ = output_span_channel(full)
+        rank_tol = DEFAULT_TOLS.rank_tol(full.dim_out)
         basis_z = pauli_basis(cfg.n_msg, "z")
         basis_x = pauli_basis(cfg.n_msg, "x")
-        bundle_z = build_ppgm(ch, basis_z)
+        bundle_z = build_ppgm(ch, basis_z, rank_tol=rank_tol)
         taus_z = bundle_z.tau_states
         purities_z = np.einsum("jab,jba->j", taus_z, taus_z).real
-        bundle_x = build_ppgm(ch, basis_x)
+        bundle_x = build_ppgm(ch, basis_x, rank_tol=rank_tol)
         dcl_z = ppgm_error(bundle_z)
         dcl_x = ppgm_error(bundle_x)
         sum_z, ent_z, lam_z = pairwise_bound(bundle_z)
@@ -390,7 +400,8 @@ def pairwise_overlap_samples(cfg: HpConfig) -> np.ndarray:
     """Per-trial values of ``sum_{i != j} tr[xi_i xi_j]``.
 
     The Monte-Carlo counterpart of :func:`haar_mean_pairwise_overlap`; no
-    measurements or decoders are built, so large sample counts stay cheap.
+    measurements or decoders are built, and the outputs are read on the
+    channel compressed onto their span, so large sample counts stay cheap.
     The value is basis independent in distribution; the computational basis
     is used.
     """
@@ -398,6 +409,7 @@ def pairwise_overlap_samples(cfg: HpConfig) -> np.ndarray:
     out = np.empty(cfg.trials)
     for t in range(cfg.trials):
         u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, t))
-        taus = basis_outputs(hp_channel(u, cfg.initial_state, cfg), basis)
+        ch, _ = output_span_channel(hp_channel(u, cfg.initial_state, cfg))
+        taus = basis_outputs(ch, basis)
         out[t] = cross_overlap(taus, taus)
     return out

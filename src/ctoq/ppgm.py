@@ -67,7 +67,10 @@ def build_ppgm(
     smallest nonzero eigenvalue; one more, of ``Pi``, gives both
     ``Pi^{-1/2}`` and ``supp(Pi)``.  The deficiency projector
     ``I - supp(Pi)``, on which no output state has weight, is merged into
-    outcome 0 so the POVM has exactly one outcome per basis vector.
+    outcome 0 so the POVM has exactly one outcome per basis vector.  On a
+    channel compressed by :func:`ctoq.qcore.output_span_channel`, as in the
+    Hayden-Preskill trials, ``supp(Pi)`` is the output span, so the
+    deficiency is at most the one pinned ``|0>`` direction.
     """
     dc = chan.dim_out
     cdims = chan.out_dims

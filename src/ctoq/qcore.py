@@ -26,6 +26,7 @@ __all__ = [
     "max_correlated_classical",
     "apply_channel",
     "basis_outputs",
+    "output_span_channel",
     "cross_overlap",
     "bhattacharyya",
     "collision_entropy",
@@ -153,6 +154,42 @@ def channel(
     if err > tp_tol:
         raise ValueError(f"Kraus set is not trace preserving (error {err:.3e})")
     return ch
+
+
+def output_span_channel(
+    ch: Channel, tols: Tolerances = DEFAULT_TOLS
+) -> tuple[Channel, np.ndarray]:
+    """The channel compressed onto the span of its outputs, plus ``|0>``.
+
+    Returns ``(ch', W)``.  ``W`` is a ``dim_out x r`` isometry: its first
+    column is ``|0>`` of C, the rest are the left singular vectors of the
+    branch matrix ``B = [K_n|a>]`` with row 0 zeroed, kept where
+    ``s^2 > rank_tol(dim_out) s_max^2``.  ``ch'`` has the Kraus operators
+    ``W^dag K_n`` on the single output factor ``(r,)``; its trace
+    preservation is checked at ``tols.channel_tp``.
+
+    Every output lies in ``span W``, so the support-projector measurements
+    built on ``ch'`` are those built on C compressed by ``W``, and so are
+    their errors and bounds.  ``|0>`` is pinned as index 0 because the
+    decoder of :func:`ctoq.decoder.ctoq_delta_q` puts the part of its
+    dilation outside the dilation's range on ``e0' = |0>`` and reads
+    ``<0|M_F,l|0>``; that weight includes the part of ``|0>`` outside the
+    output span, which a compression that dropped it would lose.
+    """
+    ks = ch.kraus
+    n_kraus, dc, d_in = ks.shape
+    b = np.array(ks.transpose(1, 0, 2).reshape(dc, n_kraus * d_in))
+    b[0] = 0.0
+    u, s, _ = np.linalg.svd(b, full_matrices=False)
+    keep = s**2 > tols.rank_tol(dc) * s[0] ** 2
+    w = np.zeros((dc, 1 + int(keep.sum())), dtype=np.complex128)
+    w[0, 0] = 1.0
+    w[1:, 1:] = u[1:, keep]
+    out = channel(
+        w.conj().T @ ks, ch.in_dims, (w.shape[1],), tp_tol=tols.channel_tp, tols=tols
+    )
+    w.setflags(write=False)
+    return out, w
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,8 +10,12 @@ operator at a time, with the eraser and its phase corrections as channels.
 Every quantity the library reports must agree with them to 1e-12 (relative
 where it is divided by ``lambda_min``); the closed-form decoder state must
 agree with the state propagated through the assembled Kraus set to 1e-12.
+A Hayden-Preskill trial, which runs on the channel compressed onto the span
+of its outputs, must agree field by field with the same trial run on the
+full output space.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,11 +25,13 @@ from ctoq.config import DEFAULT_TOLS, Tolerances
 from ctoq.decoder import _ctoq_state, ctoq_delta_q, delta_cl, naimark_extend
 from ctoq.haarhp import (
     HpConfig,
+    TrialResult,
     _trial_rng,
     haar_unitary,
     hp_channel,
     maximally_mixed_state,
     pure_state,
+    run_trial,
 )
 from ctoq.linop import Operator, sqrtm_psd, trace_distance
 from ctoq.ppgm import build_ppgm, pairwise_bound, ppgm_error, support_bound
@@ -35,14 +41,19 @@ from ctoq.qcore import (
     Povm,
     basis_outputs,
     channel,
+    collision_entropy,
+    cross_overlap,
     max_entangled,
     max_entangled_vector,
+    output_span_channel,
     pauli_basis,
     purify_vector,
 )
 from ctoq.sampling import random_basis, random_channel
 
 TOL = 1e-12
+# classical errors below this are rounding noise around an exact zero
+NOISE = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +224,51 @@ def oracle_ctoq_kraus(povm_e, povm_f, e_basis, f_basis):
     return total_ks
 
 
+def oracle_run_trial(cfg, trial):
+    """One Hayden-Preskill trial on the full output space: the channel as
+    ``hp_channel`` builds it, with no compression onto its output span."""
+    rng = _trial_rng(cfg, trial)
+    try:
+        u = haar_unitary(cfg.dim_scrambled, rng)
+        ch = hp_channel(u, cfg.initial_state, cfg)
+        basis_z = pauli_basis(cfg.n_msg, "z")
+        basis_x = pauli_basis(cfg.n_msg, "x")
+        bundle_z = build_ppgm(ch, basis_z)
+        taus_z = bundle_z.tau_states
+        purities_z = np.einsum("jab,jba->j", taus_z, taus_z).real
+        bundle_x = build_ppgm(ch, basis_x)
+        dcl_z = ppgm_error(bundle_z)
+        dcl_x = ppgm_error(bundle_x)
+        sum_z, ent_z, lam_z = pairwise_bound(bundle_z)
+        sum_x, ent_x, lam_x = pairwise_bound(bundle_x)
+        dq = ctoq_delta_q(ch, bundle_z.povm, bundle_x.povm, basis_z, basis_x)
+        bound = math.sqrt(max(dcl_z * (2.0 - dcl_z), 0.0)) + math.sqrt(
+            max(dcl_x, 0.0)
+        )
+        return TrialResult(
+            trial=trial,
+            seed_stream=trial,
+            delta_cl_x=dcl_x,
+            delta_cl_z=dcl_z,
+            delta_q_ctoq=dq,
+            lambda_min_x=lam_x,
+            lambda_min_z=lam_z,
+            pairwise_sum_x=sum_x,
+            pairwise_sum_z=sum_z,
+            pairwise_entropy_x=ent_x,
+            pairwise_entropy_z=ent_z,
+            support_overlap_x=support_bound(bundle_x),
+            support_overlap_z=support_bound(bundle_z),
+            bound_two_term=bound,
+            pairwise_overlap=cross_overlap(taus_z, taus_z),
+            collision_entropy_avg=collision_entropy(bundle_z.tau_avg),
+            collision_entropies=tuple(-math.log2(p) for p in purities_z),
+            ill_conditioned=bundle_z.ill_conditioned or bundle_x.ill_conditioned,
+        )
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        return TrialResult(trial=trial, seed_stream=trial, error=str(exc))
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -289,3 +345,103 @@ def test_hp_trials_match_the_oracles(shape, mixed):
     bundle_x, _ = check_basis(ch, oracle_ch, x)
     check_decoder(ch, oracle_kraus, bundle_z, bundle_x, z, x)
 
+
+def hp_cfg(shape, mixed):
+    n, k, ell = shape
+    xi = maximally_mixed_state(n) if mixed else pure_state(n)
+    return HpConfig(n, k, ell, xi, seed=77, trials=2)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_run_trial_matches_the_full_space_trial(shape, mixed):
+    cfg = hp_cfg(shape, mixed)
+    for t in range(cfg.trials):
+        got, want = run_trial(cfg, t), oracle_run_trial(cfg, t)
+        assert got.error == want.error
+        assert got.ill_conditioned == want.ill_conditioned
+        assert len(got.collision_entropies) == len(want.collision_entropies)
+        pairs = [
+            (f.name, getattr(got, f.name), getattr(want, f.name))
+            for f in dataclasses.fields(TrialResult)
+            if f.type == "float"
+        ] + [
+            (f"collision_entropies[{j}]", g, w)
+            for j, (g, w) in enumerate(
+                zip(got.collision_entropies, want.collision_entropies)
+            )
+        ]
+        noise = min(want.delta_cl_z, want.delta_cl_x) < NOISE
+        for name, g, w in pairs:
+            if name == "bound_two_term" and noise:
+                continue
+            assert abs(g - w) <= TOL * max(1.0, abs(w)), f"{name}: {g!r} vs {w!r}"
+        # the two-term bound takes square roots of the classical errors, so
+        # where one of them is rounding noise it moves by the root of that
+        # noise; it must still be the bound of the trial's own errors
+        dz, dx = got.delta_cl_z, got.delta_cl_x
+        own = math.sqrt(max(dz * (2.0 - dz), 0.0)) + math.sqrt(max(dx, 0.0))
+        assert got.bound_two_term == own
+        if noise:
+            assert abs(got.bound_two_term - want.bound_two_term) <= 2 * math.sqrt(
+                2 * NOISE
+            )
+
+
+def _branches(ch):
+    """``B = [K_n|a>]`` as a ``dim_out x (#Kraus d)`` matrix."""
+    ks = ch.kraus
+    return ks.transpose(1, 0, 2).reshape(ks.shape[1], -1)
+
+
+def _check_span(ch):
+    small, w = output_span_channel(ch)
+    dc = ch.dim_out
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(w.shape[1]), rtol=0, atol=TOL)
+    e0 = np.zeros(dc)
+    e0[0] = 1.0
+    assert np.array_equal(w[:, 0], e0)
+    b = _branches(ch)
+    np.testing.assert_allclose(w @ (w.conj().T @ b), b, rtol=0, atol=TOL)
+    flat = small.kraus.reshape(-1, small.dim_in)
+    np.testing.assert_allclose(
+        flat.conj().T @ flat, np.eye(small.dim_in), rtol=0, atol=TOL
+    )
+    assert small.in_dims == ch.in_dims and small.out_dims == (w.shape[1],)
+    np.testing.assert_allclose(small.kraus, w.conj().T @ ch.kraus, rtol=0, atol=0)
+    return w, np.linalg.matrix_rank(b)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_output_span_holds_every_hp_output_and_pins_zero(shape, mixed):
+    cfg = hp_cfg(shape, mixed)
+    u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, 0))
+    ch = hp_channel(u, cfg.initial_state, cfg)
+    w, rank = _check_span(ch)
+    # |0> of past (x) new lies outside the span of a Haar channel's outputs,
+    # unless that span is all of C
+    assert w.shape[1] == min(rank + 1, ch.dim_out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_output_span_of_outputs_holding_zero_is_the_span(seed):
+    # Kraus operators that map into a random span S = range(Q) containing
+    # |0>: the compression has exactly dim S columns
+    rng = np.random.default_rng(950 + seed)
+    d, dc, dim_s = 2 + seed % 3, 12, 5 + seed % 3
+    inner = random_channel(rng, d, dim_s, 3)
+    g = rng.standard_normal((dc - 1, dim_s - 1)) + 1j * rng.standard_normal(
+        (dc - 1, dim_s - 1)
+    )
+    q = np.zeros((dc, dim_s), dtype=np.complex128)
+    q[0, 0] = 1.0
+    q[1:, 1:] = np.linalg.qr(g)[0]
+    ch = channel(q @ inner.kraus, (d,), (dc,))
+    w, rank = _check_span(ch)
+    assert rank == dim_s
+    assert w.shape[1] == dim_s
+    # the same channel moved off |0>: one more column, the pinned |0>
+    ch_off = channel(np.roll(q, 1, axis=0) @ inner.kraus, (d,), (dc,))
+    w_off, rank_off = _check_span(ch_off)
+    assert w_off.shape[1] == rank_off + 1 == dim_s + 1

@@ -352,6 +352,22 @@ def test_run_trial_memory_stays_small_at_five_two_three_mixed():
     assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_run_trial_memory_stays_small_at_six_two_four_pure():
+    # dim C = 1024, but the outputs span 16 dimensions; one (4, 1024, 1024)
+    # stack of outputs or support projectors alone would be 64 MiB
+    import tracemalloc
+
+    cfg = cfg_with(n=6, k=2, ell=4, seed=1)
+    tracemalloc.start()
+    try:
+        r = run_trial(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.error is None
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_reverse_basis_order_also_satisfies_bound():
     # the decoder with the X record as E and the Z record as F; run_trial
     # builds it the other way round
