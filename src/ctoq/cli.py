@@ -466,6 +466,16 @@ def cmd_haar_mean(args: argparse.Namespace) -> int:
     return 0 if worst_z <= 3.0 else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctoq",
@@ -476,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a randomized property suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--instances", type=int, default=100)
+    p_verify.add_argument("--instances", type=_positive_int, default=100)
     p_verify.add_argument("--seed", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

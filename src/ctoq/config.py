@@ -26,8 +26,6 @@ class Tolerances:
     povm:           PSD / completeness slack for measurement elements
     channel_tp:     Kraus completeness slack for freshly built channels
     compose_tp:     looser completeness slack after channel composition
-    isometry:       V^dag V = I slack
-    naimark:        POVM element reconstruction slack for dilations
     prob_norm:      probability vector normalization drift; above this is
                     an error, below it the vector is silently renormalized
     state_trace:    unit-trace slack for density operators
@@ -39,8 +37,6 @@ class Tolerances:
     povm: float = 1e-9
     channel_tp: float = 1e-9
     compose_tp: float = 1e-8
-    isometry: float = 1e-9
-    naimark: float = 1e-8
     prob_norm: float = 1e-10
     state_trace: float = 1e-9
 

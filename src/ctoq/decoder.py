@@ -16,8 +16,9 @@ The two stages fuse into a decoder fixed in closed form by products of
 the two POVMs' elements.  :func:`ctoq_delta_q` evaluates its quantum
 decoding error from that form, on the ``d^2 x d^2`` image of a maximally
 entangled state under channel and decoder, without assembling a Kraus set.
-The coherent measurement itself is built as a channel for the three-party
-diagnostic.  The decoding error is controlled by the two classical errors
+:func:`coherent_state` evaluates the coherent measurement alone in the same
+closed form, for the three-party diagnostic; no dilation is built for
+either.  The decoding error is controlled by the two classical errors
 plus a complementarity defect of the basis pair, evaluated here along with
 its computable upper bounds.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .linop import Operator, sqrtm_psd, trace_distance
+from .linop import Operator, trace_distance
 from .qcore import (
     Channel,
     OrthoBasis,
@@ -38,7 +39,6 @@ from .qcore import (
     apply_channel,
     basis_outputs,
     bhattacharyya,
-    channel,
     cross_overlap,
     max_correlated_classical,
     max_entangled,
@@ -49,13 +49,11 @@ from .qcore import (
 )
 
 __all__ = [
-    "NaimarkExtension",
     "ErrorReport",
     "delta_q",
     "delta_cl",
     "delta_cl_tracenorm",
-    "naimark_extend",
-    "build_coherent_measurement",
+    "coherent_state",
     "ctoq_delta_q",
     "xi_ef",
     "xi_bounds",
@@ -63,30 +61,6 @@ __all__ = [
     "povm_from_decoder",
     "noisy_ghz_state",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class NaimarkExtension:
-    """Dilation of a POVM to a projective measurement on a larger space.
-
-    ``isometry`` maps the measured space C into the dilation space
-    C' = C (x) (outcome register), whose last factor holds the outcome.  The
-    projective measurement is ``P_j = I (x) |j><j|``, so ``P_j V`` is the
-    row slice ``V[j::n_outcomes]``; it pulls back through the isometry to
-    the source POVM element ``M_j``.
-    """
-
-    isometry: Operator
-
-    def __post_init__(self) -> None:
-        v = self.isometry.data
-        err = np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])))
-        if err > DEFAULT_TOLS.isometry:
-            raise ValueError(f"dilation map is not an isometry (error {err:.3e})")
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.isometry.row_dims[-1]
 
 
 @dataclass(frozen=True)
@@ -170,71 +144,86 @@ def delta_cl_tracenorm(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
 # construction
 
 
-def naimark_extend(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> NaimarkExtension:
-    """Canonical dilation ``V = sum_j sqrt(M_j) (x) |j>`` of a POVM.
+def _dilation_terms(
+    ks: np.ndarray, m_e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The E-POVM's dilation on the branch matrix ``B = [K_n|a>]``.
 
-    The dilation space is C (x) (outcome register); the projections are
-    ``I (x) |j><j|``, and ``V^dag P_j V`` must give back ``M_j``.
+    Returns ``Y_j = M_E,j B`` as ``y[j, c, n, a]`` and the traced-out term
+    ``q[j, a, k, b] = delta_jk tr(M_E,j X) - tr(M_E,k M_E,j X)`` for
+    ``X = sum_n K_n|a><b|K_n^dag``.  That term is what undoing the dilation
+    leaves outside its range, ``tr(V^dag P_k (I - V V^dag) P_j V X)``,
+    written with ``V^dag P_k P_j V = delta_jk M_E,j``.
     """
-    m = povm.n_outcomes
-    dc = povm.dim
-    cdims = povm.elements[0].row_dims
-    v = np.zeros((dc * m, dc), dtype=np.complex128)
-    for j, el in enumerate(povm):
-        v[j::m, :] = sqrtm_psd(el.data, tols)
-    ext = NaimarkExtension(Operator(v, cdims + (m,), cdims))
-    for j, el in enumerate(povm):
-        rec = v[j::m].conj().T @ v[j::m]
-        err = np.max(np.abs(rec - el.data))
-        if err > tols.naimark:
-            raise ValueError(f"dilation does not reproduce element {j} ({err:.3e})")
-    return ext
+    n_kraus, dc, d_in = ks.shape
+    d = m_e.shape[0]
+    b = ks.transpose(1, 0, 2).reshape(dc, n_kraus * d_in)
+    y = (m_e @ b).reshape(d, dc, n_kraus, d_in)
+    q = -np.einsum("jcna,kcnb->jakb", y, y.conj(), optimize=True)
+    diag = np.einsum("jcna,ncb->jab", y, ks.conj(), optimize=True)
+    q[np.arange(d), :, np.arange(d), :] += diag
+    return y, q
 
 
-def _range_complement(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of range(v)^perp for an isometry v, via full QR."""
-    q = np.linalg.qr(v, mode="complete")[0]
-    return q[:, v.shape[1] :]
+def _check_povms(d: int, dc: int, *povms: Povm) -> None:
+    """Each POVM needs one outcome per basis vector, on the channel output."""
+    for povm in povms:
+        if povm.n_outcomes != d or povm.dim != dc:
+            raise ValueError(
+                f"POVM has {povm.n_outcomes} outcomes on dim {povm.dim}; need "
+                f"{d} outcomes on the channel's output dim {dc}"
+            )
 
 
-def build_coherent_measurement(
-    ext: NaimarkExtension,
+def _check_r_marginal(rho: np.ndarray, what: str, tols: Tolerances) -> None:
+    """``rho[x, a, z, b]`` on (output, R) must have R-marginal ``I / dim R``
+    within ``tols.compose_tp``: ``what`` preserves the trace of the channel
+    outputs."""
+    d_in = rho.shape[1]
+    err = np.max(np.abs(np.einsum("xaxb->ab", rho) - np.eye(d_in) / d_in))
+    if err > tols.compose_tp:
+        raise ValueError(
+            f"{what} does not preserve the trace of the channel outputs "
+            f"(error {err:.3e})"
+        )
+
+
+def coherent_state(
+    chan: Channel,
+    povm_e: Povm,
     e_basis: OrthoBasis,
     tols: Tolerances = DEFAULT_TOLS,
-) -> Channel:
-    """Channel C -> C (x) A that coherently measures C and stores the
-    outcome in A in the given basis.
+) -> Operator:
+    """``(C o T (x) id_R)(Phi)`` on ``(C, A, R)`` for the coherent
+    measurement ``C`` of ``povm_e`` that stores its outcome in ``e_basis``.
 
-    The dilation is undone by ``V^dag (x) |e0> + |e0'> (x) (I - V V^dag)``
-    with ``e0`` in the range of ``V`` and ``e0' = |0>``.  Tracing out C' in
-    the orthonormal basis {e0} + basis(range(V)^perp) (the remaining
-    directions contribute zero) yields one Kraus operator
-    ``sum_j M_j (x) |j_E>`` plus, for each direction ``b`` orthogonal to the
-    isometry's range, a rank-one-in-C operator ``|e0'> (x) w_b`` with
-    ``w_b = sum_j |j_E><b| P_j V``.  Any in-range ``e0`` traces out
-    identically.
+    Undoing the dilation as far as possible, with ``e0' = |0>`` of C,
+    leaves ``C: C -> C (x) A`` in closed form:
+
+        ``C(X) = sum_jj' M_j X M_j' (x) |j_E><j'_E|
+        + |0><0| (x) sum_jj' [delta_jj' tr(M_j X) - tr(M_j' M_j X)]
+        |j_E><j'_E|``.
+
+    The first term is the measured branch, one Gram matrix of the rotated
+    ``Y_j = M_E,j B``; the second is the traced-out term of
+    :func:`ctoq_delta_q`, put on ``|0>``.  No dilation is built.
     """
-    v = ext.isometry.data
-    dc = v.shape[1]
-    d = ext.n_outcomes
-    if e_basis.dim != d:
-        raise ValueError(
-            f"basis dim {e_basis.dim} != number of outcomes {d}"
-        )
+    d, dc = e_basis.dim, chan.dim_out
+    _check_povms(d, dc, povm_e)
+    ks = chan.kraus
+    n_kraus, _, d_in = ks.shape
+    y, q = _dilation_terms(ks, povm_e.element_stack())
     u = e_basis.matrix
-    roots = [v[j::d] for j in range(d)]  # nonzero rows of P_j V
-    comp = _range_complement(v)  # orthonormal basis of range(V)^perp
-    nb = comp.shape[1]
-    ks = np.zeros((1 + nb, dc, d, dc), dtype=np.complex128)
-    # main operator: ks[0][c, a, c'] = sum_j M_j[c, c'] u[a, j]
-    ms = np.stack([r.conj().T @ r for r in roots])
-    ks[0] = np.einsum("jcp,aj->cap", ms, u)
-    # rank-one family |e0'> (x) w_b
-    t = np.stack([comp[j::d].conj().T @ r for j, r in enumerate(roots)])
-    ks[1:, 0] = np.einsum("aj,jbc->bac", u, t)
-    cdims = ext.isometry.col_dims
-    ks = ks.reshape(1 + nb, dc * d, dc)
-    return channel(ks, cdims, cdims + (d,), tp_tol=tols.channel_tp, tols=tols)
+    # w[(c, x, a), n] = <c| sum_j u[x, j] M_E,j K_n |a>
+    w = np.einsum("xj,jcna->cxan", u, y, optimize=True).reshape(-1, n_kraus)
+    rho = (w @ w.conj().T).reshape(dc, d, d_in, dc, d, d_in)
+    rho[0, :, :, 0] += np.einsum(
+        "xj,jakb,zk->xazb", u, q, u.conj(), optimize=True
+    )
+    rho = rho.reshape(dc * d, d_in, dc * d, d_in) / d_in
+    _check_r_marginal(rho, "coherent measurement", tols)
+    dims = chan.out_dims + (d,) + chan.in_dims
+    return Operator(rho.reshape(dc * d * d_in, -1), dims, dims)
 
 
 def _ctoq_state(
@@ -257,29 +246,15 @@ def _ctoq_state(
     d = e_basis.dim
     if f_basis.dim != d:
         raise ValueError("bases must share a dimension")
-    if povm_e.n_outcomes != d or povm_f.n_outcomes != d:
-        raise ValueError("both POVMs need one outcome per basis vector")
     dc = chan.dim_out
-    if povm_e.dim != dc or povm_f.dim != dc:
-        raise ValueError(
-            f"POVMs act on dim {povm_e.dim}/{povm_f.dim}, channel outputs "
-            f"dim {dc}"
-        )
-    ks = chan.kraus
-    n_kraus, _, d_in = ks.shape
-    m_e = povm_e.element_stack()
+    _check_povms(d, dc, povm_e, povm_f)
+    d_in = chan.dim_in
     m_f = povm_f.element_stack()
-    # B = [K_n|a>] with columns (n, a); Y_j = M_E,j B; Z_lj = M_F,l Y_j
-    b = ks.transpose(1, 0, 2).reshape(dc, n_kraus * d_in)
-    y = (m_e @ b).reshape(d, dc, n_kraus, d_in)
+    y, q = _dilation_terms(chan.kraus, povm_e.element_stack())
+    # Z_lj = M_F,l Y_j; traces against X = sum_n K_n|a><b|K_n^dag,
+    # contracted over (C, n): p[l, j, a, k, b] = tr(M_F,l M_E,j X M_E,k)
     z = (m_f[:, None] @ y.reshape(1, d, dc, -1)).reshape((d,) + y.shape)
-    # traces against X = sum_n K_n|a><b|K_n^dag, contracted over (C, n):
-    # p[l, j, a, k, b] = tr(M_F,l M_E,j X M_E,k) and
-    # q[j, a, k, b] = delta_jk tr(M_E,j X) - tr(M_E,k M_E,j X)
     p = np.einsum("ljcna,kcnb->ljakb", z, y.conj(), optimize=True)
-    q = -np.einsum("jcna,kcnb->jakb", y, y.conj(), optimize=True)
-    diag = np.einsum("jcna,ncb->jab", y, ks.conj(), optimize=True)
-    q[np.arange(d), :, np.arange(d), :] += diag
     c = m_f[:, 0, 0].real
     g = p + c[:, None, None, None, None] * q
 
@@ -287,13 +262,7 @@ def _ctoq_state(
     phases = np.exp(1j * np.angle(u.conj().T @ f_basis.matrix))  # [j, l]
     h = np.einsum("jl,ljayb,yl->jayb", phases, g, phases.conj())
     rho = np.einsum("xj,jayb,zy->xazb", u, h, u.conj(), optimize=True) / d_in
-    marginal = np.einsum("xaxb->ab", rho)
-    err = np.max(np.abs(marginal - np.eye(d_in) / d_in))
-    if err > tols.compose_tp:
-        raise ValueError(
-            f"decoder does not preserve the trace of the channel outputs "
-            f"(error {err:.3e})"
-        )
+    _check_r_marginal(rho, "decoder", tols)
     return rho.reshape(d * d_in, d * d_in)
 
 
@@ -317,10 +286,10 @@ def ctoq_delta_q(
         + c_l [delta_jj' tr(M_E,j X) - tr(M_E,j' M_E,j X)]_{jj'} ) A_l^dag``.
 
     The first term is the measured branch.  The second is the part that
-    undoing the dilation leaves outside its range, ``I - V V^dag``, written
-    with ``V^dag P_j' P_j V = delta_jj' M_E,j``.  That part is put on the
-    dilation's fixed vector ``e0' = |0>`` of C, and the eraser then
-    measures ``e0'``, so ``c_l`` reads the ``(0, 0)`` entry of ``M_F,l``.
+    undoing the dilation leaves outside its range, as in
+    :func:`coherent_state`.  It sits on the dilation's fixed vector
+    ``e0' = |0>`` of C, and the eraser then measures ``e0'``, so ``c_l``
+    reads the ``(0, 0)`` entry of ``M_F,l``.
     A compression of C onto the span of the channel outputs has to keep
     ``e0'`` as its index 0, or ``c_l`` changes; the one the Hayden-Preskill
     trials use, :func:`ctoq.qcore.output_span_channel`, does.

@@ -170,8 +170,10 @@ def state_from_spectrum(n_qubits: int, spectrum) -> Operator:
     """Diagonal density operator with the given eigenvalues, zero padded."""
     d = 2**n_qubits
     spec = np.asarray(list(spectrum), dtype=np.float64)
-    if spec.size > d or spec.min() < 0:
-        raise ValueError(f"spectrum must be nonnegative with at most {d} entries")
+    if spec.size > d or not np.all(np.isfinite(spec)) or spec.min() < 0:
+        raise ValueError(
+            f"spectrum must be finite and nonnegative with at most {d} entries"
+        )
     if abs(spec.sum() - 1.0) > DEFAULT_TOLS.prob_norm * 10:
         raise ValueError(f"spectrum sums to {spec.sum():.12g}, expected 1")
     w = np.zeros(d)

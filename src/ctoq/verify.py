@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoder import (
-    build_coherent_measurement,
+    coherent_state,
     ctoq_delta_q,
     delta_cl,
     delta_q,
-    naimark_extend,
     noisy_ghz_state,
     povm_from_decoder,
     error_report,
@@ -26,7 +25,7 @@ from .decoder import (
 )
 from .linop import permute, trace_distance
 from .ppgm import support_bound, build_ppgm, ppgm_error, pairwise_bound
-from .qcore import apply_channel, is_mub, max_entangled
+from .qcore import is_mub
 from .sampling import (
     mub_pair,
     random_basis,
@@ -234,10 +233,7 @@ def suite_coherent_output(instances: int, seed: int) -> SuiteResult:
         else:
             chan, povm_e = random_block_channel(rng, eb, 1 + i % 2)
         assert delta_cl(povm_e, chan, eb) < 1e-12
-        ext = naimark_extend(povm_e)
-        coh = build_coherent_measurement(ext, eb)
-        after = apply_channel(chan, max_entangled(d), targets=[0])
-        out = apply_channel(coh, after, targets=[0])  # order (C, A, R)
+        out = coherent_state(chan, povm_e, eb)  # order (C, A, R)
         ref = noisy_ghz_state(chan, eb)  # order (R, C, A)
         dist = trace_distance(permute(out, [2, 0, 1]), ref)
         rec.check(1e-9 - dist, f"i={i} d={d} distance={dist:.2e}")

@@ -138,6 +138,27 @@ def test_zero_message_qubits_exit_two(tmp_path, capsys):
     assert captured.err.count("config error") == 2
 
 
+def test_non_finite_spectrum_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "n_bh = 2\nn_msg = 1\nell = 1\ntrials = 2\nxi = mixed:nan,0.5\n"
+    )
+    out = tmp_path / "o"
+    assert main(["hp-run", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "results.jsonl").exists()
+    assert main(["haar-mean", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("config error") == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_instance_count_below_one_is_usage_error(count):
+    proc = run_cli("verify", "thm1", "--instances", count, "--seed", "1")
+    assert proc.returncode == 2
+    assert "PASS" not in proc.stdout
+    assert "--instances" in proc.stderr
+
+
 def test_seed_env_fallback(tmp_path):
     cfg = write_config(tmp_path, "n_bh = 2\nn_msg = 1\nell = 1\ntrials = 3\n")
     out_a = tmp_path / "a"

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ctoq.config import DEFAULT_TOLS
 from ctoq.decoder import (
     _ctoq_state,
-    build_coherent_measurement,
+    coherent_state,
     ctoq_delta_q,
     delta_cl,
     delta_cl_tracenorm,
     delta_q,
-    naimark_extend,
     noisy_ghz_state,
     povm_from_decoder,
     error_report,
@@ -25,6 +23,7 @@ from ctoq.qcore import (
     Channel,
     Povm,
     apply_channel,
+    channel,
     computational_basis,
     dephasing_channel,
     depolarizing_channel,
@@ -42,7 +41,12 @@ from ctoq.sampling import (
     random_density,
     random_povm,
 )
-from tests.test_equivalence import build_eraser, build_theta
+from tests.test_equivalence import (
+    build_coherent_measurement,
+    build_eraser,
+    build_theta,
+    naimark_extend,
+)
 from tests.test_qcore import compose, projective_povm
 
 
@@ -109,16 +113,16 @@ def test_delta_cl_sum_form_equals_tracenorm_form():
 
 def outcome_projection(ext, j):
     """Dense projection ``I (x) |j><j|`` of the dilation space."""
-    d = ext.n_outcomes
+    d = ext.row_dims[-1]
     p = np.zeros((d, d))
     p[j, j] = 1.0
-    return np.kron(np.eye(ext.isometry.data.shape[1]), p)
+    return np.kron(np.eye(ext.data.shape[1]), p)
 
 
 def test_naimark_projective_exact():
     z = computational_basis(2)
     ext = naimark_extend(projective_povm(z))
-    v = ext.isometry.data
+    v = ext.data
     for j, el in enumerate(projective_povm(z)):
         rec = v.conj().T @ outcome_projection(ext, j) @ v
         np.testing.assert_allclose(rec, el.data, atol=1e-14)
@@ -133,7 +137,7 @@ def test_naimark_trine_reconstruction():
         els.append(operator(2 / 3 * np.outer(psi, psi.conj()), 2))
     povm = Povm(tuple(els))
     ext = naimark_extend(povm)
-    v = ext.isometry.data
+    v = ext.data
     np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
     for j, el in enumerate(povm):
         rec = v.conj().T @ outcome_projection(ext, j) @ v
@@ -144,42 +148,42 @@ def test_naimark_random_povm_isometry():
     rng = np.random.default_rng(3)
     povm = random_povm(rng, 4, 3)
     ext = naimark_extend(povm)
-    v = ext.isometry.data
+    v = ext.data
     np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
 
 
-def build_v_inv(ext, e0, e0p, tols=DEFAULT_TOLS) -> Operator:
+def build_v_inv(ext, e0, e0p) -> Operator:
     """Oracle: the isometry that undoes the dilation as far as possible.
 
     ``V_inv = V^dag (x) |e0> + |e0'> (x) (I - V V^dag)`` maps C' into
     C (x) C'.  ``e0`` must be a unit vector in the range of the dilation
     isometry; ``e0p`` is any unit vector in C.
     """
-    v = ext.isometry.data
+    v = ext.data
     dcp, dc = v.shape
     e0 = np.asarray(e0, dtype=np.complex128).reshape(dcp)
     e0p = np.asarray(e0p, dtype=np.complex128).reshape(dc)
     for name, vec in (("e0", e0), ("e0p", e0p)):
-        if abs(np.linalg.norm(vec) - 1.0) > tols.isometry:
+        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
             raise ValueError(f"{name} is not a unit vector")
     proj = v @ v.conj().T
-    if np.linalg.norm(e0 - proj @ e0) > tols.isometry:
+    if np.linalg.norm(e0 - proj @ e0) > 1e-9:
         raise ValueError("e0 is not in the range of the dilation isometry")
     vinv = np.kron(v.conj().T, e0.reshape(-1, 1)) + np.kron(
         e0p.reshape(-1, 1), np.eye(dcp) - proj
     )
     err = np.max(np.abs(vinv.conj().T @ vinv - np.eye(dcp)))
-    if err > tols.isometry:
+    if err > 1e-9:
         raise ValueError(f"inverse map is not an isometry (error {err:.3e})")
-    dims = ext.isometry.row_dims
-    return Operator(vinv, ext.isometry.col_dims + dims, dims)
+    dims = ext.row_dims
+    return Operator(vinv, ext.col_dims + dims, dims)
 
 
 def test_build_v_inv_isometry_and_range_action():
     rng = np.random.default_rng(4)
     povm = random_povm(rng, 3, 3)
     ext = naimark_extend(povm)
-    v = ext.isometry.data
+    v = ext.data
     e0 = v[:, 0]
     e0p = np.zeros(3, dtype=complex)
     e0p[0] = 1.0
@@ -198,7 +202,7 @@ def test_build_v_inv_unitary_dilation_case():
     # projective POVM on 1 outcome: V is unitary, second term vanishes
     povm = Povm((identity(2),))
     ext = naimark_extend(povm)
-    v = ext.isometry.data
+    v = ext.data
     e0 = v[:, 0]
     e0p = np.array([1.0, 0.0], dtype=complex)
     vinv = build_v_inv(ext, e0, e0p).data
@@ -210,7 +214,7 @@ def test_build_v_inv_unitary_dilation_case():
 def test_build_v_inv_rejects_vector_outside_range():
     z = computational_basis(2)
     ext = naimark_extend(projective_povm(z))
-    v = ext.isometry.data
+    v = ext.data
     comp = np.zeros(v.shape[0], dtype=complex)
     comp[1] = 1.0  # (c=0, outcome=1) is orthogonal to range for projective Z
     comp = comp - v @ (v.conj().T @ comp)
@@ -226,8 +230,8 @@ def test_build_v_inv_rejects_vector_outside_range():
 def explicit_coherent_channel(ext, e_basis, rho: Operator) -> Operator:
     """Reference path: dense dilation isometry, then trace out the dilation
     space in the computational basis."""
-    v = ext.isometry.data
-    d = ext.n_outcomes
+    v = ext.data
+    d = ext.row_dims[-1]
     dc = v.shape[1]
     e0 = v[:, 0]
     e0p = np.zeros(dc, dtype=complex)
@@ -246,6 +250,15 @@ def explicit_coherent_channel(ext, e_basis, rho: Operator) -> Operator:
     return partial_trace(big, [0, 2])
 
 
+def preparation(rho: Operator) -> Channel:
+    """Channel from a one-dimensional input that prepares ``rho``; the
+    coherent measurement's closed-form state of it is its output on ``rho``
+    (with a trivial reference factor)."""
+    w, v = np.linalg.eigh(rho.data)
+    ks = (v * np.sqrt(np.clip(w, 0.0, None))).T[:, :, None]
+    return channel(ks, (1,), rho.row_dims)
+
+
 def test_coherent_measurement_matches_explicit_dilation():
     rng = np.random.default_rng(6)
     for d, dc in ((2, 2), (2, 3), (3, 4)):
@@ -255,17 +268,20 @@ def test_coherent_measurement_matches_explicit_dilation():
         ch = build_coherent_measurement(ext, basis)
         for _ in range(3):
             rho = random_density(rng, dc)
-            got = apply_channel(ch, rho)
             want = explicit_coherent_channel(ext, basis, rho)
+            got = coherent_state(preparation(rho), povm, basis)
             np.testing.assert_allclose(got.data, want.data, atol=1e-10)
+            kraus_form = apply_channel(ch, rho)
+            np.testing.assert_allclose(kraus_form.data, want.data, atol=1e-10)
 
 
 def test_coherent_measurement_trace_preserving():
     rng = np.random.default_rng(7)
     povm = random_povm(rng, 3, 2)
-    ch = build_coherent_measurement(naimark_extend(povm), random_basis(rng, 2))
+    basis = random_basis(rng, 2)
     rho = random_density(rng, 3)
-    assert apply_channel(ch, rho).trace() == pytest.approx(1.0, abs=1e-10)
+    out = coherent_state(preparation(rho), povm, basis)
+    assert out.trace() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_coherent_measurement_register_marginal_statistics():
@@ -274,9 +290,8 @@ def test_coherent_measurement_register_marginal_statistics():
     rng = np.random.default_rng(8)
     povm = random_povm(rng, 3, 3)
     basis = random_basis(rng, 3)
-    ch = build_coherent_measurement(naimark_extend(povm), basis)
     rho = random_density(rng, 3)
-    out = apply_channel(ch, rho)  # dims (3, 3): (C, register)
+    out = coherent_state(preparation(rho), povm, basis)  # (C, register, 1)
     marg = partial_trace(out, [1]).data
     u = basis.matrix
     in_basis = u.conj().T @ marg @ u
@@ -453,8 +468,8 @@ def test_ctoq_handles_multi_factor_measured_space():
     raw = random_povm(rng, 4, 2)
     pf = Povm(tuple(Operator(m.data, (2, 2), (2, 2)) for m in raw))
     z, x = pauli_basis(1, "z"), pauli_basis(1, "x")
-    coherent = build_coherent_measurement(naimark_extend(pe), z)
-    assert coherent.out_dims == (2, 2, 2)
+    coherent = coherent_state(identity_channel((2, 2)), pe, z)
+    assert coherent.row_dims == (2, 2, 2, 2, 2)  # (C, A, R)
     got = _ctoq_state(identity_channel((2, 2)), pe, pf, z, x)
     want = composite_choi_state(pe, pf, z, x, (2, 2))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -577,8 +592,6 @@ def test_noisy_ghz_matches_coherent_output_when_label_survives():
     e = random_basis(rng, 2)
     chan, povm_e = random_block_channel(rng, e, block_size=2)
     assert delta_cl(povm_e, chan, e) < 1e-12
-    coh = build_coherent_measurement(naimark_extend(povm_e), e)
-    after = apply_channel(chan, max_entangled(2), targets=[0])
-    out = apply_channel(coh, after, targets=[0])  # (C, A, R)
+    out = coherent_state(chan, povm_e, e)  # (C, A, R)
     ref = noisy_ghz_state(chan, e)  # (R, C, A)
     assert trace_distance(permute(out, [2, 0, 1]), ref) < 1e-9

@@ -5,11 +5,14 @@ one ``tau_j`` per basis vector from the Kraus stack, the retrieval isometry
 through ``np.kron(U, I)``, the pretty-good measurement with one
 ``eigvalsh`` per output and separate decompositions for every support
 function, the error functionals as double loops, the overlap sums as
-``total - trace``, and the composite decoder's Kraus set assembled one
-operator at a time, with the eraser and its phase corrections as channels.
-Every quantity the library reports must agree with them to 1e-12 (relative
-where it is divided by ``lambda_min``); the closed-form decoder state must
-agree with the state propagated through the assembled Kraus set to 1e-12.
+``total - trace``, the Naimark dilation and the coherent measurement as a
+Kraus stack over a full-QR range complement, and the composite decoder's
+Kraus set assembled one operator at a time, with the eraser and its phase
+corrections as channels.  Every quantity the library reports must agree
+with them to 1e-12 (relative where it is divided by ``lambda_min``); the
+closed-form decoder and coherent-measurement states must agree with the
+states propagated through the assembled Kraus sets to 1e-12, and the
+eraser after the coherent measurement's state must give the decoder's.
 A Hayden-Preskill trial, which runs on the channel compressed onto the span
 of its outputs, must agree field by field with the same trial run on the
 full output space.
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 from ctoq.config import DEFAULT_TOLS, Tolerances
-from ctoq.decoder import _ctoq_state, ctoq_delta_q, delta_cl, naimark_extend
+from ctoq.decoder import _ctoq_state, coherent_state, ctoq_delta_q, delta_cl
 from ctoq.haarhp import (
     HpConfig,
     TrialResult,
@@ -39,6 +42,7 @@ from ctoq.qcore import (
     Channel,
     OrthoBasis,
     Povm,
+    apply_channel,
     basis_outputs,
     channel,
     collision_entropy,
@@ -49,7 +53,13 @@ from ctoq.qcore import (
     pauli_basis,
     purify_vector,
 )
-from ctoq.sampling import random_basis, random_channel
+from ctoq.sampling import (
+    random_basis,
+    random_block_channel,
+    random_channel,
+    random_isometry_channel,
+    random_povm,
+)
 
 TOL = 1e-12
 # classical errors below this are rounding noise around an exact zero
@@ -154,6 +164,70 @@ def oracle_ctoq_branch_state(decoder_kraus, chan_kraus, d):
     return y.T @ y.conj()
 
 
+def naimark_extend(povm: Povm) -> Operator:
+    """Canonical dilation ``V = sum_j sqrt(M_j) (x) |j>`` of a POVM.
+
+    ``V`` maps the measured space C into C (x) (outcome register), whose
+    last factor holds the outcome.  The projective measurement is
+    ``P_j = I (x) |j><j|``, so ``P_j V`` is the row slice ``V[j::m]``;
+    ``V^dag V = I`` and ``V^dag P_j V = M_j`` are checked.
+    """
+    m = povm.n_outcomes
+    dc = povm.dim
+    cdims = povm.elements[0].row_dims
+    v = np.zeros((dc * m, dc), dtype=np.complex128)
+    for j, el in enumerate(povm):
+        v[j::m, :] = sqrtm_psd(el.data)
+    err = np.max(np.abs(v.conj().T @ v - np.eye(dc)))
+    if err > 1e-9:
+        raise ValueError(f"dilation map is not an isometry (error {err:.3e})")
+    for j, el in enumerate(povm):
+        err = np.max(np.abs(v[j::m].conj().T @ v[j::m] - el.data))
+        if err > 1e-8:
+            raise ValueError(f"dilation does not reproduce element {j} ({err:.3e})")
+    return Operator(v, cdims + (m,), cdims)
+
+
+def build_coherent_measurement(v: Operator, e_basis: OrthoBasis) -> Channel:
+    """Channel C -> C (x) A that coherently measures C through the dilation
+    ``v`` and stores the outcome in A in the given basis.
+
+    The dilation is undone by ``V^dag (x) |e0> + |e0'> (x) (I - V V^dag)``
+    with ``e0`` in the range of ``V`` and ``e0' = |0>``.  Tracing out C' in
+    the orthonormal basis {e0} + basis(range(V)^perp) (the remaining
+    directions contribute zero) yields one Kraus operator
+    ``sum_j M_j (x) |j_E>`` plus, for each direction ``b`` orthogonal to the
+    isometry's range, a rank-one-in-C operator ``|e0'> (x) w_b`` with
+    ``w_b = sum_j |j_E><b| P_j V``.
+    """
+    vd = v.data
+    dc = vd.shape[1]
+    d = v.row_dims[-1]
+    if e_basis.dim != d:
+        raise ValueError(f"basis dim {e_basis.dim} != number of outcomes {d}")
+    u = e_basis.matrix
+    roots = [vd[j::d] for j in range(d)]  # nonzero rows of P_j V
+    comp = np.linalg.qr(vd, mode="complete")[0][:, dc:]  # range(V)^perp
+    nb = comp.shape[1]
+    ks = np.zeros((1 + nb, dc, d, dc), dtype=np.complex128)
+    # main operator: ks[0][c, a, c'] = sum_j M_j[c, c'] u[a, j]
+    ms = np.stack([r.conj().T @ r for r in roots])
+    ks[0] = np.einsum("jcp,aj->cap", ms, u)
+    # rank-one family |e0'> (x) w_b
+    t = np.stack([comp[j::d].conj().T @ r for j, r in enumerate(roots)])
+    ks[1:, 0] = np.einsum("aj,jbc->bac", u, t)
+    cdims = v.col_dims
+    return channel(ks.reshape(1 + nb, dc * d, dc), cdims, cdims + (d,))
+
+
+def oracle_coherent_state(chan, povm_e, e_basis):
+    """``(C o T (x) id)(Phi)`` on (C, A, R) through the Kraus-form coherent
+    measurement ``C``."""
+    coh = build_coherent_measurement(naimark_extend(povm_e), e_basis)
+    after = apply_channel(chan, max_entangled(chan.dim_in), targets=[0])
+    return apply_channel(coh, after, targets=list(range(len(chan.out_dims))))
+
+
 def build_theta(e_basis: OrthoBasis, f_basis: OrthoBasis, l: int) -> Operator:
     """Eraser phase correction: diagonal in the e-basis, with the phase of
     each overlap ``<j_e|l_f>`` (zero overlaps contribute phase 0)."""
@@ -197,7 +271,7 @@ def oracle_ctoq_kraus(povm_e, povm_f, e_basis, f_basis):
     weight ``<0| M_F,l |0>``.
     """
     d = e_basis.dim
-    v = naimark_extend(povm_e).isometry.data
+    v = naimark_extend(povm_e).data
     dc = v.shape[1]
     e0p = np.zeros(dc, dtype=np.complex128)
     e0p[0] = 1.0
@@ -445,3 +519,83 @@ def test_output_span_of_outputs_holding_zero_is_the_span(seed):
     ch_off = channel(np.roll(q, 1, axis=0) @ inner.kraus, (d,), (dc,))
     w_off, rank_off = _check_span(ch_off)
     assert w_off.shape[1] == rank_off + 1 == dim_s + 1
+
+
+# ---------------------------------------------------------------------------
+# the coherent measurement
+
+
+def check_coherent_state(ch, povm_e, e_basis):
+    want = oracle_coherent_state(ch, povm_e, e_basis)
+    got = coherent_state(ch, povm_e, e_basis)
+    assert got.row_dims == want.row_dims == ch.out_dims + (e_basis.dim,) + ch.in_dims
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=TOL)
+
+
+def check_eraser_after_coherent_state(ch, povm_e, povm_f, e_basis, f_basis):
+    """The eraser oracle applied to the coherent measurement's closed-form
+    state reproduces the decoder's closed-form state."""
+    thetas = [build_theta(e_basis, f_basis, l) for l in range(e_basis.dim)]
+    coh = coherent_state(ch, povm_e, e_basis)
+    targets = list(range(len(ch.out_dims) + 1))  # (C, A)
+    got = apply_channel(build_eraser(povm_f, thetas), coh, targets=targets)
+    want = _ctoq_state(ch, povm_e, povm_f, e_basis, f_basis)
+    np.testing.assert_allclose(got.data, want, rtol=0, atol=TOL)
+
+
+def test_coherent_state_matches_the_kraus_form_on_ghz_suite_instances():
+    # drawn as the ghz suite draws them: block and isometry channels whose
+    # E label survives
+    rng = np.random.default_rng(20240824)
+    for i in range(12):
+        d = (2, 3, 4)[i % 3]
+        e_basis = random_basis(rng, d)
+        if i % 2:
+            ch, povm_e = random_isometry_channel(rng, e_basis, d + 1 + i % 3)
+        else:
+            ch, povm_e = random_block_channel(rng, e_basis, 1 + i % 2)
+        assert delta_cl(povm_e, ch, e_basis) < 1e-12
+        check_coherent_state(ch, povm_e, e_basis)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coherent_state_matches_the_kraus_form_on_random_povms(seed):
+    rng = np.random.default_rng(930 + seed)
+    d = (2, 3, 4)[seed % 3]
+    ch = random_channel(rng, d, d + seed % 3, 1 + int(rng.integers(4)))
+    povm_e = random_povm(rng, ch.dim_out, d)
+    e_basis = random_basis(rng, d)
+    assert delta_cl(povm_e, ch, e_basis) > 0.1  # the label does not survive
+    check_coherent_state(ch, povm_e, e_basis)
+
+
+def two_factor_instance(seed):
+    """A channel into C = (2, 2) and two random POVMs tagged with those
+    dims, as in the scrambling setup."""
+    rng = np.random.default_rng(seed)
+    ch = Channel(random_channel(rng, 2, 4, 2).kraus, (2,), (2, 2))
+    povm_e, povm_f = (
+        Povm(tuple(Operator(m.data, (2, 2), (2, 2)) for m in random_povm(rng, 4, 2)))
+        for _ in range(2)
+    )
+    return ch, povm_e, povm_f, random_basis(rng, 2), random_basis(rng, 2)
+
+
+def test_coherent_state_matches_the_kraus_form_on_two_factor_output():
+    ch, povm_e, _, e_basis, _ = two_factor_instance(940)
+    check_coherent_state(ch, povm_e, e_basis)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eraser_after_coherent_state_is_the_decoder_state(seed):
+    rng = np.random.default_rng(900 + seed)
+    d = (2, 3, 4)[seed % 3]
+    ch = random_channel(rng, d, d + seed % 3, 1 + int(rng.integers(4)))
+    e_basis, f_basis = random_basis(rng, d), random_basis(rng, d)
+    povm_e = build_ppgm(ch, e_basis).povm
+    povm_f = build_ppgm(ch, f_basis).povm
+    check_eraser_after_coherent_state(ch, povm_e, povm_f, e_basis, f_basis)
+
+
+def test_eraser_after_coherent_state_on_two_factor_output():
+    check_eraser_after_coherent_state(*two_factor_instance(941))
