@@ -32,11 +32,8 @@ from .haarhp import (
     TrialResult,
     derived_quantities,
     haar_mean_pairwise_overlap,
-    maximally_mixed_state,
     pairwise_overlap_samples,
-    pure_state,
     run_experiment,
-    state_from_spectrum,
     average_error_bound,
 )
 from .verify import SLACK_TOL, SUITES, run_suite
@@ -107,16 +104,16 @@ def _parse_ell(spec: str, n_max: int) -> list[int]:
     return values
 
 
-def _parse_xi(spec: str, n_bh: int):
+def _parse_xi(spec: str, n_bh: int) -> list[float]:
+    """The spectrum of the initial state; :class:`HpConfig` validates it."""
     spec = spec.strip().lower()
     if spec == "pure":
-        return pure_state(n_bh)
+        return [1.0]
     if spec == "maximally_mixed":
-        return maximally_mixed_state(n_bh)
+        return [2.0**-n_bh] * 2**n_bh
     if spec.startswith("mixed:"):
         try:
-            spectrum = [float(tok) for tok in spec[len("mixed:") :].split(",")]
-            return state_from_spectrum(n_bh, spectrum)
+            return [float(tok) for tok in spec[len("mixed:") :].split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad spectrum in {spec!r}: {exc}") from None
     raise ConfigError(
@@ -154,7 +151,7 @@ class RunSpec:
             n_bh=self.n_bh,
             n_msg=self.n_msg,
             n_rad=ell,
-            initial_state=_parse_xi(self.xi_label, self.n_bh),
+            xi_spectrum=_parse_xi(self.xi_label, self.n_bh),
             seed=self.seed,
             trials=self.trials,
         )
@@ -216,7 +213,10 @@ def load_config(path: str, allow_large: bool = False) -> RunSpec:
         epsilon=epsilon,
         allow_large=allow_large,
     )
-    _parse_xi(spec.xi_label, n_bh)  # validate eagerly
+    try:
+        spec.config_for(ells[0])  # validate xi eagerly
+    except ValueError as exc:
+        raise ConfigError(f"bad xi {spec.xi_label!r}: {exc}") from None
     return spec
 
 
@@ -239,6 +239,7 @@ def _trial_row(seed: int, ell: int, r: TrialResult) -> dict[str, Any]:
             "trial": r.trial,
             "seed_stream": r.seed_stream,
             "error": r.error,
+            "error_type": r.error_type,
         }
     return {
         "kind": "trial",
@@ -493,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("hp-run", help="run the retrieval experiment sweep")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_run.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p_run.add_argument("--csv", action="store_true")
     p_run.add_argument("--allow-large", action="store_true")
     p_run.set_defaults(func=cmd_hp_run)

@@ -1,14 +1,22 @@
 """Desk-scale Hayden-Preskill experiment with Haar-random dynamics.
 
 A k-qubit message, maximally entangled with a reference, is absorbed by an
-N-qubit system whose state is purified by a "past radiation" register.  A
+N-qubit system whose state xi is purified by a "past radiation" register.  A
 Haar-random unitary scrambles message + system, after which ``ell`` qubits
 are radiated.  The retrieval channel maps the message space to past + new
 radiation; decoding uses projection-based pretty-good measurements for the
 Pauli-X and -Z classical records and the decoder built from them, whose
-quantum error is evaluated in closed form.  A trial works on the span of the
-channel outputs, whose dimension is at most ``2^k`` times the Kraus count
-and usually far below that of past + new radiation.
+quantum error is evaluated in closed form.
+
+xi is held as its spectrum ``p``, the eigenvalues on its support.  The
+channel reads only the columns of the scrambling unitary for message (x)
+supp xi, so a trial samples just those ``2^k rank(xi)`` columns, a Haar
+isometry.  The past register is supp xi, plus, when xi is not full rank,
+one label outside it, so that ``|0>`` of the output space is orthogonal to
+every output as it is on the full ``2^N``-dimensional register.  The trial
+then works on the span of the channel outputs, whose dimension is at most
+``2^k`` times the Kraus count and usually far below that of past + new
+radiation.
 
 Besides the Monte-Carlo experiment itself, this module evaluates the exact
 Haar average of the pairwise output overlaps (a two-design moment with a
@@ -26,7 +34,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .decoder import ctoq_delta_q
-from .linop import Operator, support_eigh
+from .linop import Operator
 from .ppgm import support_bound, build_ppgm, ppgm_error, pairwise_bound
 from .qcore import (
     Channel,
@@ -37,7 +45,6 @@ from .qcore import (
     cross_overlap,
     output_span_channel,
     pauli_basis,
-    purify_vector,
 )
 
 __all__ = [
@@ -45,15 +52,13 @@ __all__ = [
     "HpDerived",
     "TrialResult",
     "AverageErrorBound",
+    "haar_isometry",
     "haar_unitary",
     "hp_channel",
     "derived_quantities",
     "haar_mean_pairwise_overlap",
     "average_error_bound",
     "run_experiment",
-    "pure_state",
-    "maximally_mixed_state",
-    "state_from_spectrum",
 ]
 
 LOG2_E = math.log2(math.e)
@@ -65,13 +70,19 @@ class HpConfig:
 
     ``n_bh`` (N) counts the absorbing system's qubits, ``n_msg`` (k) the
     message qubits, ``n_rad`` (ell) the radiated qubits out of the N + k
-    scrambled ones.
+    scrambled ones.  ``xi_spectrum`` is the initial state's spectrum, any
+    sequence of at most ``2^N`` finite nonnegative numbers summing to 1; it
+    is stored as a read-only float64 vector of the nonzero ones, in the
+    order given and normalized.  Entry ``i`` is the weight of the ``i``-th
+    support vector, which the purification pairs with a past label: label
+    ``i`` when xi has full rank, label ``i + 1`` otherwise, where past label
+    0 stands for the kernel of xi.
     """
 
     n_bh: int
     n_msg: int
     n_rad: int
-    initial_state: Operator
+    xi_spectrum: np.ndarray
     seed: int = 0
     trials: int = 1
 
@@ -84,13 +95,36 @@ class HpConfig:
             )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        xi = self.initial_state
-        if xi.dim_row != 2**self.n_bh or not xi.is_square:
+        spec = np.asarray(self.xi_spectrum, dtype=np.float64)
+        d = 2**self.n_bh
+        if (
+            spec.ndim != 1
+            or not 1 <= spec.size <= d
+            or not np.all(np.isfinite(spec))
+            or spec.min() < 0
+        ):
             raise ValueError(
-                f"initial state must be a density operator on {2**self.n_bh} dims"
+                f"spectrum must be 1 to {d} finite nonnegative numbers"
             )
-        if abs(xi.trace() - 1.0) > DEFAULT_TOLS.state_trace:
-            raise ValueError("initial state must have unit trace")
+        spec = spec[spec > 0]
+        total = spec.sum()
+        if abs(total - 1.0) > DEFAULT_TOLS.state_trace:
+            raise ValueError(f"spectrum sums to {total:.12g}, expected 1")
+        spec /= total
+        spec.setflags(write=False)
+        object.__setattr__(self, "xi_spectrum", spec)
+
+    @property
+    def rank(self) -> int:
+        """Rank of the initial state: the number of sampled support columns
+        per message vector."""
+        return self.xi_spectrum.size
+
+    @property
+    def dim_past(self) -> int:
+        """Past labels the channel writes: supp xi, plus one kernel label
+        below it unless xi has full rank."""
+        return self.rank + (self.rank < 2**self.n_bh)
 
     @property
     def dim_scrambled(self) -> int:
@@ -151,104 +185,87 @@ class TrialResult:
     collision_entropies: tuple[float, ...] = ()
     ill_conditioned: bool = False
     error: str | None = None
-
-
-def pure_state(n_qubits: int) -> Operator:
-    """|0...0><0...0| on n qubits."""
-    d = 2**n_qubits
-    m = np.zeros((d, d), dtype=np.complex128)
-    m[0, 0] = 1.0
-    return Operator(m, (d,), (d,))
-
-
-def maximally_mixed_state(n_qubits: int) -> Operator:
-    d = 2**n_qubits
-    return Operator(np.eye(d) / d, (d,), (d,))
-
-
-def state_from_spectrum(n_qubits: int, spectrum) -> Operator:
-    """Diagonal density operator with the given eigenvalues, zero padded."""
-    d = 2**n_qubits
-    spec = np.asarray(list(spectrum), dtype=np.float64)
-    if spec.size > d or not np.all(np.isfinite(spec)) or spec.min() < 0:
-        raise ValueError(
-            f"spectrum must be finite and nonnegative with at most {d} entries"
-        )
-    if abs(spec.sum() - 1.0) > DEFAULT_TOLS.prob_norm * 10:
-        raise ValueError(f"spectrum sums to {spec.sum():.12g}, expected 1")
-    w = np.zeros(d)
-    w[: spec.size] = spec / spec.sum()
-    return Operator(np.diag(w), (d,), (d,))
+    error_type: str | None = None
 
 
 # ---------------------------------------------------------------------------
 # sampling and the retrieval channel
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> Operator:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    R-diagonal phase correction."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+def haar_isometry(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed isometry ``C^m -> C^d``, as a ``d x m`` matrix.
+
+    QR of a complex ``d x m`` Ginibre matrix with the R-diagonal phase
+    correction (Mezzadri, Notices AMS 54, 592 (2007)).  It has the law of the
+    first ``m`` columns of a Haar unitary, and for ``m = d`` it is one.
+    """
+    if not 1 <= m <= d:
+        raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
+    z = (rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r).copy()
     diag[diag == 0] = 1.0
-    q = q * (diag / np.abs(diag))
-    return Operator(q, (d,), (d,))
+    return q * (diag / np.abs(diag))
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> Operator:
+    """Haar-distributed unitary: the square case of :func:`haar_isometry`."""
+    return Operator(haar_isometry(d, d, rng), (d,), (d,))
 
 
 def hp_channel(
-    u: Operator,
-    xi: Operator,
+    v: np.ndarray,
     cfg: HpConfig,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> Channel:
     """Retrieval channel: message -> past radiation (x) new radiation.
 
-    ``rho -> tr_kept[ U (rho (x) purification(xi)) U^dag ]`` where the
-    scrambled register splits into kept and radiated qubits; the radiated
-    ones are the last ``n_rad`` tensor factors.  Output dims are
-    ``(2^N, 2^ell)`` in the order (past, new).
+    ``v`` is the scrambling unitary restricted to message (x) supp xi, a
+    ``2^(N+k) x (2^k r)`` isometry with ``r = cfg.rank``; its rows split
+    into (kept, new), the radiated qubits being the last ``n_rad`` factors,
+    and its columns into (message, support).  Kraus operator ``m`` is
+
+        ``K_m|a> = sum_i sqrt(p_i) V[(m, new), (a, i)] |i + o>_past |new>``,
+
+    the kept row ``m`` of ``(V (x) I)(|a> (x) sum_i sqrt(p_i) |i>|i + o>)``.
+    Output dims are ``(cfg.dim_past, 2^ell)`` in the order (past, new).
+    The offset ``o`` is 0 when xi has full rank and 1 otherwise: past label
+    0 then stands for the kernel of xi, and ``|0>`` of the output, on which
+    the decoder puts what its dilation leaves out, is orthogonal to every
+    output, as on the full ``2^N``-dimensional past register with the
+    kernel first.
     """
     n, k, ell = cfg.n_bh, cfg.n_msg, cfg.n_rad
-    da, dbh = 2**k, 2**n
-    ds = da * dbh
-    if u.dim_row != ds or u.dim_col != ds:
-        raise ValueError(f"unitary must act on {ds} dims")
-    if xi.dim_row != dbh:
-        raise ValueError(f"initial state must live on {dbh} dims")
+    da, r, dp = 2**k, cfg.rank, cfg.dim_past
+    if v.shape != (cfg.dim_scrambled, da * r):
+        raise ValueError(f"isometry must be {cfg.dim_scrambled} x {da * r}")
     d_kept = 2 ** (n + k - ell)
     d_new = 2**ell
-
-    vec, _ = purify_vector(xi, tols)  # on (system, past), past least significant
-    # |a> -> (U (x) I)(|a> (x) |xi>); U's rows split into (kept, new), its
-    # columns into (message, system).  Kraus operator m is the kept row m,
-    # with output (past, new).
-    ks = np.einsum(
-        "mnab,bp->mpna",
-        u.data.reshape(d_kept, d_new, da, dbh),
-        vec.reshape(dbh, dbh),
-        optimize=True,
-    ).reshape(d_kept, dbh * d_new, da)
-    return channel(ks, (da,), (dbh, d_new), tp_tol=tols.channel_tp, tols=tols)
+    ks = np.zeros((d_kept, dp, d_new, da), dtype=np.complex128)
+    ks[:, dp - r :] = (
+        v.reshape(d_kept, d_new, da, r) * np.sqrt(cfg.xi_spectrum)
+    ).transpose(0, 3, 1, 2)
+    return channel(
+        ks.reshape(d_kept, dp * d_new, da),
+        (da,),
+        (dp, d_new),
+        tp_tol=tols.channel_tp,
+        tols=tols,
+    )
 
 
 # ---------------------------------------------------------------------------
 # derived quantities and analytic formulas
 
 
-def derived_quantities(
-    cfg: HpConfig, tols: Tolerances = DEFAULT_TOLS
-) -> HpDerived:
+def derived_quantities(cfg: HpConfig) -> HpDerived:
     """Threshold ``ell_th = k + (N - H2)/2`` and flatness
-    ``Lambda = rank * min nonzero eigenvalue`` of the initial state."""
-    xi = cfg.initial_state
-    h2 = collision_entropy(xi)
+    ``Lambda = rank * min nonzero eigenvalue`` of the initial state, with
+    ``H2 = -log2 sum_i p_i^2`` from its spectrum."""
+    p = cfg.xi_spectrum
+    h2 = -math.log2(float(p @ p))
     ell_th = cfg.n_msg + (cfg.n_bh - h2) / 2.0
-    w, _, on = support_eigh(xi.data, tols=tols)
-    lam = float(w[on][0]) * int(on.sum())
-    return HpDerived(ell_th=ell_th, lambda_xi=lam, h2_bin=h2)
+    return HpDerived(ell_th=ell_th, lambda_xi=float(p.min()) * p.size, h2_bin=h2)
 
 
 def haar_mean_pairwise_overlap(cfg: HpConfig) -> float:
@@ -262,7 +279,7 @@ def haar_mean_pairwise_overlap(cfg: HpConfig) -> float:
     """
     n, k, ell = cfg.n_bh, cfg.n_msg, cfg.n_rad
     dk = float(2**k)
-    h2 = collision_entropy(cfg.initial_state)
+    h2 = derived_quantities(cfg).h2_bin
     num = 2.0 ** (2 * (n + k) - ell) - 2.0**ell
     den = 2.0 ** (2 * (n + k)) - 1.0
     return dk * (dk - 1.0) * num / den * 2.0**-h2
@@ -327,25 +344,34 @@ def _trial_rng(cfg: HpConfig, trial: int) -> np.random.Generator:
     )
 
 
+def _trial_channel(cfg: HpConfig, trial: int) -> Channel:
+    """The trial's retrieval channel, from the ``2^k rank(xi)`` columns of
+    its Haar unitary, compressed onto the span of its outputs plus ``|0>``
+    (:func:`output_span_channel`)."""
+    rng = _trial_rng(cfg, trial)
+    v = haar_isometry(cfg.dim_scrambled, cfg.dim_msg * cfg.rank, rng)
+    ch, _ = output_span_channel(hp_channel(v, cfg))
+    return ch
+
+
 def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
-    """One trial: sample U, build the channel and both measurements, and
-    evaluate every error functional, the decoder's in closed form.
+    """One trial: sample the scrambling isometry, build the channel and both
+    measurements, and evaluate every error functional, the decoder's in
+    closed form.
 
     The channel is compressed onto the span of its outputs plus ``|0>``
-    (:func:`output_span_channel`) before anything else is built, and the
-    measurements keep the support cutoff of the full output space, so every
-    value is the one the full space gives, at the cost of the span.
+    before anything else is built, and the measurements keep the support
+    cutoff of the physical output space, past (x) new of ``2^N 2^ell``
+    dimensions, so every value is the one that space gives, at the cost of
+    the span.
 
     Numerical failures (``LinAlgError``, ``ValueError``) are recorded on
-    the result rather than raised; anything else, such as ``MemoryError``,
-    propagates.
+    the result, with the exception's type, rather than raised; anything
+    else, such as ``MemoryError``, propagates.
     """
-    rng = _trial_rng(cfg, trial)
     try:
-        u = haar_unitary(cfg.dim_scrambled, rng)
-        full = hp_channel(u, cfg.initial_state, cfg)
-        ch, _ = output_span_channel(full)
-        rank_tol = DEFAULT_TOLS.rank_tol(full.dim_out)
+        ch = _trial_channel(cfg, trial)
+        rank_tol = DEFAULT_TOLS.rank_tol(2**cfg.n_bh * 2**cfg.n_rad)
         basis_z = pauli_basis(cfg.n_msg, "z")
         basis_x = pauli_basis(cfg.n_msg, "x")
         bundle_z = build_ppgm(ch, basis_z, rank_tol=rank_tol)
@@ -381,19 +407,25 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
             ill_conditioned=bundle_z.ill_conditioned or bundle_x.ill_conditioned,
         )
     except (np.linalg.LinAlgError, ValueError) as exc:  # recorded, not fatal
-        return TrialResult(trial=trial, seed_stream=trial, error=str(exc))
+        return TrialResult(
+            trial=trial,
+            seed_stream=trial,
+            error=str(exc),
+            error_type=type(exc).__name__,
+        )
 
 
 def run_experiment(cfg: HpConfig, n_jobs: int = 1) -> list[TrialResult]:
     """All trials of a config, in trial order; deterministic given the seed.
 
     Trials are independent; with ``n_jobs > 1`` they fan out over a process
-    pool without changing the results.
+    pool of at most one worker per trial without changing the results.
     """
     trials = range(cfg.trials)
-    if n_jobs <= 1:
+    workers = min(n_jobs, cfg.trials)
+    if workers <= 1:
         return [run_trial(cfg, t) for t in trials]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_trial, cfg, t) for t in trials]
         return [f.result() for f in futures]
 
@@ -410,8 +442,6 @@ def pairwise_overlap_samples(cfg: HpConfig) -> np.ndarray:
     basis = computational_basis(cfg.dim_msg)
     out = np.empty(cfg.trials)
     for t in range(cfg.trials):
-        u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, t))
-        ch, _ = output_span_channel(hp_channel(u, cfg.initial_state, cfg))
-        taus = basis_outputs(ch, basis)
+        taus = basis_outputs(_trial_channel(cfg, t), basis)
         out[t] = cross_overlap(taus, taus)
     return out

@@ -64,7 +64,11 @@ def build_ppgm(
     """Build the measurement for discriminating the channel's basis outputs.
 
     One eigendecomposition per output gives its support projector and its
-    smallest nonzero eigenvalue; one more, of ``Pi``, gives both
+    rank; the singular values of its branch matrix ``[K_n|j>]_n``, whose
+    squares are its spectrum, give its smallest nonzero eigenvalue to
+    ``eps sqrt(lambda_max / lambda_min)`` relative, where the eigenvalues
+    of the output fix it only to ``eps lambda_max / lambda_min``.  One more
+    eigendecomposition, of ``Pi``, gives both
     ``Pi^{-1/2}`` and ``supp(Pi)``.  The deficiency projector
     ``I - supp(Pi)``, on which no output state has weight, is merged into
     outcome 0 so the POVM has exactly one outcome per basis vector.  On a
@@ -78,6 +82,9 @@ def build_ppgm(
         rank_tol = tols.rank_tol(dc)
 
     taus = basis_outputs(chan, basis)
+    sv = np.linalg.svd(
+        (chan.kraus @ basis.matrix).transpose(2, 1, 0), compute_uv=False
+    )
     projectors = np.empty_like(taus)
     lam_min = math.inf
     ill = False
@@ -86,7 +93,7 @@ def build_ppgm(
         if not on.any():
             raise ValueError(f"output state {j} is numerically zero")
         projectors[j] = (v * on) @ v.conj().T
-        lam_j = float(w[on][0])
+        lam_j = float(sv[j, on.sum() - 1]) ** 2
         lam_min = min(lam_min, lam_j)
         ill = ill or lam_j < 10.0 * (rank_tol * float(w[-1]))
     projectors.setflags(write=False)

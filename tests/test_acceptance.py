@@ -18,9 +18,7 @@ from ctoq.decoder import delta_cl, delta_cl_tracenorm
 from ctoq.haarhp import (
     HpConfig,
     haar_mean_pairwise_overlap,
-    maximally_mixed_state,
     pairwise_overlap_samples,
-    pure_state,
     run_experiment,
     average_error_bound,
 )
@@ -38,6 +36,13 @@ from ctoq.verify import (
 SEED = 20240817
 PACKAGE_ROOT = Path(ctoq.__file__).resolve().parents[1]
 N_JOBS = min(2, os.cpu_count() or 1)
+# initial states by spectrum
+PURE = (1.0,)
+
+
+def flat_spectrum(n):
+    """Spectrum of the maximally mixed state on n qubits."""
+    return np.full(2**n, 2.0**-n)
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -149,13 +154,13 @@ def test_criterion_07_coherent_output_diagnostic():
 def test_criterion_08_haar_average_closed_form():
     t0 = time.monotonic()
     anchor = haar_mean_pairwise_overlap(
-        HpConfig(2, 1, 1, maximally_mixed_state(2), 0, 1)
+        HpConfig(2, 1, 1, flat_spectrum(2), 0, 1)
     )
     ok = abs(anchor - 60 / 252) < 1e-15
     worst_z = 0.0
     details = []
     for n, k, ell in ((2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2)):
-        for label, xi in (("pure", pure_state(n)), ("mixed", maximally_mixed_state(n))):
+        for label, xi in (("pure", PURE), ("mixed", flat_spectrum(n))):
             cfg = HpConfig(n, k, ell, xi, seed=SEED + 8, trials=2000)
             closed = haar_mean_pairwise_overlap(cfg)
             samples = pairwise_overlap_samples(cfg)
@@ -180,7 +185,7 @@ def test_criterion_09_experiment_per_trial_bounds():
     worst = math.inf
     failed = 0
     for ell in (2, 3, 4):
-        cfg = HpConfig(3, 1, ell, pure_state(3), seed=SEED + 9, trials=500)
+        cfg = HpConfig(3, 1, ell, PURE, seed=SEED + 9, trials=500)
         results = run_experiment(cfg, n_jobs=N_JOBS)
         failed += sum(1 for r in results if r.error is not None)
         for r in results:
@@ -214,7 +219,7 @@ def test_criterion_09_experiment_per_trial_bounds():
 
 
 def test_criterion_10_analytic_bound_evaluator():
-    spot = average_error_bound(HpConfig(3, 1, 3, pure_state(3), 0, 1), 0.9)
+    spot = average_error_bound(HpConfig(3, 1, 3, PURE, 0, 1), 0.9)
     formula_ok = (
         abs(spot.log2_delta - 14.506197092289629) < 1e-12
         and abs(spot.cl_bound - 23275.217781949486) < 1e-6
@@ -222,7 +227,7 @@ def test_criterion_10_analytic_bound_evaluator():
     total = vacuous = dominated = dominated_vacuous = 0
     for n in range(2, 8):
         for ell in range(0, n + 2):
-            for xi in (pure_state(n), maximally_mixed_state(n)):
+            for xi in (PURE, flat_spectrum(n)):
                 b = average_error_bound(HpConfig(n, 1, ell, xi, 0, 1), 0.9)
                 total += 1
                 vacuous += b.vacuous
@@ -230,7 +235,7 @@ def test_criterion_10_analytic_bound_evaluator():
                     dominated += 1
                     dominated_vacuous += b.vacuous
     sweep_ok = all(
-        average_error_bound(HpConfig(3, 1, ell, pure_state(3), 0, 1), 0.9).vacuous
+        average_error_bound(HpConfig(3, 1, ell, PURE, 0, 1), 0.9).vacuous
         for ell in (2, 3, 4)
     )
     ok = formula_ok and sweep_ok and dominated == dominated_vacuous

@@ -87,7 +87,7 @@ def test_load_config_spectrum_state(tmp_path):
         )
     )
     cfg = spec.config_for(1)
-    assert cfg.initial_state.data[0, 0].real == pytest.approx(0.5)
+    assert cfg.xi_spectrum[0] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,37 @@ def test_hp_run_outputs(tmp_path):
     csv_lines = (out / "results.csv").read_text().splitlines()
     assert csv_lines[0].startswith("ell,trial,")
     assert len(csv_lines) == 16
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_hp_run_thread_count_below_one_is_usage_error(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["hp-run", "--config", cfg, "--out", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_hp_run_error_rows_name_the_exception_type(tmp_path, monkeypatch):
+    import ctoq.haarhp as haarhp
+
+    def broken_channel(*args, **kwargs):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(haarhp, "hp_channel", broken_channel)
+    cfg = write_config(tmp_path, CONFIG.replace("ell = 0..2", "ell = 1"))
+    out = tmp_path / "out"
+    assert main(["hp-run", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    lines = (out / "results.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    trials = [r for r in rows if r["kind"] == "trial"]
+    assert len(trials) == 5
+    for r in trials:
+        assert (r["error"], r["error_type"]) == ("bad input", "ValueError")
+    summary = [r for r in rows if r["kind"] == "summary"][0]
+    assert "error_type" not in summary and summary["failed_trials"] == 5
 
 
 def test_hp_run_byte_identical_reruns(tmp_path):

@@ -2,7 +2,8 @@
 
 The oracles below are the earlier implementations, kept verbatim in spirit:
 one ``tau_j`` per basis vector from the Kraus stack, the retrieval isometry
-through ``np.kron(U, I)``, the pretty-good measurement with one
+through ``np.kron(V, I)`` on the sampled columns ``V`` of the scrambling
+unitary, the pretty-good measurement with one
 ``eigvalsh`` per output and separate decompositions for every support
 function, the error functionals as double loops, the overlap sums as
 ``total - trace``, the Naimark dilation and the coherent measurement as a
@@ -15,7 +16,8 @@ states propagated through the assembled Kraus sets to 1e-12, and the
 eraser after the coherent measurement's state must give the decoder's.
 A Hayden-Preskill trial, which runs on the channel compressed onto the span
 of its outputs, must agree field by field with the same trial run on the
-full output space.
+full output space, past (x) new radiation of ``2^N 2^ell`` dimensions, with
+the support of the initial state embedded at the same past labels.
 """
 
 import dataclasses
@@ -30,10 +32,8 @@ from ctoq.haarhp import (
     HpConfig,
     TrialResult,
     _trial_rng,
-    haar_unitary,
+    haar_isometry,
     hp_channel,
-    maximally_mixed_state,
-    pure_state,
     run_trial,
 )
 from ctoq.linop import Operator, sqrtm_psd, trace_distance
@@ -51,7 +51,6 @@ from ctoq.qcore import (
     max_entangled_vector,
     output_span_channel,
     pauli_basis,
-    purify_vector,
 )
 from ctoq.sampling import (
     random_basis,
@@ -80,16 +79,31 @@ def oracle_taus(ch, basis):
     return taus
 
 
-def oracle_hp_kraus(u, xi, cfg):
+def sample_isometry(cfg, trial):
+    """The trial's draw: the columns of its Haar unitary for message (x)
+    supp xi."""
+    return haar_isometry(
+        cfg.dim_scrambled, cfg.dim_msg * cfg.rank, _trial_rng(cfg, trial)
+    )
+
+
+def oracle_hp_kraus(v, cfg, dim_past):
+    """Kraus operators of ``|a> -> (V (x) I)(|a> (x) |xi>)`` traced over the
+    kept qubits, through ``np.kron``.  ``|xi> = sum_i sqrt(p_i) |i>|i + o>``
+    pairs support vector ``i`` with past label ``i + o`` of a past register
+    of ``dim_past`` dimensions, where ``o = 1`` unless xi has full rank, so
+    past ``|0>`` lies in the kernel of xi."""
     n, k, ell = cfg.n_bh, cfg.n_msg, cfg.n_rad
-    da, dbh = 2**k, 2**n
+    da, r = 2**k, cfg.rank
+    o = int(r < 2**n)
     d_kept, d_new = 2 ** (n + k - ell), 2**ell
-    vec, _ = purify_vector(xi)
+    vec = np.zeros((r, dim_past))
+    vec[np.arange(r), np.arange(r) + o] = np.sqrt(cfg.xi_spectrum)
     emb = np.kron(np.eye(da, dtype=np.complex128), vec.reshape(-1, 1))
-    full = np.kron(u.data, np.eye(dbh)) @ emb
-    arr = full.reshape(d_kept, d_new, dbh, da)
+    full = np.kron(v, np.eye(dim_past)) @ emb
+    arr = full.reshape(d_kept, d_new, dim_past, da)
     return [
-        arr[m].transpose(1, 0, 2).reshape(dbh * d_new, da)
+        arr[m].transpose(1, 0, 2).reshape(dim_past * d_new, da)
         for m in range(d_kept)
     ]
 
@@ -107,10 +121,13 @@ def oracle_ppgm(ch, basis):
     rank_tol = DEFAULT_TOLS.rank_tol(dc)
     taus = oracle_taus(ch, basis)
     lam_min, ill = math.inf, False
-    for tau in taus:
+    for j, tau in enumerate(taus):
         w = np.linalg.eigvalsh(tau)
         cut = rank_tol * max(float(w[-1]), 0.0)
-        lam_j = float(w[w > cut][0])
+        # the smallest nonzero eigenvalue as a squared singular value of
+        # [K_n|j>]_n, which eigvalsh of tau fixes only to eps lambda_max
+        s = np.linalg.svd(ch.kraus @ basis.column(j), compute_uv=False)
+        lam_j = float(s[np.count_nonzero(w > cut) - 1]) ** 2
         lam_min = min(lam_min, lam_j)
         ill = ill or lam_j < 10.0 * cut
     projectors = [_on_support(t, np.ones_like, rank_tol) for t in taus]
@@ -299,12 +316,13 @@ def oracle_ctoq_kraus(povm_e, povm_f, e_basis, f_basis):
 
 
 def oracle_run_trial(cfg, trial):
-    """One Hayden-Preskill trial on the full output space: the channel as
-    ``hp_channel`` builds it, with no compression onto its output span."""
-    rng = _trial_rng(cfg, trial)
+    """One Hayden-Preskill trial on the full output space: the channel from
+    the trial's isometry onto all ``2^N`` past labels, with no compression
+    onto its output span."""
+    n, k, ell = cfg.n_bh, cfg.n_msg, cfg.n_rad
     try:
-        u = haar_unitary(cfg.dim_scrambled, rng)
-        ch = hp_channel(u, cfg.initial_state, cfg)
+        kraus = oracle_hp_kraus(sample_isometry(cfg, trial), cfg, 2**n)
+        ch = channel(kraus, (2**k,), (2**n, 2**ell))
         basis_z = pauli_basis(cfg.n_msg, "z")
         basis_x = pauli_basis(cfg.n_msg, "x")
         bundle_z = build_ppgm(ch, basis_z)
@@ -401,35 +419,41 @@ def test_suite_sized_channels_match_the_oracles(seed):
 
 
 HP_SHAPES = [(2, 1, 1), (3, 1, 2), (3, 1, 4), (4, 2, 3), (5, 2, 3)]
+# initial states by spectrum: pure, maximally mixed, and two mixed states
+# of rank 2 and 3 whose unequal weights tell the past labels apart
+HP_XI = {
+    "pure": lambda n: [1.0],
+    "mixed": lambda n: [2.0**-n] * 2**n,
+    "rank2": lambda n: [0.7, 0.3],
+    "rank3": lambda n: [0.0, 0.5, 0.3, 0.2],
+}
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
-@pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
-def test_hp_trials_match_the_oracles(shape, mixed):
+def hp_cfg(shape, xi):
     n, k, ell = shape
-    xi = maximally_mixed_state(n) if mixed else pure_state(n)
-    cfg = HpConfig(n, k, ell, xi, seed=77)
-    u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, 0))
-    ch = hp_channel(u, xi, cfg)
-    oracle_kraus = oracle_hp_kraus(u, xi, cfg)
+    return HpConfig(n, k, ell, HP_XI[xi](n), seed=77, trials=2)
+
+
+@pytest.mark.parametrize("xi", list(HP_XI))
+@pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_hp_trials_match_the_oracles(shape, xi):
+    cfg = hp_cfg(shape, xi)
+    k = cfg.n_msg
+    v = sample_isometry(cfg, 0)
+    ch = hp_channel(v, cfg)
+    oracle_kraus = oracle_hp_kraus(v, cfg, cfg.dim_past)
     np.testing.assert_allclose(ch.kraus, oracle_kraus, rtol=0, atol=TOL)
-    oracle_ch = channel(oracle_kraus, (2**k,), (2**n, 2**ell))
+    oracle_ch = channel(oracle_kraus, (2**k,), (cfg.dim_past, 2**cfg.n_rad))
     z, x = pauli_basis(k, "z"), pauli_basis(k, "x")
     bundle_z, _ = check_basis(ch, oracle_ch, z)
     bundle_x, _ = check_basis(ch, oracle_ch, x)
     check_decoder(ch, oracle_kraus, bundle_z, bundle_x, z, x)
 
 
-def hp_cfg(shape, mixed):
-    n, k, ell = shape
-    xi = maximally_mixed_state(n) if mixed else pure_state(n)
-    return HpConfig(n, k, ell, xi, seed=77, trials=2)
-
-
-@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("xi", list(HP_XI))
 @pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
-def test_run_trial_matches_the_full_space_trial(shape, mixed):
-    cfg = hp_cfg(shape, mixed)
+def test_run_trial_matches_the_full_space_trial(shape, xi):
+    cfg = hp_cfg(shape, xi)
     for t in range(cfg.trials):
         got, want = run_trial(cfg, t), oracle_run_trial(cfg, t)
         assert got.error == want.error
@@ -486,12 +510,11 @@ def _check_span(ch):
     return w, np.linalg.matrix_rank(b)
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("xi", list(HP_XI))
 @pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
-def test_output_span_holds_every_hp_output_and_pins_zero(shape, mixed):
-    cfg = hp_cfg(shape, mixed)
-    u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, 0))
-    ch = hp_channel(u, cfg.initial_state, cfg)
+def test_output_span_holds_every_hp_output_and_pins_zero(shape, xi):
+    cfg = hp_cfg(shape, xi)
+    ch = hp_channel(sample_isometry(cfg, 0), cfg)
     w, rank = _check_span(ch)
     # |0> of past (x) new lies outside the span of a Haar channel's outputs,
     # unless that span is all of C

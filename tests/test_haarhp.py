@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,32 +9,49 @@ from ctoq.haarhp import (
     HpConfig,
     _trial_rng,
     derived_quantities,
+    haar_isometry,
     haar_mean_pairwise_overlap,
     haar_unitary,
     hp_channel,
-    maximally_mixed_state,
     pairwise_overlap_samples,
-    pure_state,
     run_experiment,
     run_trial,
-    state_from_spectrum,
     average_error_bound,
 )
 from ctoq.linop import Operator, partial_trace
 from ctoq.ppgm import build_ppgm, ppgm_error
-from ctoq.qcore import apply_channel, basis_outputs, pauli_basis, purify
+from ctoq.qcore import apply_channel, basis_outputs, pauli_basis
 from ctoq.sampling import random_density
 
+PURE = (1.0,)
 
-def cfg_with(n=2, k=1, ell=1, xi=None, seed=0, trials=1):
+
+def flat_spectrum(n):
+    """Spectrum of the maximally mixed state on n qubits."""
+    return np.full(2**n, 2.0**-n)
+
+
+def purification(spectrum):
+    """``sum_i sqrt(p_i) |i>|i>`` as a density operator on (system, past)."""
+    r = len(spectrum)
+    vec = np.diag(np.sqrt(np.asarray(spectrum, dtype=float))).reshape(-1)
+    return Operator(np.outer(vec, vec.conj()), (r, r), (r, r))
+
+
+def cfg_with(n=2, k=1, ell=1, xi=PURE, seed=0, trials=1):
     return HpConfig(
         n_bh=n,
         n_msg=k,
         n_rad=ell,
-        initial_state=xi if xi is not None else pure_state(n),
+        xi_spectrum=xi,
         seed=seed,
         trials=trials,
     )
+
+
+def sample_isometry(cfg, rng):
+    """The columns of a Haar unitary that the channel of ``cfg`` reads."""
+    return haar_isometry(cfg.dim_scrambled, cfg.dim_msg * cfg.rank, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +82,39 @@ def test_haar_first_moment():
     assert abs(vals.mean() - 1 / d) <= 3 * se
 
 
+def test_haar_isometry_square_case_is_haar_unitary():
+    a, b = np.random.default_rng(44), np.random.default_rng(44)
+    for d in (1, 2, 5, 16, 5):
+        assert np.array_equal(haar_isometry(d, d, a), haar_unitary(d, b).data)
+
+
+def test_haar_isometry_is_isometric():
+    rng = np.random.default_rng(45)
+    for d, m in ((64, 8), (16, 1), (9, 4)):
+        v = haar_isometry(d, m, rng)
+        assert v.shape == (d, m)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(m))) < 1e-12
+
+
+def test_haar_isometry_first_moment():
+    # the first m columns of a Haar unitary: |V_00|^2 is Beta(1, d-1) as
+    # for the whole unitary
+    d, m, n = 8, 2, 5000
+    rng = np.random.default_rng(46)
+    vals = np.array([abs(haar_isometry(d, m, rng)[0, 0]) ** 2 for _ in range(n)])
+    se = math.sqrt((d - 1) / (d * d * (d + 1)) / n)
+    assert abs(vals.mean() - 1 / d) <= 3 * se
+
+
 # ---------------------------------------------------------------------------
 # the retrieval channel
 
 
 def test_hp_channel_isometric_when_nothing_kept():
-    cfg = cfg_with(n=2, k=1, ell=3, xi=maximally_mixed_state(2))
+    cfg = cfg_with(n=2, k=1, ell=3, xi=flat_spectrum(2))
     rng = np.random.default_rng(3)
-    u = haar_unitary(cfg.dim_scrambled, rng)
-    ch = hp_channel(u, cfg.initial_state, cfg)
+    v = sample_isometry(cfg, rng)
+    ch = hp_channel(v, cfg)
     assert len(ch.kraus) == 1
     z = pauli_basis(1, "z")
     bundle = build_ppgm(ch, z)
@@ -80,14 +122,15 @@ def test_hp_channel_isometric_when_nothing_kept():
 
 
 def test_hp_channel_ell_zero_is_constant():
-    cfg = cfg_with(n=2, k=1, ell=0, xi=random_density(np.random.default_rng(5), 4))
+    xi = np.linalg.eigvalsh(random_density(np.random.default_rng(5), 4).data)
+    cfg = cfg_with(n=2, k=1, ell=0, xi=xi)
     rng = np.random.default_rng(4)
-    u = haar_unitary(cfg.dim_scrambled, rng)
-    ch = hp_channel(u, cfg.initial_state, cfg)
+    v = sample_isometry(cfg, rng)
+    ch = hp_channel(v, cfg)
     outs = basis_outputs(ch, pauli_basis(1, "z"))
     np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
     # the constant is the past-radiation marginal of the purification
-    want = partial_trace(purify(cfg.initial_state), [1])
+    want = partial_trace(purification(cfg.xi_spectrum), [1])
     out0 = Operator(outs[0], ch.out_dims, ch.out_dims)
     np.testing.assert_allclose(
         partial_trace(out0, [0]).data, want.data, atol=1e-12
@@ -98,9 +141,9 @@ def test_hp_channel_ell_zero_is_constant():
 
 def test_hp_channel_trace_preserving_randomized():
     rng = np.random.default_rng(6)
-    cfg = cfg_with(n=2, k=1, ell=2, xi=maximally_mixed_state(2))
-    u = haar_unitary(cfg.dim_scrambled, rng)
-    ch = hp_channel(u, cfg.initial_state, cfg)
+    cfg = cfg_with(n=2, k=1, ell=2, xi=flat_spectrum(2))
+    v = sample_isometry(cfg, rng)
+    ch = hp_channel(v, cfg)
     ks = ch.kraus
     flat = ks.reshape(-1, ks.shape[2])
     np.testing.assert_allclose(
@@ -114,20 +157,20 @@ def test_hp_channel_matches_global_state_construction():
     # reference: build the full four-party state, scramble message+system,
     # regroup into kept/radiated, trace out the kept register
     from ctoq.linop import Operator, kron, permute
-    from ctoq.qcore import max_entangled, purify, unitary_channel
+    from ctoq.qcore import max_entangled, unitary_channel
 
     n, k, ell = 2, 1, 1
     rng = np.random.default_rng(8)
-    xi = random_density(rng, 2**n)
+    xi = np.linalg.eigvalsh(random_density(rng, 2**n).data)
     cfg = cfg_with(n=n, k=k, ell=ell, xi=xi)
-    u = haar_unitary(cfg.dim_scrambled, rng)
+    v = sample_isometry(cfg, rng)
 
-    ch = hp_channel(u, xi, cfg)
+    ch = hp_channel(v, cfg)
     got = apply_channel(ch, max_entangled(2**k), targets=[0])  # (past, new, R)
 
-    big = kron(max_entangled(2**k), purify(xi))  # (A, R, system, past)
+    big = kron(max_entangled(2**k), purification(xi))  # (A, R, system, past)
     big = permute(big, [0, 2, 3, 1])  # (A, system, past, R)
-    u_op = Operator(u.data, (2**k, 2**n), (2**k, 2**n))
+    u_op = Operator(v, (2**k, 2**n), (2**k, 2**n))
     big = apply_channel(unitary_channel(u_op), big, targets=[0, 1])
     d_kept, d_new = 2 ** (n + k - ell), 2**ell
     regrouped = Operator(
@@ -140,12 +183,12 @@ def test_hp_channel_matches_global_state_construction():
 
 def test_basis_outputs_linearity_and_basis_independence():
     rng = np.random.default_rng(7)
-    cfg = cfg_with(n=2, k=1, ell=1, xi=maximally_mixed_state(2))
-    u = haar_unitary(cfg.dim_scrambled, rng)
-    ch = hp_channel(u, cfg.initial_state, cfg)
+    cfg = cfg_with(n=2, k=1, ell=1, xi=flat_spectrum(2))
+    v = sample_isometry(cfg, rng)
+    ch = hp_channel(v, cfg)
     outs_z = basis_outputs(ch, pauli_basis(1, "z"))
     outs_x = basis_outputs(ch, pauli_basis(1, "x"))
-    avg = apply_channel(ch, maximally_mixed_state(1)).data
+    avg = apply_channel(ch, Operator(np.eye(2) / 2, (2,), (2,))).data
     np.testing.assert_allclose(outs_z.mean(axis=0), avg, atol=1e-10)
     np.testing.assert_allclose(outs_x.mean(axis=0), avg, atol=1e-10)
     for o in np.concatenate([outs_z, outs_x]):
@@ -158,16 +201,16 @@ def test_basis_outputs_linearity_and_basis_independence():
 
 
 def test_derived_quantities_pure_and_mixed():
-    d = derived_quantities(cfg_with(n=4, k=1, ell=2, xi=pure_state(4)))
+    d = derived_quantities(cfg_with(n=4, k=1, ell=2, xi=PURE))
     assert (d.ell_th, d.lambda_xi) == (3.0, 1.0)
     assert d.h2_bin == pytest.approx(0.0, abs=1e-12)
-    d = derived_quantities(cfg_with(n=4, k=1, ell=2, xi=maximally_mixed_state(4)))
+    d = derived_quantities(cfg_with(n=4, k=1, ell=2, xi=flat_spectrum(4)))
     assert (d.ell_th, d.lambda_xi) == (1.0, 1.0)
     assert d.h2_bin == pytest.approx(4.0, abs=1e-12)
 
 
 def test_derived_quantities_from_spectrum():
-    xi = state_from_spectrum(3, [0.5, 0.25, 0.125, 0.125])
+    xi = [0.5, 0.25, 0.125, 0.125]
     d = derived_quantities(cfg_with(n=3, k=1, ell=2, xi=xi))
     # purity 11/32 by direct arithmetic on the spectrum
     assert d.h2_bin == pytest.approx(1.5405683813627027, abs=1e-12)
@@ -184,14 +227,14 @@ def test_closed_form_vanishing_cases():
 
 
 def test_closed_form_anchor_value():
-    cfg = cfg_with(n=2, k=1, ell=1, xi=maximally_mixed_state(2))
+    cfg = cfg_with(n=2, k=1, ell=1, xi=flat_spectrum(2))
     assert haar_mean_pairwise_overlap(cfg) == pytest.approx(
         60 / 252, abs=1e-15
     )
 
 
 def test_closed_form_matches_monte_carlo():
-    cfg = cfg_with(n=2, k=1, ell=1, xi=maximally_mixed_state(2), seed=9, trials=400)
+    cfg = cfg_with(n=2, k=1, ell=1, xi=flat_spectrum(2), seed=9, trials=400)
     samples = pairwise_overlap_samples(cfg)
     se = samples.std(ddof=1) / math.sqrt(len(samples))
     assert abs(samples.mean() - haar_mean_pairwise_overlap(cfg)) <= 3 * se
@@ -217,7 +260,7 @@ def test_average_bound_vacuity_where_correction_dominates():
     # with little radiation and low initial entropy that is every case
     for n in range(2, 8):
         for ell in range(0, n + 2):
-            for xi in (pure_state(n), maximally_mixed_state(n)):
+            for xi in (PURE, flat_spectrum(n)):
                 cfg = cfg_with(n=n, k=1, ell=ell, xi=xi)
                 bound = average_error_bound(cfg, 0.9)
                 assert bound.vacuous == (bound.cl_bound >= 1.0)
@@ -231,7 +274,7 @@ def test_average_bound_informative_only_with_heavy_radiation():
     # large entropy and radiation shrink both terms below 1: the bound is
     # genuinely informative there, so the flag must clear
     bound = average_error_bound(
-        cfg_with(n=5, k=1, ell=5, xi=maximally_mixed_state(5)), 0.9
+        cfg_with(n=5, k=1, ell=5, xi=flat_spectrum(5)), 0.9
     )
     assert not bound.vacuous
     assert bound.cl_bound < 0.05
@@ -252,11 +295,11 @@ def test_average_bound_epsilon_validation():
     with pytest.raises(ValueError):
         average_error_bound(cfg, 0.0)
     # flatness too small: rank 2, min eigenvalue 0.1
-    skewed = state_from_spectrum(2, [0.9, 0.1])
+    skewed = [0.9, 0.1]
     with pytest.raises(ValueError):
         average_error_bound(cfg_with(n=2, k=1, ell=1, xi=skewed), 0.9)
     # c -> 0 at the admissibility edge
-    near = state_from_spectrum(2, [0.55, 0.45])  # Lambda = 0.9
+    near = [0.55, 0.45]  # Lambda = 0.9
     lo = 2 * (1 - 0.9)
     bound = average_error_bound(
         cfg_with(n=2, k=1, ell=1, xi=near), lo + 1e-9
@@ -279,7 +322,7 @@ def test_run_experiment_perfect_retrieval_at_full_radiation():
 
 
 def test_run_experiment_deterministic_and_parallel_consistent():
-    cfg = cfg_with(n=2, k=1, ell=1, xi=maximally_mixed_state(2), seed=17, trials=6)
+    cfg = cfg_with(n=2, k=1, ell=1, xi=flat_spectrum(2), seed=17, trials=6)
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     assert a == b
@@ -294,7 +337,7 @@ def test_run_trial_reproducible_in_isolation():
 
 
 def test_run_experiment_per_trial_bounds():
-    cfg = cfg_with(n=2, k=1, ell=2, xi=maximally_mixed_state(2), seed=23, trials=25)
+    cfg = cfg_with(n=2, k=1, ell=2, xi=flat_spectrum(2), seed=23, trials=25)
     for r in run_experiment(cfg):
         assert r.error is None
         assert r.delta_cl_z <= r.pairwise_entropy_z + 1e-9
@@ -315,6 +358,7 @@ def test_run_trial_records_numerical_errors_only(monkeypatch):
     monkeypatch.setattr(haarhp, "hp_channel", raise_(ValueError("bad input")))
     r = run_trial(cfg, 0)
     assert r.error == "bad input"
+    assert r.error_type == "ValueError"
     assert math.isnan(r.delta_q_ctoq)
     monkeypatch.setattr(haarhp, "hp_channel", raise_(MemoryError("no room")))
     with pytest.raises(MemoryError):
@@ -324,11 +368,11 @@ def test_run_trial_records_numerical_errors_only(monkeypatch):
 def test_hp_channel_memory_stays_small_at_six_two_four():
     import tracemalloc
 
-    cfg = cfg_with(n=6, k=2, ell=4)
-    u = haar_unitary(cfg.dim_scrambled, np.random.default_rng(43))
+    cfg = cfg_with(n=6, k=2, ell=4, xi=flat_spectrum(6))
+    v = sample_isometry(cfg, np.random.default_rng(43))
     tracemalloc.start()
     try:
-        ch = hp_channel(u, cfg.initial_state, cfg)
+        ch = hp_channel(v, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,7 +385,7 @@ def test_run_trial_memory_stays_small_at_five_two_three_mixed():
     # (4 MiB here); the composite decoder's Kraus stack alone is 64 MiB
     import tracemalloc
 
-    cfg = cfg_with(n=5, k=2, ell=3, xi=maximally_mixed_state(5), seed=1)
+    cfg = cfg_with(n=5, k=2, ell=3, xi=flat_spectrum(5), seed=1)
     tracemalloc.start()
     try:
         r = run_trial(cfg, 0)
@@ -376,8 +420,8 @@ def test_reverse_basis_order_also_satisfies_bound():
     z, x = pauli_basis(1, "z"), pauli_basis(1, "x")
     moved = False
     for t, r in enumerate(fwd):
-        u = haar_unitary(cfg.dim_scrambled, _trial_rng(cfg, t))
-        ch = hp_channel(u, cfg.initial_state, cfg)
+        v = sample_isometry(cfg, _trial_rng(cfg, t))
+        ch = hp_channel(v, cfg)
         bundle_z, bundle_x = build_ppgm(ch, z), build_ppgm(ch, x)
         de, df = ppgm_error(bundle_x), ppgm_error(bundle_z)
         dq = ctoq_delta_q(ch, bundle_x.povm, bundle_z.povm, x, z)
@@ -390,8 +434,98 @@ def test_config_validation():
     with pytest.raises(ValueError):
         cfg_with(n=2, k=1, ell=5)
     with pytest.raises(ValueError):
-        HpConfig(2, 1, 1, maximally_mixed_state(3), 0, 1)
+        HpConfig(2, 1, 1, flat_spectrum(3), 0, 1)
     with pytest.raises(ValueError):
         cfg_with(trials=0)
     with pytest.raises(ValueError, match="message qubit"):
         cfg_with(k=0, ell=1)
+
+
+def test_xi_spectrum_drops_zeros_and_keeps_order():
+    cfg = cfg_with(n=2, xi=[0.0, 0.6, 0.0, 0.4])
+    assert cfg.xi_spectrum.tolist() == [0.6, 0.4]
+    assert cfg.rank == 2
+    assert cfg.dim_past == 3  # the support plus one kernel label
+    assert cfg_with(n=2, xi=flat_spectrum(2)).dim_past == 4
+    assert not cfg.xi_spectrum.flags.writeable
+    too_long = [0.5, 0.5, 0.0, 0.0, 0.0]
+    for bad in (too_long, [1.5, -0.5], [math.nan, 1.0], [0.5, 0.4], [0.0], []):
+        with pytest.raises(ValueError):
+            cfg_with(n=2, xi=bad)
+
+
+def test_run_experiment_forks_at_most_one_worker_per_trial(monkeypatch):
+    # a stand-in executor that records its size and runs nothing in a
+    # child process
+    import concurrent.futures
+
+    import ctoq.haarhp as haarhp
+
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(haarhp, "ProcessPoolExecutor", RecordingExecutor)
+    cfg = cfg_with(n=2, k=1, ell=2, seed=47, trials=2)
+    serial = run_experiment(cfg, n_jobs=1)
+    assert run_experiment(cfg, n_jobs=64) == serial
+    assert sizes == [2]
+    assert run_experiment(dataclasses.replace(cfg, trials=1), n_jobs=64) == serial[:1]
+    assert sizes == [2]  # one trial runs in process
+
+
+# ---------------------------------------------------------------------------
+# the scale point where the analytic bound is first informative
+
+SCALE_SEED = 20240826
+SCALE_TRIALS = 40
+SCALE_MARGIN_SE = 3.0  # the trial mean plus this many standard errors
+
+
+def test_scale_point_errors_sit_below_the_analytic_bound():
+    # (N, k) = (10, 2) with a pure initial state: the average bound is
+    # non-vacuous from ell = 10 on, and each trial reads only 4 of the
+    # 4096 columns of its unitary
+    for ell in (10, 11, 12):
+        cfg = cfg_with(n=10, k=2, ell=ell, seed=SCALE_SEED, trials=SCALE_TRIALS)
+        bound = average_error_bound(cfg, 0.9)
+        assert not bound.vacuous
+        results = run_experiment(cfg)
+        assert all(r.error is None for r in results)
+        for name, limit in (
+            ("delta_cl_x", bound.cl_bound),
+            ("delta_cl_z", bound.cl_bound),
+            ("delta_q_ctoq", bound.q_bound),
+        ):
+            vals = np.array([getattr(r, name) for r in results])
+            se = vals.std(ddof=1) / math.sqrt(vals.size)
+            top = vals.mean() + SCALE_MARGIN_SE * se
+            assert top < limit, f"ell={ell} {name}: {top:.3g} >= {limit:.3g}"
+
+
+def test_run_trial_memory_stays_small_at_ten_two_ten_pure():
+    # the full unitary alone would be 4096^2 complex entries, 256 MiB
+    import tracemalloc
+
+    cfg = cfg_with(n=10, k=2, ell=10, seed=SCALE_SEED)
+    tracemalloc.start()
+    try:
+        r = run_trial(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.error is None
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
