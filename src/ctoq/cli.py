@@ -122,15 +122,20 @@ def _parse_xi(spec: str, n_bh: int) -> list[float]:
 
 
 def _resolve_seed(explicit: str | None) -> int:
-    if explicit is not None:
-        return int(explicit)
+    """The seed from the flag or config key, else ``CTOQ_SEED``, else 0; a
+    negative one is a config error, since numpy seeds only from integers >= 0."""
     env = os.environ.get("CTOQ_SEED")
-    if env is not None:
+    seed = 0
+    if explicit is not None:
+        seed = int(explicit)
+    elif env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"CTOQ_SEED={env!r} is not an integer") from None
-    return 0
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 @dataclass
@@ -144,7 +149,6 @@ class RunSpec:
     seed: int
     xi_label: str
     epsilon: float | None
-    allow_large: bool
 
     def config_for(self, ell: int) -> HpConfig:
         return HpConfig(
@@ -211,7 +215,6 @@ def load_config(path: str, allow_large: bool = False) -> RunSpec:
         seed=seed,
         xi_label=kv.get("xi", "pure"),
         epsilon=epsilon,
-        allow_large=allow_large,
     )
     try:
         spec.config_for(ells[0])  # validate xi eagerly

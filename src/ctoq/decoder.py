@@ -123,7 +123,7 @@ def delta_cl(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
         raise ValueError(
             f"POVM has {povm.n_outcomes} outcomes, basis has {d} vectors"
         )
-    return cross_overlap(basis_outputs(chan, basis), povm.element_stack()) / d
+    return cross_overlap(basis_outputs(chan, basis), povm.elements) / d
 
 
 def delta_cl_tracenorm(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
@@ -135,8 +135,10 @@ def delta_cl_tracenorm(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
     """
     omega = max_correlated_classical(basis, conjugate_second=True)
     after = apply_channel(chan, omega, targets=[0])
-    readout = povm_channel(povm, basis)
-    back = apply_channel(readout, after, targets=list(range(len(chan.out_dims))))
+    # the readout measures C as one factor
+    dims = (chan.dim_out, basis.dim)
+    after = Operator(after.data, dims, dims)
+    back = apply_channel(povm_channel(povm, basis), after, targets=[0])
     return trace_distance(omega, back)
 
 
@@ -212,7 +214,7 @@ def coherent_state(
     _check_povms(d, dc, povm_e)
     ks = chan.kraus
     n_kraus, _, d_in = ks.shape
-    y, q = _dilation_terms(ks, povm_e.element_stack())
+    y, q = _dilation_terms(ks, povm_e.elements)
     u = e_basis.matrix
     # w[(c, x, a), n] = <c| sum_j u[x, j] M_E,j K_n |a>
     w = np.einsum("xj,jcna->cxan", u, y, optimize=True).reshape(-1, n_kraus)
@@ -249,8 +251,8 @@ def _ctoq_state(
     dc = chan.dim_out
     _check_povms(d, dc, povm_e, povm_f)
     d_in = chan.dim_in
-    m_f = povm_f.element_stack()
-    y, q = _dilation_terms(chan.kraus, povm_e.element_stack())
+    m_f = povm_f.elements
+    y, q = _dilation_terms(chan.kraus, povm_e.elements)
     # Z_lj = M_F,l Y_j; traces against X = sum_n K_n|a><b|K_n^dag,
     # contracted over (C, n): p[l, j, a, k, b] = tr(M_F,l M_E,j X M_E,k)
     z = (m_f[:, None] @ y.reshape(1, d, dc, -1)).reshape((d,) + y.shape)
@@ -341,8 +343,8 @@ def xi_ef(
     fids = _overlap_fidelities(e_basis, f_basis)
     q = np.array(
         [
-            float(np.einsum("ij,ji->", tau_pi.data, m.data).real)
-            for m in povm_f
+            float(np.einsum("ij,ji->", tau_pi.data, m).real)
+            for m in povm_f.elements
         ]
     )
     return float(1.0 - np.dot(q, fids))
@@ -409,12 +411,11 @@ def povm_from_decoder(decoder: Channel, basis: OrthoBasis) -> Povm:
         raise ValueError("decoder output dim must match the basis dim")
     ks = decoder.kraus
     elements = []
-    cdims = decoder.in_dims
     for j in range(d):
         x = np.einsum("noi,o->ni", ks.conj(), basis.column(j))
         m = x.T @ x.conj()
-        elements.append(Operator((m + m.conj().T) / 2, cdims, cdims))
-    return Povm(tuple(elements))
+        elements.append((m + m.conj().T) / 2)
+    return Povm(elements)
 
 
 def noisy_ghz_state(chan: Channel, e_basis: OrthoBasis) -> Operator:

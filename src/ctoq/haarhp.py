@@ -34,7 +34,6 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .decoder import ctoq_delta_q
-from .linop import Operator
 from .ppgm import support_bound, build_ppgm, ppgm_error, pairwise_bound
 from .qcore import (
     Channel,
@@ -46,14 +45,13 @@ from .qcore import (
     output_span_channel,
     pauli_basis,
 )
+from .sampling import haar_isometry
 
 __all__ = [
     "HpConfig",
     "HpDerived",
     "TrialResult",
     "AverageErrorBound",
-    "haar_isometry",
-    "haar_unitary",
     "hp_channel",
     "derived_quantities",
     "haar_mean_pairwise_overlap",
@@ -189,28 +187,7 @@ class TrialResult:
 
 
 # ---------------------------------------------------------------------------
-# sampling and the retrieval channel
-
-
-def haar_isometry(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed isometry ``C^m -> C^d``, as a ``d x m`` matrix.
-
-    QR of a complex ``d x m`` Ginibre matrix with the R-diagonal phase
-    correction (Mezzadri, Notices AMS 54, 592 (2007)).  It has the law of the
-    first ``m`` columns of a Haar unitary, and for ``m = d`` it is one.
-    """
-    if not 1 <= m <= d:
-        raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
-    z = (rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
-    diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
-
-
-def haar_unitary(d: int, rng: np.random.Generator) -> Operator:
-    """Haar-distributed unitary: the square case of :func:`haar_isometry`."""
-    return Operator(haar_isometry(d, d, rng), (d,), (d,))
+# the retrieval channel
 
 
 def hp_channel(

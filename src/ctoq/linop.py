@@ -1,16 +1,19 @@
 """Dense complex linear algebra on dimension-tagged operators.
 
-Everything downstream (states, channels, measurements) is carried by
-:class:`Operator`: a dense complex matrix together with the list of
-subsystem dimensions of its row and column spaces.  The functions here are
-the only place the library touches raw spectral decompositions.
+:class:`Operator` is a dense complex matrix together with the subsystem
+dimensions of its row and column spaces; states whose tensor structure
+matters are carried in it.  The functions here reorder subsystems, take
+trace distances and decompose PSD matrices with their numerical support
+marked.  They are not the only spectral code: :mod:`ctoq.qcore`,
+:mod:`ctoq.ppgm` and :mod:`ctoq.sampling` call ``numpy.linalg`` directly on
+the arrays they hold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,14 +21,9 @@ from .config import DEFAULT_TOLS, Tolerances
 
 __all__ = [
     "Operator",
-    "operator",
-    "identity",
-    "kron",
-    "partial_trace",
     "permute",
     "trace_distance",
     "support_eigh",
-    "func_on_support",
     "sqrtm_psd",
 ]
 
@@ -69,67 +67,11 @@ class Operator:
         return self.data.shape[0]
 
     @property
-    def dim_col(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def is_square(self) -> bool:
         return self.row_dims == self.col_dims
 
-    def dag(self) -> "Operator":
-        """Conjugate transpose, with row/col dims swapped."""
-        return Operator(self.data.conj().T, self.col_dims, self.row_dims)
-
     def trace(self) -> complex:
         return complex(np.trace(self.data))
-
-
-def operator(data: np.ndarray, dims: Sequence[int] | int) -> Operator:
-    """Wrap a square matrix with identical row and column dims."""
-    if isinstance(dims, int):
-        dims = (dims,)
-    return Operator(np.asarray(data), tuple(dims), tuple(dims))
-
-
-def identity(dims: Sequence[int] | int) -> Operator:
-    if isinstance(dims, int):
-        dims = (dims,)
-    d = math.prod(dims)
-    return Operator(np.eye(d), tuple(dims), tuple(dims))
-
-
-def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product; dims lists concatenate, left factor most significant."""
-    return Operator(
-        np.kron(a.data, b.data),
-        a.row_dims + b.row_dims,
-        a.col_dims + b.col_dims,
-    )
-
-
-def partial_trace(a: Operator, keep: Iterable[int]) -> Operator:
-    """Trace out every subsystem not listed in ``keep``.
-
-    Requires matching row/col dims.  The result carries the kept subsystems
-    in their original order; the full trace is preserved.
-    """
-    if not a.is_square:
-        raise ValueError("partial trace needs matching row and column dims")
-    dims = a.row_dims
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise IndexError(f"keep={keep} out of range for {n} subsystems")
-    if keep == list(range(n)):
-        return a
-    tensor = a.data.reshape(dims + dims)
-    row_labels = list(range(n))
-    col_labels = [i if i not in keep else n + i for i in range(n)]
-    out_labels = [i for i in keep] + [n + i for i in keep]
-    out = np.einsum(tensor, row_labels + col_labels, out_labels)
-    kept_dims = tuple(dims[i] for i in keep) or (1,)
-    d = math.prod(kept_dims)
-    return Operator(out.reshape(d, d), kept_dims, kept_dims)
 
 
 def permute(a: Operator, order: Sequence[int]) -> Operator:
@@ -230,21 +172,3 @@ def support_eigh(
             f"input not PSD within tolerance (min eigenvalue {w[0]:.3e})"
         )
     return w, v, w > rank_tol * lam_max
-
-
-def func_on_support(
-    a: Operator,
-    f: Callable[[np.ndarray], np.ndarray],
-    rank_tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> Operator:
-    """Apply a real function to the spectrum of a PSD operator, on support only.
-
-    Eigenvalues on the support found by :func:`support_eigh` are mapped
-    through ``f``; the rest map to zero.
-    """
-    w, v, on = support_eigh(a.data, rank_tol, tols)
-    fw = np.zeros_like(w)
-    if np.any(on):
-        fw[on] = f(w[on])
-    return Operator((v * fw) @ v.conj().T, a.row_dims, a.col_dims)

@@ -38,21 +38,21 @@ __all__ = [
 class PpgmBundle:
     """A built measurement together with everything its bounds read.
 
-    ``tau_states`` and ``projectors`` are read-only ``(d, dC, dC)`` stacks
-    of the outputs and their support projectors.  ``lambda_min`` is the
-    smallest nonzero eigenvalue over all outputs; instances where it sits
-    within a decade of the support-detection cutoff are flagged
-    ``ill_conditioned`` because the overlap bounds blow up there.
+    ``povm`` holds the measurement's elements as one ``(d, dC, dC)``
+    stack; ``tau_states`` and ``projectors`` are read-only ``(d, dC, dC)``
+    stacks of the outputs and their support projectors, and ``tau_avg`` is
+    the outputs' mean.  ``lambda_min`` is the smallest nonzero eigenvalue
+    over all outputs; instances where it sits within a decade of the
+    support-detection cutoff are flagged ``ill_conditioned`` because the
+    overlap bounds blow up there.
     """
 
     povm: Povm
     projectors: np.ndarray
-    pi_sum: Operator
     tau_states: np.ndarray
     tau_avg: Operator
     lambda_min: float
     ill_conditioned: bool
-    rank_tol: float
 
 
 def build_ppgm(
@@ -98,8 +98,7 @@ def build_ppgm(
         ill = ill or lam_j < 10.0 * (rank_tol * float(w[-1]))
     projectors.setflags(write=False)
 
-    pi_sum = Operator(projectors.sum(axis=0), cdims, cdims)
-    w, v, on = support_eigh(pi_sum.data, rank_tol, tols)
+    w, v, on = support_eigh(projectors.sum(axis=0), rank_tol, tols)
     root_w = np.zeros_like(w)
     root_w[on] = w[on] ** -0.5
     inv_root = (v * root_w) @ v.conj().T
@@ -107,17 +106,14 @@ def build_ppgm(
     elements = (elements + elements.conj().transpose(0, 2, 1)) / 2
     # deficiency of supp(Pi): outputs never land there, fold into outcome 0
     elements[0] += np.eye(dc) - (v * on) @ v.conj().T
-    povm = Povm(tuple(Operator(m, cdims, cdims) for m in elements))
 
     return PpgmBundle(
-        povm=povm,
+        povm=Povm(elements),
         projectors=projectors,
-        pi_sum=pi_sum,
         tau_states=taus,
         tau_avg=Operator(taus.mean(axis=0), cdims, cdims),
         lambda_min=lam_min,
         ill_conditioned=ill,
-        rank_tol=rank_tol,
     )
 
 
@@ -128,7 +124,7 @@ def ppgm_error(bundle: PpgmBundle) -> float:
     exactly the same data.
     """
     taus = bundle.tau_states
-    return cross_overlap(taus, bundle.povm.element_stack()) / len(taus)
+    return cross_overlap(taus, bundle.povm.elements) / len(taus)
 
 
 def pairwise_bound(bundle: PpgmBundle) -> tuple[float, float, float]:

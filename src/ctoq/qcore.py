@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .linop import Operator, operator, permute, sqrtm_psd
+from .linop import Operator, permute, sqrtm_psd
 
 __all__ = [
     "Channel",
@@ -34,10 +34,6 @@ __all__ = [
     "pauli_basis",
     "fourier_basis",
     "computational_basis",
-    "purify",
-    "identity_channel",
-    "unitary_channel",
-    "depolarizing_channel",
     "dephasing_channel",
     "povm_channel",
     "measure_prepare_channel",
@@ -68,10 +64,6 @@ class OrthoBasis:
 
     def column(self, j: int) -> np.ndarray:
         return self.matrix[:, j]
-
-    def conj(self) -> "OrthoBasis":
-        """Entrywise conjugate basis {|j*>} (in the computational basis)."""
-        return OrthoBasis(self.matrix.conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,43 +186,35 @@ def output_span_channel(
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Ordered positive operators summing to the identity."""
+    """Ordered positive operators summing to the identity.
 
-    elements: tuple[Operator, ...]
+    ``elements`` holds every element in one read-only ``(n, dim, dim)``
+    complex array; a contiguous complex stack is taken over without a copy.
+    """
+
+    elements: np.ndarray
 
     def __post_init__(self) -> None:
-        els = tuple(self.elements)
-        if not els:
-            raise ValueError("a POVM needs at least one element")
-        dims = els[0].row_dims
-        if any(e.row_dims != dims or e.col_dims != dims for e in els):
-            raise ValueError("POVM elements must share a common square space")
-        stack = np.stack([e.data for e in els])
+        stack = np.ascontiguousarray(self.elements, dtype=np.complex128)
+        if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+            raise ValueError("a POVM needs a nonempty stack of square elements")
         herm = (stack + stack.conj().transpose(0, 2, 1)) / 2
         low = float(np.linalg.eigvalsh(herm)[:, 0].min())
         if low < -DEFAULT_TOLS.povm:
             raise ValueError(f"POVM element not PSD (min eig {low:.3e})")
-        err = np.max(np.abs(stack.sum(axis=0) - np.eye(els[0].dim_row)))
+        err = np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])))
         if err > DEFAULT_TOLS.povm:
             raise ValueError(f"POVM does not sum to identity (error {err:.3e})")
         stack.setflags(write=False)
-        object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "_stack", stack)
-
-    def element_stack(self) -> np.ndarray:
-        """All elements as one read-only (n, dim, dim) array."""
-        return self._stack
+        object.__setattr__(self, "elements", stack)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim_row
-
-    def __iter__(self):
-        return iter(self.elements)
+        return self.elements.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -269,33 +253,6 @@ def max_correlated_classical(
         pb = np.outer(second[:, j], second[:, j].conj())
         out += np.kron(pa, pb)
     return Operator(out / d, (d, d), (d, d))
-
-
-def purify(rho: Operator, tols: Tolerances = DEFAULT_TOLS) -> Operator:
-    """Purification sum_i sqrt(lambda_i) |v_i>|i> of a density operator.
-
-    Returns the pure density operator on system (x) copy; the copy system has
-    the same dimension as the input.
-    """
-    vec, dims = purify_vector(rho, tols)
-    return Operator(np.outer(vec, vec.conj()), dims, dims)
-
-
-def purify_vector(
-    rho: Operator, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """State vector of the eigendecomposition purification."""
-    if not rho.is_square:
-        raise ValueError("purify needs a density operator")
-    d = rho.dim_row
-    herm = (rho.data + rho.data.conj().T) / 2
-    w, v = np.linalg.eigh(herm)
-    if w[0] < -tols.psd:
-        raise ValueError(f"state not PSD (min eigenvalue {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    # vec[(a, i)] = sqrt(w_i) v[a, i], copy index least significant
-    vec = (v * np.sqrt(w)).reshape(-1)
-    return vec, rho.row_dims + (d,)
 
 
 # ---------------------------------------------------------------------------
@@ -471,27 +428,6 @@ def pauli_basis(n_qubits: int, which: str) -> OrthoBasis:
 # channel constructors
 
 
-def identity_channel(dims: Sequence[int] | int) -> Channel:
-    if isinstance(dims, int):
-        dims = (dims,)
-    return channel([np.eye(math.prod(dims))], dims, dims)
-
-
-def unitary_channel(u: Operator) -> Channel:
-    return channel([u.data], u.col_dims, u.row_dims)
-
-
-def depolarizing_channel(d: int) -> Channel:
-    """Fully depolarizing channel rho -> tr(rho) I/d."""
-    ks = []
-    for i in range(d):
-        for j in range(d):
-            k = np.zeros((d, d), dtype=np.complex128)
-            k[i, j] = 1.0 / math.sqrt(d)
-            ks.append(k)
-    return channel(ks, (d,), (d,))
-
-
 def dephasing_channel(basis: OrthoBasis) -> Channel:
     """Complete dephasing in the given basis."""
     d = basis.dim
@@ -517,8 +453,8 @@ def measure_prepare_channel(
     dout = outputs[0].dim_row
     out_dims = outputs[0].row_dims
     ks = []
-    for m, sigma in zip(povm, outputs):
-        root = sqrtm_psd(m.data, tols)
+    for m, sigma in zip(povm.elements, outputs):
+        root = sqrtm_psd(m, tols)
         w, v = np.linalg.eigh((sigma.data + sigma.data.conj().T) / 2)
         for a in range(dout):
             if w[a] <= tols.rank_tol(dout) * max(float(w[-1]), 0.0):
@@ -526,7 +462,7 @@ def measure_prepare_channel(
             amp = math.sqrt(float(w[a]))
             for b in range(din):
                 ks.append(amp * np.outer(v[:, a], root[b, :]))
-    return channel(ks, povm.elements[0].row_dims, out_dims, tols=tols)
+    return channel(ks, (din,), out_dims, tols=tols)
 
 
 def povm_channel(
@@ -537,7 +473,7 @@ def povm_channel(
         raise ValueError("need one POVM outcome per basis vector")
     d = basis.dim
     outputs = [
-        operator(np.outer(basis.column(j), basis.column(j).conj()), (d,))
+        Operator(np.outer(basis.column(j), basis.column(j).conj()), (d,), (d,))
         for j in range(d)
     ]
     return measure_prepare_channel(povm, outputs, tols)

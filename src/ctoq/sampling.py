@@ -1,4 +1,6 @@
-"""Randomized problem instances for property suites and tests.
+"""Randomized problem instances: Haar isometries for the experiment's
+scrambling dynamics, and channels, POVMs and bases for the property suites
+and tests.
 
 Everything takes an explicit ``numpy.random.Generator`` so suites are
 reproducible from a single seed.
@@ -10,7 +12,6 @@ import math
 
 import numpy as np
 
-from .haarhp import haar_unitary
 from .linop import Operator
 from .qcore import (
     Channel,
@@ -25,7 +26,7 @@ from .qcore import (
 
 __all__ = [
     "ginibre",
-    "random_density",
+    "haar_isometry",
     "random_povm",
     "random_channel",
     "random_basis",
@@ -40,14 +41,19 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     ) / math.sqrt(2.0)
 
 
-def random_density(
-    rng: np.random.Generator, dim: int, rank: int | None = None
-) -> Operator:
-    """Normalized Wishart state GG^dag / tr, full rank by default."""
-    g = ginibre(rng, dim, rank or dim)
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return Operator(rho, (dim,), (dim,))
+def haar_isometry(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed isometry ``C^m -> C^d``, as a ``d x m`` matrix.
+
+    QR of a complex ``d x m`` Ginibre matrix with the R-diagonal phase
+    correction (Mezzadri, Notices AMS 54, 592 (2007)).  It has the law of the
+    first ``m`` columns of a Haar unitary, and for ``m = d`` it is one.
+    """
+    if not 1 <= m <= d:
+        raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
+    q, r = np.linalg.qr(ginibre(rng, d, m))
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> Povm:
@@ -60,8 +66,8 @@ def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> Povm:
     els = []
     for a in psd:
         m = inv_root @ a @ inv_root
-        els.append(Operator((m + m.conj().T) / 2, (dim,), (dim,)))
-    return Povm(tuple(els))
+        els.append((m + m.conj().T) / 2)
+    return Povm(els)
 
 
 def random_channel(
@@ -81,7 +87,7 @@ def random_channel(
 
 
 def random_basis(rng: np.random.Generator, dim: int) -> OrthoBasis:
-    return OrthoBasis(haar_unitary(dim, rng).data)
+    return OrthoBasis(haar_isometry(dim, dim, rng))
 
 
 def mub_pair(d: int) -> tuple[OrthoBasis, OrthoBasis]:
@@ -115,8 +121,8 @@ def random_isometry_channel(
     els = []
     for j in range(d):
         m = np.outer(images[:, j], images[:, j].conj()) + leftover
-        els.append(Operator((m + m.conj().T) / 2, (dim_out,), (dim_out,)))
-    return ch, Povm(tuple(els))
+        els.append((m + m.conj().T) / 2)
+    return ch, Povm(els)
 
 
 def random_block_channel(
@@ -133,7 +139,7 @@ def random_block_channel(
     """
     d = e_basis.dim
     dc = d * block_size
-    rot = haar_unitary(dc, rng).data
+    rot = haar_isometry(dc, dc, rng)
 
     outputs = []
     projectors = []
@@ -147,13 +153,8 @@ def random_block_channel(
         outputs.append(Operator(rot @ full @ rot.conj().T, (dc,), (dc,)))
         proj = np.zeros((dc, dc), dtype=np.complex128)
         proj[sl, sl] = np.eye(block_size)
-        projectors.append(Operator(rot @ proj @ rot.conj().T, (dc,), (dc,)))
+        projectors.append(rot @ proj @ rot.conj().T)
 
-    els = [
-        Operator(
-            np.outer(e_basis.column(j), e_basis.column(j).conj()), (d,), (d,)
-        )
-        for j in range(d)
-    ]
-    ch = measure_prepare_channel(Povm(tuple(els)), outputs)
-    return ch, Povm(tuple(projectors))
+    els = [np.outer(e_basis.column(j), e_basis.column(j).conj()) for j in range(d)]
+    ch = measure_prepare_channel(Povm(els), outputs)
+    return ch, Povm(projectors)

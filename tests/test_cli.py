@@ -151,6 +151,22 @@ def test_non_finite_spectrum_is_a_config_error(tmp_path, capsys):
     assert captured.err.count("config error") == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, source):
+    # numpy seeds only from integers >= 0: refused before anything is written
+    monkeypatch.setenv("CTOQ_SEED", "-5" if source == "env" else "0")
+    seed = "seed = -5\n" if source == "config" else ""
+    cfg = write_config(tmp_path, "n_bh = 2\nn_msg = 1\nell = 1\ntrials = 2\n" + seed)
+    out = tmp_path / "o"
+    args = ["hp-run", "--config", cfg, "--out", str(out)]
+    if source == "flag":
+        args = ["verify", "thm1", "--instances", "1", "--seed", "-5"]
+    assert main(args) == 2
+    assert not out.exists()  # so no results.jsonl either
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: seed must be >= 0")
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_verify_instance_count_below_one_is_usage_error(count):
     proc = run_cli("verify", "thm1", "--instances", count, "--seed", "1")

@@ -16,8 +16,7 @@ from ctoq.decoder import (
     xi_bounds,
     xi_ef,
 )
-from ctoq.haarhp import haar_unitary
-from ctoq.linop import Operator, identity, operator, partial_trace, permute, trace_distance
+from ctoq.linop import Operator, permute, sqrtm_psd, trace_distance
 from ctoq.ppgm import build_ppgm
 from ctoq.qcore import (
     Channel,
@@ -26,11 +25,8 @@ from ctoq.qcore import (
     channel,
     computational_basis,
     dephasing_channel,
-    depolarizing_channel,
-    identity_channel,
     max_entangled,
     pauli_basis,
-    unitary_channel,
 )
 from ctoq.sampling import (
     ginibre,
@@ -38,8 +34,16 @@ from ctoq.sampling import (
     random_basis,
     random_block_channel,
     random_channel,
-    random_density,
     random_povm,
+)
+from tests.helpers import (
+    depolarizing_channel,
+    haar_unitary,
+    identity,
+    identity_channel,
+    partial_trace,
+    random_density,
+    unitary_channel,
 )
 from tests.test_equivalence import (
     build_coherent_measurement,
@@ -123,9 +127,9 @@ def test_naimark_projective_exact():
     z = computational_basis(2)
     ext = naimark_extend(projective_povm(z))
     v = ext.data
-    for j, el in enumerate(projective_povm(z)):
+    for j, el in enumerate(projective_povm(z).elements):
         rec = v.conj().T @ outcome_projection(ext, j) @ v
-        np.testing.assert_allclose(rec, el.data, atol=1e-14)
+        np.testing.assert_allclose(rec, el, atol=1e-14)
 
 
 def test_naimark_trine_reconstruction():
@@ -134,14 +138,14 @@ def test_naimark_trine_reconstruction():
     for k in range(3):
         ang = 2 * math.pi * k / 3
         psi = np.array([math.cos(ang / 2), math.sin(ang / 2)], dtype=complex)
-        els.append(operator(2 / 3 * np.outer(psi, psi.conj()), 2))
-    povm = Povm(tuple(els))
+        els.append(2 / 3 * np.outer(psi, psi.conj()))
+    povm = Povm(els)
     ext = naimark_extend(povm)
     v = ext.data
     np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
-    for j, el in enumerate(povm):
+    for j, el in enumerate(povm.elements):
         rec = v.conj().T @ outcome_projection(ext, j) @ v
-        assert np.max(np.abs(rec - el.data)) < 1e-12
+        assert np.max(np.abs(rec - el)) < 1e-12
 
 
 def test_naimark_random_povm_isometry():
@@ -200,7 +204,7 @@ def test_build_v_inv_isometry_and_range_action():
 
 def test_build_v_inv_unitary_dilation_case():
     # projective POVM on 1 outcome: V is unitary, second term vanishes
-    povm = Povm((identity(2),))
+    povm = Povm([np.eye(2)])
     ext = naimark_extend(povm)
     v = ext.data
     e0 = v[:, 0]
@@ -296,7 +300,7 @@ def test_coherent_measurement_register_marginal_statistics():
     u = basis.matrix
     in_basis = u.conj().T @ marg @ u
     probs = [
-        float(np.einsum("ij,ji->", rho.data, m.data).real) for m in povm
+        float(np.einsum("ij,ji->", rho.data, m).real) for m in povm.elements
     ]
     np.testing.assert_allclose(in_basis, np.diag(probs), atol=1e-10)
 
@@ -336,7 +340,7 @@ def test_build_theta_unitary_random():
 
 def test_eraser_single_outcome_is_partial_trace():
     rng = np.random.default_rng(11)
-    povm = Povm((identity(3),))
+    povm = Povm([np.eye(3)])
     ch = build_eraser(povm, [identity(2)])
     rho = random_density(rng, 6)
     state = Operator(rho.data, (3, 2), (3, 2))
@@ -370,12 +374,9 @@ def test_eraser_invariant_under_slicing_basis():
     thetas = [build_theta(e, f, l) for l in range(2)]
     ch = build_eraser(povm, thetas)
     q = haar_unitary(3, rng).data  # random slicing basis of C
-    from ctoq.linop import sqrtm_psd
-    from ctoq.qcore import channel
-
     alt_ks = []
-    for m_el, th in zip(povm, thetas):
-        root = sqrtm_psd(m_el.data)
+    for m_el, th in zip(povm.elements, thetas):
+        root = sqrtm_psd(m_el)
         for m in range(3):
             row = q[:, m].conj() @ root
             alt_ks.append(th.data @ np.kron(row.reshape(1, -1), np.eye(2)))
@@ -461,17 +462,16 @@ def test_ctoq_total_equals_composition():
 
 
 def test_ctoq_handles_multi_factor_measured_space():
-    # POVM elements tagged with composite dims, as in the scrambling setup
+    # a measured space of two factors, as in the scrambling setup; the
+    # POVMs act on it as one factor
     rng = np.random.default_rng(27)
-    raw = random_povm(rng, 4, 2)
-    pe = Povm(tuple(Operator(m.data, (2, 2), (2, 2)) for m in raw))
-    raw = random_povm(rng, 4, 2)
-    pf = Povm(tuple(Operator(m.data, (2, 2), (2, 2)) for m in raw))
+    pe = random_povm(rng, 4, 2)
+    pf = random_povm(rng, 4, 2)
     z, x = pauli_basis(1, "z"), pauli_basis(1, "x")
     coherent = coherent_state(identity_channel((2, 2)), pe, z)
     assert coherent.row_dims == (2, 2, 2, 2, 2)  # (C, A, R)
     got = _ctoq_state(identity_channel((2, 2)), pe, pf, z, x)
-    want = composite_choi_state(pe, pf, z, x, (2, 2))
+    want = composite_choi_state(pe, pf, z, x, (4,))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     chan = random_channel(rng, 2, 4, 2)
     chan = Channel(chan.kraus, (2,), (2, 2))
@@ -560,9 +560,9 @@ def test_povm_from_identity_decoder_is_projective():
     rng = np.random.default_rng(20)
     w = random_basis(rng, 3)
     povm = povm_from_decoder(identity_channel(3), w)
-    for j, el in enumerate(povm):
+    for j, el in enumerate(povm.elements):
         np.testing.assert_allclose(
-            el.data,
+            el,
             np.outer(w.column(j), w.column(j).conj()),
             atol=1e-12,
         )

@@ -32,7 +32,6 @@ from ctoq.haarhp import (
     HpConfig,
     TrialResult,
     _trial_rng,
-    haar_isometry,
     hp_channel,
     run_trial,
 )
@@ -53,6 +52,7 @@ from ctoq.qcore import (
     pauli_basis,
 )
 from ctoq.sampling import (
+    haar_isometry,
     random_basis,
     random_block_channel,
     random_channel,
@@ -191,18 +191,17 @@ def naimark_extend(povm: Povm) -> Operator:
     """
     m = povm.n_outcomes
     dc = povm.dim
-    cdims = povm.elements[0].row_dims
     v = np.zeros((dc * m, dc), dtype=np.complex128)
-    for j, el in enumerate(povm):
-        v[j::m, :] = sqrtm_psd(el.data)
+    for j, el in enumerate(povm.elements):
+        v[j::m, :] = sqrtm_psd(el)
     err = np.max(np.abs(v.conj().T @ v - np.eye(dc)))
     if err > 1e-9:
         raise ValueError(f"dilation map is not an isometry (error {err:.3e})")
-    for j, el in enumerate(povm):
-        err = np.max(np.abs(v[j::m].conj().T @ v[j::m] - el.data))
+    for j, el in enumerate(povm.elements):
+        err = np.max(np.abs(v[j::m].conj().T @ v[j::m] - el))
         if err > 1e-8:
             raise ValueError(f"dilation does not reproduce element {j} ({err:.3e})")
-    return Operator(v, cdims + (m,), cdims)
+    return Operator(v, (dc, m), (dc,))
 
 
 def build_coherent_measurement(v: Operator, e_basis: OrthoBasis) -> Channel:
@@ -241,6 +240,8 @@ def oracle_coherent_state(chan, povm_e, e_basis):
     """``(C o T (x) id)(Phi)`` on (C, A, R) through the Kraus-form coherent
     measurement ``C``."""
     coh = build_coherent_measurement(naimark_extend(povm_e), e_basis)
+    # the same Kraus operators, on C with its factors
+    coh = Channel(coh.kraus, chan.out_dims, chan.out_dims + (e_basis.dim,))
     after = apply_channel(chan, max_entangled(chan.dim_in), targets=[0])
     return apply_channel(coh, after, targets=list(range(len(chan.out_dims))))
 
@@ -269,14 +270,13 @@ def build_eraser(
         raise ValueError("need one phase correction per POVM outcome")
     d = thetas[0].dim_row
     dc = povm_f.dim
-    cdims = povm_f.elements[0].row_dims
     ks = []
-    for m_el, th in zip(povm_f, thetas):
-        root = sqrtm_psd(m_el.data, tols)
+    for m_el, th in zip(povm_f.elements, thetas):
+        root = sqrtm_psd(m_el, tols)
         # K_{l,m}[a, (c, b)] = Theta_l[a, b] root[m, c]
         block = np.einsum("mc,ab->macb", root, th.data)
         ks.extend(block.reshape(dc, d, dc * d))
-    return channel(ks, cdims + (d,), (d,), tp_tol=tols.channel_tp, tols=tols)
+    return channel(ks, (dc, d), (d,), tp_tol=tols.channel_tp, tols=tols)
 
 
 def oracle_ctoq_kraus(povm_e, povm_f, e_basis, f_basis):
@@ -304,7 +304,7 @@ def oracle_ctoq_kraus(povm_e, povm_f, e_basis, f_basis):
     total_ks = []
     for l in range(d):
         theta = build_theta(e_basis, f_basis, l).data
-        m_f = povm_f.elements[l].data
+        m_f = povm_f.elements[l]
         root_f = sqrtm_psd(m_f)
         z = np.stack([root_f @ mj for mj in ms])
         total_ks.extend(np.einsum("ab,bmc->mac", theta @ u, z))
@@ -377,7 +377,7 @@ def check_basis(ch, oracle_ch, basis):
     np.testing.assert_allclose(basis_outputs(ch, basis), taus_o, rtol=0, atol=TOL)
     np.testing.assert_allclose(bundle.tau_states, taus_o, rtol=0, atol=TOL)
     np.testing.assert_allclose(bundle.projectors, projectors_o, rtol=0, atol=TOL)
-    got_elements = bundle.povm.element_stack()
+    got_elements = bundle.povm.elements
     np.testing.assert_allclose(got_elements, elements_o, rtol=0, atol=TOL)
     assert_close(bundle.lambda_min, lam_o, "lambda_min", rel_to=lam_o)
     assert bundle.ill_conditioned == ill_o
@@ -560,8 +560,10 @@ def check_eraser_after_coherent_state(ch, povm_e, povm_f, e_basis, f_basis):
     state reproduces the decoder's closed-form state."""
     thetas = [build_theta(e_basis, f_basis, l) for l in range(e_basis.dim)]
     coh = coherent_state(ch, povm_e, e_basis)
-    targets = list(range(len(ch.out_dims) + 1))  # (C, A)
-    got = apply_channel(build_eraser(povm_f, thetas), coh, targets=targets)
+    # the eraser measures C as one factor
+    dims = (ch.dim_out, e_basis.dim) + ch.in_dims
+    coh = Operator(coh.data, dims, dims)
+    got = apply_channel(build_eraser(povm_f, thetas), coh, targets=[0, 1])
     want = _ctoq_state(ch, povm_e, povm_f, e_basis, f_basis)
     np.testing.assert_allclose(got.data, want, rtol=0, atol=TOL)
 
@@ -593,14 +595,11 @@ def test_coherent_state_matches_the_kraus_form_on_random_povms(seed):
 
 
 def two_factor_instance(seed):
-    """A channel into C = (2, 2) and two random POVMs tagged with those
-    dims, as in the scrambling setup."""
+    """A channel into C = (2, 2), as in the scrambling setup, and two random
+    POVMs on C."""
     rng = np.random.default_rng(seed)
     ch = Channel(random_channel(rng, 2, 4, 2).kraus, (2,), (2, 2))
-    povm_e, povm_f = (
-        Povm(tuple(Operator(m.data, (2, 2), (2, 2)) for m in random_povm(rng, 4, 2)))
-        for _ in range(2)
-    )
+    povm_e, povm_f = (random_povm(rng, 4, 2) for _ in range(2))
     return ch, povm_e, povm_f, random_basis(rng, 2), random_basis(rng, 2)
 
 

@@ -9,19 +9,18 @@ from ctoq.haarhp import (
     HpConfig,
     _trial_rng,
     derived_quantities,
-    haar_isometry,
     haar_mean_pairwise_overlap,
-    haar_unitary,
     hp_channel,
     pairwise_overlap_samples,
     run_experiment,
     run_trial,
     average_error_bound,
 )
-from ctoq.linop import Operator, partial_trace
+from ctoq.linop import Operator, permute
 from ctoq.ppgm import build_ppgm, ppgm_error
-from ctoq.qcore import apply_channel, basis_outputs, pauli_basis
-from ctoq.sampling import random_density
+from ctoq.qcore import apply_channel, basis_outputs, max_entangled, pauli_basis
+from ctoq.sampling import haar_isometry
+from tests.helpers import haar_unitary, kron, partial_trace, random_density, unitary_channel
 
 PURE = (1.0,)
 
@@ -156,9 +155,6 @@ def test_hp_channel_trace_preserving_randomized():
 def test_hp_channel_matches_global_state_construction():
     # reference: build the full four-party state, scramble message+system,
     # regroup into kept/radiated, trace out the kept register
-    from ctoq.linop import Operator, kron, permute
-    from ctoq.qcore import max_entangled, unitary_channel
-
     n, k, ell = 2, 1, 1
     rng = np.random.default_rng(8)
     xi = np.linalg.eigvalsh(random_density(rng, 2**n).data)

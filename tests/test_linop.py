@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ctoq.linop import (
-    Operator,
+from ctoq.linop import Operator, permute, sqrtm_psd, support_eigh, trace_distance
+from ctoq.sampling import ginibre
+from tests.helpers import (
     func_on_support,
     identity,
     kron,
     operator,
     partial_trace,
-    permute,
-    sqrtm_psd,
-    support_eigh,
-    trace_distance,
+    random_density,
 )
-from ctoq.sampling import ginibre, random_density
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -40,14 +37,9 @@ def test_operator_is_immutable():
         a.data[0, 0] = 5.0
 
 
-def test_dagger_swaps_dims():
-    a = Operator(np.ones((6, 2)), (2, 3), (2,))
-    assert a.dag().row_dims == (2,) and a.dag().col_dims == (2, 3)
-    np.testing.assert_allclose(a.dag().data, a.data.conj().T)
-
-
 # ---------------------------------------------------------------------------
-# kron
+# kron and partial trace (tests/helpers.py, like func_on_support below: the
+# other tests build states and reference values with them)
 
 
 def test_kron_identities():
@@ -82,10 +74,6 @@ def test_kron_associative():
     left = kron(kron(a, b), c)
     right = kron(a, kron(b, c))
     np.testing.assert_allclose(left.data, right.data, atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# partial trace
 
 
 def brute_force_partial_trace(data, dims, keep):

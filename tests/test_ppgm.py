@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from ctoq.linop import func_on_support, operator
+from ctoq.linop import Operator
 from ctoq.ppgm import (
     support_bound,
     build_ppgm,
     ppgm_error,
     pairwise_bound,
 )
-from ctoq.qcore import Povm, computational_basis, depolarizing_channel, measure_prepare_channel, pauli_basis
+from ctoq.qcore import Povm, computational_basis, measure_prepare_channel, pauli_basis
 from ctoq.sampling import ginibre, random_basis, random_block_channel, random_channel
+from tests.helpers import depolarizing_channel, func_on_support, operator
 
 
 def support_projection(rho):
@@ -51,8 +52,8 @@ def test_ppgm_orthogonal_supports_decodes_perfectly():
 def test_ppgm_depolarizing_qubit():
     z = pauli_basis(1, "z")
     bundle = build_ppgm(depolarizing_channel(2), z)
-    for el in bundle.povm:
-        np.testing.assert_allclose(el.data, np.eye(2) / 2, atol=1e-12)
+    for el in bundle.povm.elements:
+        np.testing.assert_allclose(el, np.eye(2) / 2, atol=1e-12)
     assert ppgm_error(bundle) == pytest.approx(0.5, abs=1e-12)
     sum_form, entropy_form, lam = pairwise_bound(bundle)
     assert lam == pytest.approx(0.5, abs=1e-12)
@@ -67,7 +68,7 @@ def test_ppgm_povm_complete_randomized():
         d = (2, 3)[i % 2]
         chan = random_channel(rng, d, d + 1 + i % 2, int(rng.integers(1, 4)))
         bundle = build_ppgm(chan, random_basis(rng, d))  # Povm validates
-        total = sum(el.data for el in bundle.povm)
+        total = bundle.povm.elements.sum(axis=0)
         assert np.max(np.abs(total - np.eye(chan.dim_out))) < 1e-9
 
 
@@ -75,9 +76,8 @@ def test_residual_never_fires_on_outputs():
     rng = np.random.default_rng(3)
     chan = random_channel(rng, 2, 4, 1)  # rank-1 outputs, real deficiency
     bundle = build_ppgm(chan, random_basis(rng, 2))
-    support = bundle.projectors.sum(axis=0)
-    w = np.linalg.eigvalsh(bundle.pi_sum.data)
-    residual = np.eye(4) - support_projection(bundle.pi_sum).data
+    pi_sum = Operator(bundle.projectors.sum(axis=0), (4,), (4,))
+    residual = np.eye(4) - support_projection(pi_sum).data
     for tau in bundle.tau_states:
         fire = float(np.einsum("ij,ji->", residual, tau).real)
         assert fire <= 1e-9
@@ -115,9 +115,7 @@ def test_ill_conditioned_flag():
     # one output eigenvalue sits just above the support cutoff
     tiny = 1e-15
     z = computational_basis(2)
-    povm = Povm(
-        (operator(np.diag([1.0, 0.0]), 2), operator(np.diag([0.0, 1.0]), 2))
-    )
+    povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     outputs = [
         operator(np.diag([1.0 - tiny, tiny]), 2),
         operator(np.diag([0.5, 0.5]), 2),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctoq.config import DEFAULT_TOLS
-from ctoq.linop import Operator, operator, partial_trace
+from ctoq.linop import Operator
 from ctoq.qcore import (
     Channel,
     OrthoBasis,
@@ -16,31 +16,28 @@ from ctoq.qcore import (
     collision_entropy,
     computational_basis,
     dephasing_channel,
-    depolarizing_channel,
     fourier_basis,
-    identity_channel,
     is_mub,
     max_correlated_classical,
     max_entangled,
     overlap_distribution,
     pauli_basis,
     povm_channel,
-    purify,
+)
+from ctoq.sampling import random_basis, random_channel, random_povm
+from tests.helpers import (
+    depolarizing_channel,
+    haar_unitary,
+    identity_channel,
+    operator,
+    partial_trace,
+    random_density,
     unitary_channel,
 )
-from ctoq.sampling import ginibre, random_basis, random_channel, random_density, random_povm
 
 
 def projective_povm(basis: OrthoBasis) -> Povm:
-    d = basis.dim
-    return Povm(
-        tuple(
-            Operator(
-                np.outer(basis.column(j), basis.column(j).conj()), (d,), (d,)
-            )
-            for j in range(d)
-        )
-    )
+    return Povm([np.outer(col, col.conj()) for col in basis.matrix.T])
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +62,18 @@ def test_probdist_rejects_large_drift_and_negatives():
 
 
 def test_povm_validation():
-    half = operator(np.eye(2) / 2, 2)
-    Povm((half, half))
+    half = np.eye(2) / 2
+    povm = Povm([half, half])
+    assert povm.elements.shape == (2, 2, 2) and (povm.n_outcomes, povm.dim) == (2, 2)
     with pytest.raises(ValueError):
-        Povm((half, operator(np.eye(2), 2)))  # sums to 1.5 I
+        povm.elements[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        Povm((operator(np.diag([1.5, 1.0]), 2), operator(np.diag([-0.5, 0.0]), 2)))
+        Povm([half, np.eye(2)])  # sums to 1.5 I
+    with pytest.raises(ValueError):
+        Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+    for bad in (np.zeros((0, 2, 2)), np.eye(2), np.ones((1, 2, 3))):
+        with pytest.raises(ValueError):
+            Povm(bad)
 
 
 def test_channel_requires_trace_preservation():
@@ -144,29 +147,10 @@ def test_max_correlated_is_dephased_entangled_state():
     w = fourier_basis(3)
     phi = max_entangled(3)
     dephased = apply_channel(dephasing_channel(w), phi, targets=[1])
-    expected = max_correlated_classical(w.conj(), conjugate_second=True)
+    expected = max_correlated_classical(
+        OrthoBasis(w.matrix.conj()), conjugate_second=True
+    )
     np.testing.assert_allclose(dephased.data, expected.data, atol=1e-12)
-
-
-def test_purify_pure_and_mixed():
-    rng = np.random.default_rng(4)
-    # pure input: purification is input (x) fixed reference direction
-    psi = ginibre(rng, 3, 1)[:, 0]
-    psi /= np.linalg.norm(psi)
-    pure = operator(np.outer(psi, psi.conj()), 3)
-    np.testing.assert_allclose(
-        partial_trace(purify(pure), [0]).data, pure.data, atol=1e-9
-    )
-    # maximally mixed qubit: marginal check (vector itself is gauge)
-    np.testing.assert_allclose(
-        partial_trace(purify(operator(np.eye(2) / 2, 2)), [0]).data,
-        np.eye(2) / 2,
-        atol=1e-12,
-    )
-    rho = random_density(rng, 5)
-    np.testing.assert_allclose(
-        partial_trace(purify(rho), [0]).data, rho.data, atol=1e-9
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +270,6 @@ def test_compose_identity_is_neutral():
 
 def test_compose_unitaries_multiply():
     rng = np.random.default_rng(14)
-    from ctoq.haarhp import haar_unitary
-
     u = haar_unitary(3, rng)
     v = haar_unitary(3, rng)
     comp = compose(unitary_channel(u), unitary_channel(v))
@@ -403,7 +385,7 @@ def test_povm_channel_statistics():
     out = apply_channel(ch, rho)
     for j in range(3):
         prob = float(
-            np.einsum("ij,ji->", rho.data, povm.elements[j].data).real
+            np.einsum("ij,ji->", rho.data, povm.elements[j]).real
         )
         got = float(
             (basis.column(j).conj() @ out.data @ basis.column(j)).real
