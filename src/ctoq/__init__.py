@@ -12,6 +12,6 @@ Submodules:
 * :mod:`ctoq.cli`     command-line harness
 """
 
+# Nothing here imports numpy: :mod:`ctoq.cli` sets the BLAS thread defaults
+# before numpy loads, and ``python -m ctoq`` imports this package first.
 __version__ = "0.1.0"
-
-from . import linop, qcore  # noqa: F401  (cheap, commonly used)

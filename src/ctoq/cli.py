@@ -2,14 +2,17 @@
 
 Commands::
 
-    ctoq verify <suite> --instances N --seed S
-    ctoq hp-run --config PATH --out DIR [--threads T] [--csv] [--allow-large]
+    ctoq verify <suite> [--instances N] [--seed S]
+    ctoq hp-run --config PATH --out DIR [--threads T] [--csv]
     ctoq haar-mean --config PATH
 
-Exit status: 0 pass, 1 property violation, 2 usage or config error.  Output
-files are byte-identical across reruns with the same seed; wall-clock timing
-goes to stderr only.  The env var ``CTOQ_SEED`` supplies the seed when
-neither the flag nor the config file does.
+Exit status: 0 pass, 1 property violation, 2 usage or config error, or a
+run whose trials would not fit in memory.  Output files are byte-identical
+across reruns with the same seed; wall-clock timing goes to stderr only.
+The env var ``CTOQ_SEED`` supplies the seed when neither the flag nor the
+config file does.  ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` default
+to 1, set before numpy loads, so pool workers do not oversubscribe the
+cores; a value the user sets wins.
 """
 
 from __future__ import annotations
@@ -18,13 +21,18 @@ import argparse
 import json
 import math
 import os
+import re
+import resource
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS defaults)
 
 from . import __version__
 from .haarhp import (
@@ -35,12 +43,11 @@ from .haarhp import (
     pairwise_overlap_samples,
     run_experiment,
     average_error_bound,
+    trial_peak_bytes,
 )
 from .verify import SLACK_TOL, SUITES, run_suite
 
 __all__ = ["main", "RunManifest", "parse_config", "load_config"]
-
-DIM_CAP = 8  # max n_bh + n_msg without --allow-large
 
 
 class ConfigError(ValueError):
@@ -58,18 +65,11 @@ class RunManifest:
     command: str
     config: dict[str, Any]
     seed: int
-    version: str = __version__
-    counts: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int]
+    version: str = field(default=__version__, init=False)
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "counts": self.counts,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,8 @@ def _parse_ell(spec: str, n_max: int) -> list[int]:
         values = [int(tok) for tok in spec.split(",") if tok.strip()]
     if not values:
         raise ConfigError("ell list is empty")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"ell list {spec!r} repeats a value")
     for v in values:
         if not 0 <= v <= n_max:
             raise ConfigError(f"ell={v} outside [0, {n_max}]")
@@ -172,13 +174,13 @@ class RunSpec:
         }
 
 
-def load_config(path: str, allow_large: bool = False) -> RunSpec:
+def load_config(path: str) -> RunSpec:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     kv = parse_config(text)
-    known = {"n_bh", "n_msg", "ell", "trials", "seed", "xi", "epsilon", "allow_large"}
+    known = {"n_bh", "n_msg", "ell", "trials", "seed", "xi", "epsilon"}
     unknown = set(kv) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -194,16 +196,6 @@ def load_config(path: str, allow_large: bool = False) -> RunSpec:
         raise ConfigError(f"n_bh and n_msg must be >= 1, got {n_bh} and {n_msg}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    allow_large = allow_large or kv.get("allow_large", "").lower() in (
-        "1",
-        "true",
-        "yes",
-    )
-    if n_bh + n_msg > DIM_CAP and not allow_large:
-        raise ConfigError(
-            f"n_bh + n_msg = {n_bh + n_msg} exceeds the cap {DIM_CAP}; "
-            "pass --allow-large to override"
-        )
     ells = _parse_ell(kv.get("ell", "0"), n_bh + n_msg)
     seed = _resolve_seed(kv.get("seed"))
     epsilon = float(kv["epsilon"]) if "epsilon" in kv else None
@@ -221,6 +213,36 @@ def load_config(path: str, allow_large: bool = False) -> RunSpec:
     except ValueError as exc:
         raise ConfigError(f"bad xi {spec.xi_label!r}: {exc}") from None
     return spec
+
+
+def _proc_mib(path: str, key: str) -> int | None:
+    """The ``key: <n> kB`` field of a ``/proc`` file in MiB, if readable."""
+    try:
+        found = re.search(rf"^{key}:\s+(\d+) kB", Path(path).read_text(), re.M)
+    except OSError:
+        return None
+    return int(found.group(1)) // 1024 if found else None
+
+
+def _check_memory(spec: RunSpec, workers: int) -> None:
+    """Refuse a run unless a trial at its largest sweep point fits under
+    ``RLIMIT_AS`` beside what the process has mapped, and ``workers`` of them
+    fit in ``MemAvailable`` (where ``/proc/meminfo`` can be read)."""
+    need = max(trial_peak_bytes(spec.config_for(ell)) for ell in spec.ells) // 2**20
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        room = limit // 2**20 - (_proc_mib("/proc/self/status", "VmSize") or 0)
+        if need > room:
+            raise ConfigError(
+                f"a trial needs about {need} MiB; the address-space limit "
+                f"leaves {room} MiB"
+            )
+    avail = _proc_mib("/proc/meminfo", "MemAvailable")
+    if avail is not None and workers * need > avail:
+        raise ConfigError(
+            f"{workers} trial(s) at once need about {workers * need} MiB; "
+            f"{avail} MiB of memory is available"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +432,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hp_run(args: argparse.Namespace) -> int:
-    spec = load_config(args.config, allow_large=args.allow_large)
+    spec = load_config(args.config)
+    _check_memory(spec, min(args.threads, spec.trials))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
     t0 = time.monotonic()
 
     rows: list[dict[str, Any]] = []
@@ -447,11 +473,12 @@ def cmd_hp_run(args: argparse.Namespace) -> int:
 
 
 def cmd_haar_mean(args: argparse.Namespace) -> int:
-    spec = load_config(args.config, allow_large=args.allow_large)
+    spec = load_config(args.config)
     if spec.trials < 2:
         raise ConfigError(
             f"haar-mean needs trials >= 2 for a standard error, got {spec.trials}"
         )
+    _check_memory(spec, 1)
     t0 = time.monotonic()
     worst_z = 0.0
     for ell in spec.ells:
@@ -499,14 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p_run.add_argument("--csv", action="store_true")
-    p_run.add_argument("--allow-large", action="store_true")
     p_run.set_defaults(func=cmd_hp_run)
 
     p_mean = sub.add_parser(
         "haar-mean", help="compare the exact Haar overlap average to Monte Carlo"
     )
     p_mean.add_argument("--config", required=True)
-    p_mean.add_argument("--allow-large", action="store_true")
     p_mean.set_defaults(func=cmd_haar_mean)
 
     return parser

@@ -1,9 +1,9 @@
 """Numerical tolerances, collected in one place.
 
 Every validation threshold used across the library lives in a single
-:class:`Tolerances` record so that a run is characterized by one set of
-numbers.  Functions accept an optional ``tols`` argument and fall back to
-:data:`DEFAULT_TOLS`.
+:class:`Tolerances` record, and every check reads its one instance
+:data:`DEFAULT_TOLS`, so a run is characterized by one set of numbers.  A
+caller may pass only a numerical-rank cutoff, ``rank_tol``, to two functions.
 """
 
 from __future__ import annotations

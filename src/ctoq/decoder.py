@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .linop import Operator, trace_distance
 from .qcore import (
     Channel,
@@ -133,7 +133,7 @@ def delta_cl_tracenorm(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
     basis on the reference factor) and its image under the channel followed
     by the measure-and-prepare map of the POVM.
     """
-    omega = max_correlated_classical(basis, conjugate_second=True)
+    omega = max_correlated_classical(basis)
     after = apply_channel(chan, omega, targets=[0])
     # the readout measures C as one factor
     dims = (chan.dim_out, basis.dim)
@@ -177,25 +177,20 @@ def _check_povms(d: int, dc: int, *povms: Povm) -> None:
             )
 
 
-def _check_r_marginal(rho: np.ndarray, what: str, tols: Tolerances) -> None:
+def _check_r_marginal(rho: np.ndarray, what: str) -> None:
     """``rho[x, a, z, b]`` on (output, R) must have R-marginal ``I / dim R``
-    within ``tols.compose_tp``: ``what`` preserves the trace of the channel
-    outputs."""
+    within ``DEFAULT_TOLS.compose_tp``: ``what`` preserves the trace of the
+    channel outputs."""
     d_in = rho.shape[1]
     err = np.max(np.abs(np.einsum("xaxb->ab", rho) - np.eye(d_in) / d_in))
-    if err > tols.compose_tp:
+    if err > DEFAULT_TOLS.compose_tp:
         raise ValueError(
             f"{what} does not preserve the trace of the channel outputs "
             f"(error {err:.3e})"
         )
 
 
-def coherent_state(
-    chan: Channel,
-    povm_e: Povm,
-    e_basis: OrthoBasis,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> Operator:
+def coherent_state(chan: Channel, povm_e: Povm, e_basis: OrthoBasis) -> Operator:
     """``(C o T (x) id_R)(Phi)`` on ``(C, A, R)`` for the coherent
     measurement ``C`` of ``povm_e`` that stores its outcome in ``e_basis``.
 
@@ -223,18 +218,13 @@ def coherent_state(
         "xj,jakb,zk->xazb", u, q, u.conj(), optimize=True
     )
     rho = rho.reshape(dc * d, d_in, dc * d, d_in) / d_in
-    _check_r_marginal(rho, "coherent measurement", tols)
+    _check_r_marginal(rho, "coherent measurement")
     dims = chan.out_dims + (d,) + chan.in_dims
     return Operator(rho.reshape(dc * d * d_in, -1), dims, dims)
 
 
 def _ctoq_state(
-    chan: Channel,
-    povm_e: Povm,
-    povm_f: Povm,
-    e_basis: OrthoBasis,
-    f_basis: OrthoBasis,
-    tols: Tolerances = DEFAULT_TOLS,
+    chan: Channel, povm_e: Povm, povm_f: Povm, e_basis: OrthoBasis, f_basis: OrthoBasis
 ) -> np.ndarray:
     """``(D o T (x) id_R)(Phi)`` for the decoder ``D`` of :func:`ctoq_delta_q`.
 
@@ -242,8 +232,8 @@ def _ctoq_state(
     space R; the result is a ``(d dim R) x (d dim R)`` matrix on
     ``A (x) R``.  With ``T`` the identity on C it is the Choi matrix of
     ``D`` over ``dim C``, which fixes ``D`` on all of C.  The R-marginal must
-    be ``I / dim R`` within ``tols.compose_tp``: the decoder preserves the
-    trace of the channel's outputs.
+    be ``I / dim R`` within ``DEFAULT_TOLS.compose_tp``: the decoder
+    preserves the trace of the channel's outputs.
     """
     d = e_basis.dim
     if f_basis.dim != d:
@@ -264,17 +254,12 @@ def _ctoq_state(
     phases = np.exp(1j * np.angle(u.conj().T @ f_basis.matrix))  # [j, l]
     h = np.einsum("jl,ljayb,yl->jayb", phases, g, phases.conj())
     rho = np.einsum("xj,jayb,zy->xazb", u, h, u.conj(), optimize=True) / d_in
-    _check_r_marginal(rho, "decoder", tols)
+    _check_r_marginal(rho, "decoder")
     return rho.reshape(d * d_in, d * d_in)
 
 
 def ctoq_delta_q(
-    chan: Channel,
-    povm_e: Povm,
-    povm_f: Povm,
-    e_basis: OrthoBasis,
-    f_basis: OrthoBasis,
-    tols: Tolerances = DEFAULT_TOLS,
+    chan: Channel, povm_e: Povm, povm_f: Povm, e_basis: OrthoBasis, f_basis: OrthoBasis
 ) -> float:
     """Quantum decoding error of the decoder built from two POVMs.
 
@@ -306,7 +291,7 @@ def ctoq_delta_q(
     d = e_basis.dim
     if chan.dim_in != d:
         raise ValueError(f"basis dim {d} != channel input dim {chan.dim_in}")
-    rho = _ctoq_state(chan, povm_e, povm_f, e_basis, f_basis, tols)
+    rho = _ctoq_state(chan, povm_e, povm_f, e_basis, f_basis)
     return trace_distance(max_entangled(d), Operator(rho, (d, d), (d, d)))
 
 
@@ -369,12 +354,7 @@ def xi_bounds(
 
 
 def error_report(
-    chan: Channel,
-    povm_e: Povm,
-    povm_f: Povm,
-    e_basis: OrthoBasis,
-    f_basis: OrthoBasis,
-    tols: Tolerances = DEFAULT_TOLS,
+    chan: Channel, povm_e: Povm, povm_f: Povm, e_basis: OrthoBasis, f_basis: OrthoBasis
 ) -> ErrorReport:
     """Evaluate the decoder's error against the three-term bound.
 
@@ -383,7 +363,7 @@ def error_report(
     complementarity defect.  Swapping the roles of (E, F) generally changes
     both the decoder and the bound.
     """
-    dq = ctoq_delta_q(chan, povm_e, povm_f, e_basis, f_basis, tols)
+    dq = ctoq_delta_q(chan, povm_e, povm_f, e_basis, f_basis)
     de = delta_cl(povm_e, chan, e_basis)
     df = delta_cl(povm_f, chan, f_basis)
     xi = xi_ef(chan, povm_f, e_basis, f_basis)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 
 __all__ = [
     "Operator",
@@ -90,25 +90,21 @@ def permute(a: Operator, order: Sequence[int]) -> Operator:
     return Operator(tensor.reshape(d, d), new_dims, new_dims)
 
 
-def _hermitian_part(
-    data: np.ndarray, tols: Tolerances, what: str = "operator"
-) -> np.ndarray:
+def _hermitian_part(data: np.ndarray, what: str = "operator") -> np.ndarray:
     asym = np.max(np.abs(data - data.conj().T)) if data.size else 0.0
-    if asym > tols.hermiticity:
+    if asym > DEFAULT_TOLS.hermiticity:
         raise ValueError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
     return (data + data.conj().T) / 2.0
 
 
-def _check_density(rho: Operator, tols: Tolerances, name: str) -> None:
+def _check_density(rho: Operator, name: str) -> None:
     if not rho.is_square:
         raise ValueError(f"{name} must be square")
-    if abs(rho.trace() - 1.0) > tols.state_trace:
+    if abs(rho.trace() - 1.0) > DEFAULT_TOLS.state_trace:
         raise ValueError(f"{name} has trace {rho.trace():.6g}, expected 1")
 
 
-def trace_distance(
-    rho: Operator, sigma: Operator, tols: Tolerances = DEFAULT_TOLS
-) -> float:
+def trace_distance(rho: Operator, sigma: Operator) -> float:
     """Half the trace norm of the difference of two density operators.
 
     Computed from the eigenvalues of the Hermitian difference, which equals
@@ -118,40 +114,36 @@ def trace_distance(
         raise ValueError(
             f"dimension mismatch: {rho.row_dims} vs {sigma.row_dims}"
         )
-    _check_density(rho, tols, "rho")
-    _check_density(sigma, tols, "sigma")
-    diff = _hermitian_part(rho.data - sigma.data, tols, "difference")
+    _check_density(rho, "rho")
+    _check_density(sigma, "sigma")
+    diff = _hermitian_part(rho.data - sigma.data, "difference")
     w = np.linalg.eigvalsh(diff)
     return float(0.5 * np.sum(np.abs(w)))
 
 
-def _psd_eigh(
-    data: np.ndarray, tols: Tolerances, name: str
-) -> tuple[np.ndarray, np.ndarray]:
-    herm = _hermitian_part(data, tols, name)
+def _psd_eigh(data: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    herm = _hermitian_part(data, name)
     w, v = np.linalg.eigh(herm)
-    floor = -tols.psd * max(1.0, float(w[-1]) if w.size else 1.0)
+    floor = -DEFAULT_TOLS.psd * max(1.0, float(w[-1]) if w.size else 1.0)
     if w.size and w[0] < floor:
         raise ValueError(f"{name} is not PSD (min eigenvalue {w[0]:.3e})")
     return np.clip(w, 0.0, None), v
 
 
-def sqrtm_psd(data: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def sqrtm_psd(data: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix via eigendecomposition.
 
     Eigenvalues below the numerical-rank cutoff are zeroed first; the square
     root would otherwise amplify O(eps) noise to O(sqrt(eps)).
     """
-    w, v = _psd_eigh(data, tols, "matrix")
-    cut = tols.rank_tol(data.shape[0]) * (float(w[-1]) if w.size else 0.0)
+    w, v = _psd_eigh(data, "matrix")
+    cut = DEFAULT_TOLS.rank_tol(data.shape[0]) * (float(w[-1]) if w.size else 0.0)
     w[w <= cut] = 0.0
     return (v * np.sqrt(w)) @ v.conj().T
 
 
 def support_eigh(
-    a: np.ndarray,
-    rank_tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
+    a: np.ndarray, rank_tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of a PSD matrix with its numerical support marked.
 
@@ -164,8 +156,8 @@ def support_eigh(
     if a.shape[0] != a.shape[1]:
         raise ValueError("support_eigh needs a square matrix")
     if rank_tol is None:
-        rank_tol = tols.rank_tol(a.shape[0])
-    w, v = np.linalg.eigh(_hermitian_part(a, tols))
+        rank_tol = DEFAULT_TOLS.rank_tol(a.shape[0])
+    w, v = np.linalg.eigh(_hermitian_part(a))
     lam_max = max(float(w[-1]), 0.0)
     if w[0] < -10.0 * rank_tol * lam_max:
         raise ValueError(

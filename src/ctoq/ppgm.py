@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .linop import Operator, support_eigh
 from .qcore import (
     Channel,
@@ -56,10 +56,7 @@ class PpgmBundle:
 
 
 def build_ppgm(
-    chan: Channel,
-    basis: OrthoBasis,
-    rank_tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
+    chan: Channel, basis: OrthoBasis, rank_tol: float | None = None
 ) -> PpgmBundle:
     """Build the measurement for discriminating the channel's basis outputs.
 
@@ -79,7 +76,7 @@ def build_ppgm(
     dc = chan.dim_out
     cdims = chan.out_dims
     if rank_tol is None:
-        rank_tol = tols.rank_tol(dc)
+        rank_tol = DEFAULT_TOLS.rank_tol(dc)
 
     taus = basis_outputs(chan, basis)
     sv = np.linalg.svd(
@@ -89,7 +86,7 @@ def build_ppgm(
     lam_min = math.inf
     ill = False
     for j, tau in enumerate(taus):
-        w, v, on = support_eigh(tau, rank_tol, tols)
+        w, v, on = support_eigh(tau, rank_tol)
         if not on.any():
             raise ValueError(f"output state {j} is numerically zero")
         projectors[j] = (v * on) @ v.conj().T
@@ -98,7 +95,7 @@ def build_ppgm(
         ill = ill or lam_j < 10.0 * (rank_tol * float(w[-1]))
     projectors.setflags(write=False)
 
-    w, v, on = support_eigh(projectors.sum(axis=0), rank_tol, tols)
+    w, v, on = support_eigh(projectors.sum(axis=0), rank_tol)
     root_w = np.zeros_like(w)
     root_w[on] = w[on] ** -0.5
     inv_root = (v * root_w) @ v.conj().T

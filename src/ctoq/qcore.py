@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .linop import Operator, permute, sqrtm_psd
 
 __all__ = [
@@ -131,26 +131,21 @@ def channel(
     kraus: Sequence[np.ndarray] | np.ndarray,
     in_dims: Sequence[int],
     out_dims: Sequence[int],
-    tp_tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> Channel:
-    """Build a Channel from Kraus matrices, checking trace preservation.
+    """Build a Channel from Kraus matrices, checking trace preservation at
+    ``DEFAULT_TOLS.channel_tp``.
 
     A contiguous complex stack is taken over without a copy.
     """
     ch = Channel(kraus, in_dims, out_dims)
-    if tp_tol is None:
-        tp_tol = tols.channel_tp
     flat = ch.kraus.reshape(-1, ch.dim_in)
     err = np.max(np.abs(flat.conj().T @ flat - np.eye(ch.dim_in)))
-    if err > tp_tol:
+    if err > DEFAULT_TOLS.channel_tp:
         raise ValueError(f"Kraus set is not trace preserving (error {err:.3e})")
     return ch
 
 
-def output_span_channel(
-    ch: Channel, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[Channel, np.ndarray]:
+def output_span_channel(ch: Channel) -> tuple[Channel, np.ndarray]:
     """The channel compressed onto the span of its outputs, plus ``|0>``.
 
     Returns ``(ch', W)``.  ``W`` is a ``dim_out x r`` isometry: its first
@@ -158,7 +153,7 @@ def output_span_channel(
     branch matrix ``B = [K_n|a>]`` with row 0 zeroed, kept where
     ``s^2 > rank_tol(dim_out) s_max^2``.  ``ch'`` has the Kraus operators
     ``W^dag K_n`` on the single output factor ``(r,)``; its trace
-    preservation is checked at ``tols.channel_tp``.
+    preservation is checked by :func:`channel`.
 
     Every output lies in ``span W``, so the support-projector measurements
     built on ``ch'`` are those built on C compressed by ``W``, and so are
@@ -173,13 +168,11 @@ def output_span_channel(
     b = np.array(ks.transpose(1, 0, 2).reshape(dc, n_kraus * d_in))
     b[0] = 0.0
     u, s, _ = np.linalg.svd(b, full_matrices=False)
-    keep = s**2 > tols.rank_tol(dc) * s[0] ** 2
+    keep = s**2 > DEFAULT_TOLS.rank_tol(dc) * s[0] ** 2
     w = np.zeros((dc, 1 + int(keep.sum())), dtype=np.complex128)
     w[0, 0] = 1.0
     w[1:, 1:] = u[1:, keep]
-    out = channel(
-        w.conj().T @ ks, ch.in_dims, (w.shape[1],), tp_tol=tols.channel_tp, tols=tols
-    )
+    out = channel(w.conj().T @ ks, ch.in_dims, (w.shape[1],))
     w.setflags(write=False)
     return out, w
 
@@ -235,18 +228,16 @@ def max_entangled(d: int) -> Operator:
     return Operator(np.outer(vec, vec.conj()), (d, d), (d, d))
 
 
-def max_correlated_classical(
-    basis: OrthoBasis, conjugate_second: bool = False
-) -> Operator:
-    """Maximally correlated classical state d^{-1} sum_j |jj><jj| in a basis.
+def max_correlated_classical(basis: OrthoBasis) -> Operator:
+    """Maximally correlated classical state d^{-1} sum_j |j j*><j j*| in a
+    basis.
 
-    With ``conjugate_second`` the second factor uses the conjugate basis
-    {|j*>}, the convention under which the state is the dephased half of the
-    maximally entangled state.
+    The second factor uses the conjugate basis {|j*>}, the convention under
+    which the state is the dephased half of the maximally entangled state.
     """
     d = basis.dim
     first = basis.matrix
-    second = basis.matrix.conj() if conjugate_second else basis.matrix
+    second = basis.matrix.conj()
     out = np.zeros((d * d, d * d), dtype=np.complex128)
     for j in range(d):
         pa = np.outer(first[:, j], first[:, j].conj())
@@ -386,11 +377,12 @@ def overlap_distribution(e: OrthoBasis, f: OrthoBasis, l: int) -> ProbDist:
     return ProbDist(np.abs(amps) ** 2)
 
 
-def is_mub(e: OrthoBasis, f: OrthoBasis, tol: float = 1e-10) -> bool:
-    """True when every overlap |<j_e|l_f>|^2 equals 1/d within ``tol``."""
+def is_mub(e: OrthoBasis, f: OrthoBasis) -> bool:
+    """True when every overlap |<j_e|l_f>|^2 equals 1/d within
+    ``DEFAULT_TOLS.spectral``."""
     d = e.dim
     overlaps = np.abs(e.matrix.conj().T @ f.matrix) ** 2
-    return bool(np.max(np.abs(overlaps - 1.0 / d)) <= tol)
+    return bool(np.max(np.abs(overlaps - 1.0 / d)) <= DEFAULT_TOLS.spectral)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +429,7 @@ def dephasing_channel(basis: OrthoBasis) -> Channel:
     return channel(ks, (d,), (d,))
 
 
-def measure_prepare_channel(
-    povm: Povm,
-    outputs: Sequence[Operator],
-    tols: Tolerances = DEFAULT_TOLS,
-) -> Channel:
+def measure_prepare_channel(povm: Povm, outputs: Sequence[Operator]) -> Channel:
     """Channel rho -> sum_j tr[rho M_j] sigma_j.
 
     One Kraus operator per (outcome, output eigenvector, input basis vector);
@@ -454,20 +442,18 @@ def measure_prepare_channel(
     out_dims = outputs[0].row_dims
     ks = []
     for m, sigma in zip(povm.elements, outputs):
-        root = sqrtm_psd(m, tols)
+        root = sqrtm_psd(m)
         w, v = np.linalg.eigh((sigma.data + sigma.data.conj().T) / 2)
         for a in range(dout):
-            if w[a] <= tols.rank_tol(dout) * max(float(w[-1]), 0.0):
+            if w[a] <= DEFAULT_TOLS.rank_tol(dout) * max(float(w[-1]), 0.0):
                 continue
             amp = math.sqrt(float(w[a]))
             for b in range(din):
                 ks.append(amp * np.outer(v[:, a], root[b, :]))
-    return channel(ks, (din,), out_dims, tols=tols)
+    return channel(ks, (din,), out_dims)
 
 
-def povm_channel(
-    povm: Povm, basis: OrthoBasis, tols: Tolerances = DEFAULT_TOLS
-) -> Channel:
+def povm_channel(povm: Povm, basis: OrthoBasis) -> Channel:
     """Measure-and-prepare map rho -> sum_j tr[rho M_j] |j_W><j_W|."""
     if povm.n_outcomes != basis.dim:
         raise ValueError("need one POVM outcome per basis vector")
@@ -476,4 +462,4 @@ def povm_channel(
         Operator(np.outer(basis.column(j), basis.column(j).conj()), (d,), (d,))
         for j in range(d)
     ]
-    return measure_prepare_channel(povm, outputs, tols)
+    return measure_prepare_channel(povm, outputs)

@@ -58,18 +58,17 @@ class SuiteResult:
 
 
 class _Recorder:
-    """Accumulates slacks; a slack below -tol is a failure."""
+    """Accumulates slacks; a slack below ``-SLACK_TOL`` is a failure."""
 
-    def __init__(self, name: str, tol: float = SLACK_TOL) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.tol = tol
         self.failures = 0
         self.worst = math.inf
         self.notes: list[str] = []
 
     def check(self, slack: float, label: str) -> None:
         self.worst = min(self.worst, slack)
-        if slack < -self.tol:
+        if slack < -SLACK_TOL:
             self.failures += 1
             self.notes.append(f"{label}: slack {slack:.3e}")
 

@@ -12,7 +12,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ctoq.config import DEFAULT_TOLS, Tolerances
 from ctoq.linop import Operator, support_eigh
 from ctoq.qcore import Channel, channel
 from ctoq.sampling import ginibre, haar_isometry
@@ -70,14 +69,13 @@ def func_on_support(
     a: Operator,
     f: Callable[[np.ndarray], np.ndarray],
     rank_tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> Operator:
     """Apply a real function to the spectrum of a PSD operator, on support only.
 
     Eigenvalues on the support found by :func:`support_eigh` are mapped
     through ``f``; the rest map to zero.
     """
-    w, v, on = support_eigh(a.data, rank_tol, tols)
+    w, v, on = support_eigh(a.data, rank_tol)
     fw = np.zeros_like(w)
     if np.any(on):
         fw[on] = f(w[on])

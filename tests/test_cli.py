@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ctoq.cli import ConfigError, _z_score, load_config, main, parse_config
+from ctoq.haarhp import HpConfig, trial_peak_bytes
 
 CONFIG = """\
 # comment line
@@ -25,13 +26,41 @@ def write_config(tmp_path, text=CONFIG, name="run.cfg"):
     return str(path)
 
 
-def run_cli(*args, env=None):
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# Runs ``ctoq verify`` through one entry point, then prints whether importing
+# the package loaded numpy, the exit status and the two BLAS variables.
+BLAS_PROBE = """\
+import os, sys
+import ctoq
+print("numpy" in sys.modules)
+sys.argv = ["ctoq", "verify", "thm1", "--instances", "1"]
+try:
+    {start}
+except SystemExit as exc:
+    print(exc.code)
+print(os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+"""
+ENTRY_POINTS = {
+    # what ``python -m ctoq`` runs
+    "module": "import runpy; runpy.run_module('ctoq', run_name='__main__')",
+    # what the console script made from pyproject's ``ctoq = "ctoq.cli:main"`` runs
+    "script": "from ctoq.cli import main; sys.exit(main())",
+}
+# the CLI in a process that first caps its own address space at 1 GiB
+LIMITED = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+    "from ctoq.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def run_cli(*args, env=None, entry=("-m", "ctoq"), drop=()):
     full_env = dict(os.environ)
-    full_env.pop("CTOQ_SEED", None)
+    for name in ("CTOQ_SEED", *drop):
+        full_env.pop(name, None)
     if env:
         full_env.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "ctoq", *args],
+        [sys.executable, *entry, *args],
         capture_output=True,
         text=True,
         env=full_env,
@@ -72,12 +101,34 @@ def test_load_config_rejects_bad_xi_and_ell(tmp_path):
         )
 
 
-def test_load_config_enforces_dimension_cap(tmp_path):
-    big = "n_bh = 8\nn_msg = 1\nell = 1\n"
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, big))
-    spec = load_config(write_config(tmp_path, big), allow_large=True)
-    assert spec.n_bh == 8
+@pytest.mark.parametrize("ell", ["2,2", "1,2,1"])
+def test_load_config_rejects_repeated_ell(tmp_path, ell):
+    # a repeat would rerun the same trials from the same seed streams
+    with pytest.raises(ConfigError, match="repeats a value"):
+        load_config(write_config(tmp_path, f"n_bh = 2\nn_msg = 1\nell = {ell}\n"))
+
+
+@pytest.mark.parametrize("command", ["hp-run", "haar-mean"])
+def test_run_that_cannot_fit_the_address_space_exits_two(tmp_path, command):
+    # (3,5,4) pure peaks at 1.2 GiB in the decoder's d^5 tensors
+    cfg = write_config(tmp_path, "n_bh = 3\nn_msg = 5\nell = 4\ntrials = 2\n")
+    out = tmp_path / "o"
+    args = [command, "--config", cfg] + (["--out", str(out)] if command == "hp-run" else [])
+    proc = run_cli(*args, entry=("-c", LIMITED))
+    assert proc.returncode == 2, proc.stderr
+    need = trial_peak_bytes(HpConfig(3, 5, 4, [1.0])) // 2**20
+    assert need > 1024
+    assert proc.stderr.startswith(f"config error: a trial needs about {need} MiB")
+    assert "address-space limit leaves" in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+def test_large_pure_config_runs_without_a_flag(tmp_path):
+    cfg = write_config(tmp_path, "n_bh = 10\nn_msg = 2\nell = 10\ntrials = 2\n")
+    out = tmp_path / "o"
+    assert main(["hp-run", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    rows = [json.loads(ln) for ln in (out / "results.jsonl").read_text().splitlines()]
+    assert [r["error"] for r in rows if r["kind"] == "trial"] == [None, None]
 
 
 def test_load_config_spectrum_state(tmp_path):
@@ -173,6 +224,32 @@ def test_verify_instance_count_below_one_is_usage_error(count):
     assert proc.returncode == 2
     assert "PASS" not in proc.stdout
     assert "--instances" in proc.stderr
+
+
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main(["hp-run", "--config", cfg, "--out", str(out)]) == 2
+    assert out.read_text() == "keep"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot create output directory")
+
+
+@pytest.mark.parametrize("user", [None, "3"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_blas_threads_default_to_one_unless_the_user_sets_them(entry, user):
+    # importing the package loads no numpy, so the CLI module sets the
+    # defaults before numpy and its BLAS load
+    probe = BLAS_PROBE.format(start=ENTRY_POINTS[entry])
+    env = dict.fromkeys(BLAS_VARS, user) if user else None
+    proc = run_cli(entry=("-c", probe), env=env, drop=BLAS_VARS)
+    lines = proc.stdout.splitlines()
+    want = user or "1"
+    assert lines[0] == "False", proc.stderr
+    assert lines[1].startswith("thm1: PASS")
+    assert lines[2:] == ["0", f"{want} {want}"]
 
 
 def test_seed_env_fallback(tmp_path):

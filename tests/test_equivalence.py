@@ -26,7 +26,7 @@ import math
 import numpy as np
 import pytest
 
-from ctoq.config import DEFAULT_TOLS, Tolerances
+from ctoq.config import DEFAULT_TOLS
 from ctoq.decoder import _ctoq_state, coherent_state, ctoq_delta_q, delta_cl
 from ctoq.haarhp import (
     HpConfig,
@@ -259,11 +259,7 @@ def build_theta(e_basis: OrthoBasis, f_basis: OrthoBasis, l: int) -> Operator:
     )
 
 
-def build_eraser(
-    povm_f: Povm,
-    thetas,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> Channel:
+def build_eraser(povm_f: Povm, thetas) -> Channel:
     """Channel C (x) A -> A: measure C with the POVM, apply the matching
     phase correction to A, discard C."""
     if len(thetas) != povm_f.n_outcomes:
@@ -272,11 +268,11 @@ def build_eraser(
     dc = povm_f.dim
     ks = []
     for m_el, th in zip(povm_f.elements, thetas):
-        root = sqrtm_psd(m_el, tols)
+        root = sqrtm_psd(m_el)
         # K_{l,m}[a, (c, b)] = Theta_l[a, b] root[m, c]
         block = np.einsum("mc,ab->macb", root, th.data)
         ks.extend(block.reshape(dc, d, dc * d))
-    return channel(ks, (dc, d), (d,), tp_tol=tols.channel_tp, tols=tols)
+    return channel(ks, (dc, d), (d,))
 
 
 def oracle_ctoq_kraus(povm_e, povm_f, e_basis, f_basis):

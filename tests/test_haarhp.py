@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ctoq.haarhp import (
     run_experiment,
     run_trial,
     average_error_bound,
+    trial_peak_bytes,
 )
 from ctoq.linop import Operator, permute
 from ctoq.ppgm import build_ppgm, ppgm_error
@@ -525,3 +527,30 @@ def test_run_trial_memory_stays_small_at_ten_two_ten_pure():
         tracemalloc.stop()
     assert r.error is None
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "n_bh, n_msg, ell, rank",
+    [
+        (3, 1, 2, 1),
+        (5, 2, 3, 32),  # maximally mixed
+        (10, 2, 10, 1),
+        (14, 2, 10, 1),  # peak 71 MiB in the pPGMs
+        (6, 2, 2, 64),  # maximally mixed, 71 MiB in the pPGMs
+        (9, 1, 9, 512),  # maximally mixed, 104 MiB in the compression
+        (14, 2, 4, 1),  # 191 MiB in the decoder's M_F,l M_E,j B stack
+    ],
+)
+def test_trial_peak_bytes_bounds_the_traced_peak(n_bh, n_msg, ell, rank):
+    cfg = HpConfig(n_bh, n_msg, ell, [1.0 / rank] * rank, seed=1)
+    tracemalloc.start()
+    try:
+        result = run_trial(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.error is None
+    estimate = trial_peak_bytes(cfg)
+    assert estimate >= peak
+    if peak >= 64 * 2**20:
+        assert estimate <= 4 * peak

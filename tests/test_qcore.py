@@ -147,9 +147,7 @@ def test_max_correlated_is_dephased_entangled_state():
     w = fourier_basis(3)
     phi = max_entangled(3)
     dephased = apply_channel(dephasing_channel(w), phi, targets=[1])
-    expected = max_correlated_classical(
-        OrthoBasis(w.matrix.conj()), conjugate_second=True
-    )
+    expected = max_correlated_classical(OrthoBasis(w.matrix.conj()))
     np.testing.assert_allclose(dephased.data, expected.data, atol=1e-12)
 
 
@@ -225,17 +223,20 @@ def test_apply_channel_rejects_mismatch():
 # composition
 
 
-def compose(later: Channel, earlier: Channel, tols=DEFAULT_TOLS) -> Channel:
-    """Oracle: ``later(earlier(.))`` with all pairwise Kraus products."""
+def compose(later: Channel, earlier: Channel) -> Channel:
+    """Oracle: ``later(earlier(.))`` with all pairwise Kraus products, trace
+    preserving within ``DEFAULT_TOLS.compose_tp``."""
     if earlier.out_dims != later.in_dims:
         raise ValueError(
             f"cannot compose: earlier outputs {earlier.out_dims}, "
             f"later expects {later.in_dims}"
         )
-    products = [b @ a for b in later.kraus for a in earlier.kraus]
-    return channel(
-        products, earlier.in_dims, later.out_dims, tp_tol=tols.compose_tp, tols=tols
-    )
+    products = np.array([b @ a for b in later.kraus for a in earlier.kraus])
+    flat = products.reshape(-1, earlier.dim_in)
+    err = np.max(np.abs(flat.conj().T @ flat - np.eye(earlier.dim_in)))
+    if err > DEFAULT_TOLS.compose_tp:
+        raise ValueError(f"Kraus set is not trace preserving (error {err:.3e})")
+    return Channel(products, earlier.in_dims, later.out_dims)
 
 
 def spanning_states(d: int) -> list[Operator]:
