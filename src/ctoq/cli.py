@@ -27,7 +27,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -43,6 +43,7 @@ from .haarhp import (
     pairwise_overlap_samples,
     run_experiment,
     average_error_bound,
+    sample_peak_bytes,
     trial_peak_bytes,
 )
 from .verify import SLACK_TOL, SUITES, run_suite
@@ -224,11 +225,14 @@ def _proc_mib(path: str, key: str) -> int | None:
     return int(found.group(1)) // 1024 if found else None
 
 
-def _check_memory(spec: RunSpec, workers: int) -> None:
-    """Refuse a run unless a trial at its largest sweep point fits under
-    ``RLIMIT_AS`` beside what the process has mapped, and ``workers`` of them
-    fit in ``MemAvailable`` (where ``/proc/meminfo`` can be read)."""
-    need = max(trial_peak_bytes(spec.config_for(ell)) for ell in spec.ells) // 2**20
+def _check_memory(
+    spec: RunSpec, workers: int, peak_bytes: Callable[[HpConfig], int]
+) -> None:
+    """Refuse a run unless one trial at its largest sweep point, as sized by
+    ``peak_bytes``, fits under ``RLIMIT_AS`` beside what the process has
+    mapped, and ``workers`` of them fit in ``MemAvailable`` (where
+    ``/proc/meminfo`` can be read)."""
+    need = max(peak_bytes(spec.config_for(ell)) for ell in spec.ells) // 2**20
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit != resource.RLIM_INFINITY:
         room = limit // 2**20 - (_proc_mib("/proc/self/status", "VmSize") or 0)
@@ -265,6 +269,7 @@ def _trial_row(seed: int, ell: int, r: TrialResult) -> dict[str, Any]:
             "seed_stream": r.seed_stream,
             "error": r.error,
             "error_type": r.error_type,
+            "stage": r.stage,
         }
     return {
         "kind": "trial",
@@ -433,7 +438,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_hp_run(args: argparse.Namespace) -> int:
     spec = load_config(args.config)
-    _check_memory(spec, min(args.threads, spec.trials))
+    _check_memory(spec, min(args.threads, spec.trials), trial_peak_bytes)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -478,7 +483,7 @@ def cmd_haar_mean(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"haar-mean needs trials >= 2 for a standard error, got {spec.trials}"
         )
-    _check_memory(spec, 1)
+    _check_memory(spec, 1, sample_peak_bytes)
     t0 = time.monotonic()
     worst_z = 0.0
     for ell in spec.ells:

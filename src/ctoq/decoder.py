@@ -183,7 +183,7 @@ def _check_r_marginal(rho: np.ndarray, what: str) -> None:
     channel outputs."""
     d_in = rho.shape[1]
     err = np.max(np.abs(np.einsum("xaxb->ab", rho) - np.eye(d_in) / d_in))
-    if err > DEFAULT_TOLS.compose_tp:
+    if not err <= DEFAULT_TOLS.compose_tp:
         raise ValueError(
             f"{what} does not preserve the trace of the channel outputs "
             f"(error {err:.3e})"

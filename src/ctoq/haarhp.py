@@ -58,6 +58,7 @@ __all__ = [
     "average_error_bound",
     "run_experiment",
     "trial_peak_bytes",
+    "sample_peak_bytes",
 ]
 
 LOG2_E = math.log2(math.e)
@@ -185,6 +186,7 @@ class TrialResult:
     ill_conditioned: bool = False
     error: str | None = None
     error_type: str | None = None
+    stage: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +314,18 @@ def _trial_rng(cfg: HpConfig, trial: int) -> np.random.Generator:
     )
 
 
+def _trial_isometry(cfg: HpConfig, trial: int) -> np.ndarray:
+    """The trial's draw: the ``2^k rank(xi)`` columns of its Haar unitary
+    that the retrieval channel reads."""
+    return haar_isometry(
+        cfg.dim_scrambled, cfg.dim_msg * cfg.rank, _trial_rng(cfg, trial)
+    )
+
+
 def _trial_channel(cfg: HpConfig, trial: int) -> Channel:
-    """The trial's retrieval channel, from the ``2^k rank(xi)`` columns of
-    its Haar unitary, compressed onto the span of its outputs plus ``|0>``
-    (:func:`output_span_channel`)."""
-    rng = _trial_rng(cfg, trial)
-    v = haar_isometry(cfg.dim_scrambled, cfg.dim_msg * cfg.rank, rng)
-    ch, _ = output_span_channel(hp_channel(v, cfg))
+    """The trial's retrieval channel, compressed onto the span of its
+    outputs plus ``|0>`` (:func:`output_span_channel`)."""
+    ch, _ = output_span_channel(hp_channel(_trial_isometry(cfg, trial), cfg))
     return ch
 
 
@@ -334,25 +341,38 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
     the span.
 
     Numerical failures (``LinAlgError``, ``ValueError``) are recorded on
-    the result, with the exception's type, rather than raised; anything
-    else, such as ``MemoryError``, propagates.
+    the result, with the exception's type and the stage that raised it
+    (``sample``, ``channel``, ``compress``, ``ppgm_z``, ``ppgm_x``,
+    ``bounds`` or ``delta_q``), rather than raised; anything else, such as
+    ``MemoryError``, propagates.
     """
+    stage = "sample"
     try:
-        ch = _trial_channel(cfg, trial)
+        v = _trial_isometry(cfg, trial)
+        stage = "channel"
+        full = hp_channel(v, cfg)
+        stage = "compress"
+        ch = output_span_channel(full)[0]
+        del v, full  # the full-space arrays go before the pPGMs are built
         rank_tol = DEFAULT_TOLS.rank_tol(2**cfg.n_bh * 2**cfg.n_rad)
         basis_z = pauli_basis(cfg.n_msg, "z")
         basis_x = pauli_basis(cfg.n_msg, "x")
+        stage = "ppgm_z"
         bundle_z = build_ppgm(ch, basis_z, rank_tol=rank_tol)
+        stage = "ppgm_x"
+        bundle_x = build_ppgm(ch, basis_x, rank_tol=rank_tol)
+        stage = "bounds"
         taus_z = bundle_z.tau_states
         purities_z = np.einsum("jab,jba->j", taus_z, taus_z).real
-        bundle_x = build_ppgm(ch, basis_x, rank_tol=rank_tol)
         dcl_z = ppgm_error(bundle_z)
         dcl_x = ppgm_error(bundle_x)
         sum_z, ent_z, lam_z = pairwise_bound(bundle_z)
         sum_x, ent_x, lam_x = pairwise_bound(bundle_x)
-
-        dq = ctoq_delta_q(ch, bundle_z.povm, bundle_x.povm, basis_z, basis_x)
         bound = math.sqrt(max(dcl_z * (2.0 - dcl_z), 0.0)) + math.sqrt(max(dcl_x, 0.0))
+        support_x = support_bound(bundle_x)
+        support_z = support_bound(bundle_z)
+        stage = "delta_q"
+        dq = ctoq_delta_q(ch, bundle_z.povm, bundle_x.povm, basis_z, basis_x)
 
         return TrialResult(
             trial=trial,
@@ -366,8 +386,8 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
             pairwise_sum_z=sum_z,
             pairwise_entropy_x=ent_x,
             pairwise_entropy_z=ent_z,
-            support_overlap_x=support_bound(bundle_x),
-            support_overlap_z=support_bound(bundle_z),
+            support_overlap_x=support_x,
+            support_overlap_z=support_z,
             bound_two_term=bound,
             pairwise_overlap=cross_overlap(taus_z, taus_z),
             collision_entropy_avg=collision_entropy(bundle_z.tau_avg),
@@ -380,20 +400,22 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
             seed_stream=trial,
             error=str(exc),
             error_type=type(exc).__name__,
+            stage=stage,
         )
 
 
-def trial_peak_bytes(cfg: HpConfig) -> int:
-    """Upper estimate of the bytes one :func:`run_trial` of ``cfg`` holds at
-    its peak: the most complex entries alive at one stage, with ``d = 2^k``,
-    ``n`` Kraus operators and ``s`` compressed output dimensions.  The
-    stages are the isometry with its Ginibre and QR copies; the Kraus stack,
-    its copy and their thin SVD; both bases' ``d s^2`` pPGM stacks; and the
-    decoder's ``d^2 s n d`` stack ``M_F,l M_E,j B`` with its copies, ``p``
-    and ``g`` (``d^5`` each) and the ``d^2 x d^2`` state.  A quarter more
-    covers LAPACK work space and allocator slack, and 4 MiB the small
-    arrays: measured trials above 64 MiB peak at 0.4 to 0.8 of it.
-    """
+def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
+    """Complex entries alive at the peak of each stage of a trial, with
+    ``d = 2^k``, ``n`` Kraus operators and ``s`` compressed output
+    dimensions: the isometry with its Ginibre and QR copies; the Kraus
+    stack, its copy and their thin SVD; the outputs read off the
+    compressed channel; both bases' pPGMs, that is their outputs, elements
+    and ``(d, s, m)`` support factors with ``m = min(s, n)``, the Gram
+    matrix of the factors with its eigenvectors, and the POVM check's
+    copies; and the decoder's ``d^2 s n d`` stack ``M_F,l M_E,j B`` with its
+    copies, ``p`` and ``g`` (``d^5`` each) and the ``d^2 x d^2`` state.
+    The first three stages are all that a sample of
+    :func:`pairwise_overlap_samples` runs."""
     d, n = cfg.dim_msg, 2 ** (cfg.n_bh + cfg.n_msg - cfg.n_rad)
     iso = cfg.dim_scrambled * d * cfg.rank
     kraus = cfg.dim_scrambled * cfg.dim_past * d
@@ -401,14 +423,36 @@ def trial_peak_bytes(cfg: HpConfig) -> int:
     m = min(dc, n * d)
     s = min(dc, m + 1)
     y = d * d * s * n
-    stages = (
+    dm = d * min(s, n)
+    return (
         4 * iso,
         iso + 3 * kraus + (dc + n * d) * m + 3 * dc * s + 2 * n * s * d,
-        (8 * d + 2) * s * s + 3 * n * s * d,
+        2 * d * s * s + 2 * n * s * d,
+        (7 * d + 2) * s * s + 4 * dm * dm + 3 * n * s * d,
         (6 * d + 2) * s * s + n * s * d + 4 * d**4
         + max(2 * d * y + 3 * y + d**5, d * y + y + 2 * d**5),
     )
-    return 20 * max(stages) + 2**22
+
+
+def _peak_bytes(entries: tuple[int, ...]) -> int:
+    """16 bytes per complex entry at the largest stage, a quarter more for
+    LAPACK work space and allocator slack, and 4 MiB for the small arrays:
+    measured trials above 64 MiB peak at 0.4 to 0.8 of it."""
+    return 20 * max(entries) + 2**22
+
+
+def trial_peak_bytes(cfg: HpConfig) -> int:
+    """Upper estimate of the bytes one :func:`run_trial` of ``cfg`` holds at
+    its peak, over every stage of the trial."""
+    return _peak_bytes(_stage_entries(cfg))
+
+
+def sample_peak_bytes(cfg: HpConfig) -> int:
+    """Upper estimate of the bytes one sample of
+    :func:`pairwise_overlap_samples` holds at its peak: the isometry, the
+    Kraus stack and its compression, and the outputs, with no pPGM or
+    decoder."""
+    return _peak_bytes(_stage_entries(cfg)[:3])
 
 
 def run_experiment(cfg: HpConfig, n_jobs: int = 1) -> list[TrialResult]:

@@ -92,7 +92,7 @@ def permute(a: Operator, order: Sequence[int]) -> Operator:
 
 def _hermitian_part(data: np.ndarray, what: str = "operator") -> np.ndarray:
     asym = np.max(np.abs(data - data.conj().T)) if data.size else 0.0
-    if asym > DEFAULT_TOLS.hermiticity:
+    if not asym <= DEFAULT_TOLS.hermiticity:
         raise ValueError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
     return (data + data.conj().T) / 2.0
 

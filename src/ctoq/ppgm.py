@@ -1,15 +1,19 @@
 """Projection-based pretty-good measurements and their error bounds.
 
 The measurement discriminates the channel outputs ``tau_j = T(|j><j|)`` using
-the *support projectors* of the outputs rather than the outputs themselves:
-``M_j = Pi^{-1/2} Pi_j Pi^{-1/2}`` with ``Pi = sum_j Pi_j``.  Its decoding
-error is bounded by pairwise support/state overlaps, which in turn are fixed
-by collision entropies and the smallest nonzero output eigenvalue.
+the *support projectors* ``Pi_j`` of the outputs rather than the outputs
+themselves: ``M_j = Pi^{-1/2} Pi_j Pi^{-1/2}`` with ``Pi = sum_j Pi_j``.  It
+is the square-root measurement of the projectors, built in its Gram form
+(Hausladen, Jozsa, Schumacher, Westmoreland and Wootters, PRA 54, 1869
+(1996); Eldar and Forney, IEEE TIT 47, 858 (2001)) from the branch
+matrices ``B_j = [K_n|j>]_n``, whose column spaces are the supports.  Its
+decoding error is bounded by pairwise support/state overlaps, which in turn
+are fixed by collision entropies and the smallest nonzero output
+eigenvalue.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +43,23 @@ class PpgmBundle:
     """A built measurement together with everything its bounds read.
 
     ``povm`` holds the measurement's elements as one ``(d, dC, dC)``
-    stack; ``tau_states`` and ``projectors`` are read-only ``(d, dC, dC)``
-    stacks of the outputs and their support projectors, and ``tau_avg`` is
-    the outputs' mean.  ``lambda_min`` is the smallest nonzero eigenvalue
-    over all outputs; instances where it sits within a decade of the
-    support-detection cutoff are flagged ``ill_conditioned`` because the
-    overlap bounds blow up there.
+    stack.  ``supports`` is the read-only ``(d, dC, m)`` stack of the
+    support factors ``U_j``, orthonormal columns with
+    ``U_j U_j^dag = Pi_j``, zero-padded to a common width ``m``.
+    ``channel`` and ``basis`` are what the measurement discriminates; the
+    bounds read their branch matrices ``B_j = [K_n|j>]_n`` from them rather
+    than holding a copy.  ``tau_states`` is the read-only ``(d, dC, dC)``
+    stack of the outputs ``B_j B_j^dag`` and ``tau_avg`` their mean.
+    ``lambda_min`` is the smallest nonzero eigenvalue over all outputs;
+    instances where it sits within a decade of the support-detection cutoff
+    are flagged ``ill_conditioned`` because the overlap bounds blow up
+    there.
     """
 
     povm: Povm
-    projectors: np.ndarray
+    supports: np.ndarray
+    channel: Channel
+    basis: OrthoBasis
     tau_states: np.ndarray
     tau_avg: Operator
     lambda_min: float
@@ -60,14 +71,20 @@ def build_ppgm(
 ) -> PpgmBundle:
     """Build the measurement for discriminating the channel's basis outputs.
 
-    One eigendecomposition per output gives its support projector and its
-    rank; the singular values of its branch matrix ``[K_n|j>]_n``, whose
-    squares are its spectrum, give its smallest nonzero eigenvalue to
-    ``eps sqrt(lambda_max / lambda_min)`` relative, where the eigenvalues
-    of the output fix it only to ``eps lambda_max / lambda_min``.  One more
-    eigendecomposition, of ``Pi``, gives both
-    ``Pi^{-1/2}`` and ``supp(Pi)``.  The deficiency projector
-    ``I - supp(Pi)``, on which no output state has weight, is merged into
+    The Gram form of the square-root measurement, on the branch matrices
+    ``B_j = [K_n|j>]_n``.  One batched thin SVD gives each output's support
+    factor ``U_j``, the left singular vectors at ``s^2 > rank_tol s_max^2``
+    (the singular values squared are the spectrum of ``tau_j = B_j
+    B_j^dag``).  The singular values alone, from their own SVD, give the
+    smallest nonzero eigenvalue of each output, to
+    ``eps sqrt(lambda_max / lambda_min)`` relative where the eigenvalues of
+    the output fix it only to ``eps lambda_max / lambda_min``.  With
+    ``Q = [U_1 ... U_d]`` and ``G = Q^dag Q``, whose nonzero spectrum is that
+    of ``Pi``, one eigendecomposition of ``G`` gives ``F = Q G^{-1/2}`` on
+    ``supp G`` and ``M_j = F_j F_j^dag`` for the column blocks ``F_j``: that
+    is ``Pi^{-1/2} Pi_j Pi^{-1/2}`` without forming any ``dC x dC``
+    projector.  ``F F^dag`` projects onto ``supp(Pi)``; the deficiency
+    ``I - F F^dag``, on which no output state has weight, is merged into
     outcome 0 so the POVM has exactly one outcome per basis vector.  On a
     channel compressed by :func:`ctoq.qcore.output_span_channel`, as in the
     Hayden-Preskill trials, ``supp(Pi)`` is the output span, so the
@@ -79,34 +96,42 @@ def build_ppgm(
         rank_tol = DEFAULT_TOLS.rank_tol(dc)
 
     taus = basis_outputs(chan, basis)
-    sv = np.linalg.svd(
-        (chan.kraus @ basis.matrix).transpose(2, 1, 0), compute_uv=False
+    branches = (chan.kraus @ basis.matrix).transpose(2, 1, 0)
+    # singular values without vectors, as the dense construction kept in
+    # the tests reads them, so lambda_min equals its value bit for bit; an
+    # SVD with vectors rounds them differently in the last bits
+    sv = np.linalg.svd(branches, compute_uv=False)
+    ranks = np.count_nonzero(sv**2 > rank_tol * sv[:, :1] ** 2, axis=1)
+    if not ranks.all():
+        raise ValueError(
+            f"output state {int(np.argmin(ranks))} is numerically zero"
+        )
+    lam = [float(s[r - 1]) ** 2 for s, r in zip(sv, ranks)]
+    lam_min = min(lam)
+    ill = any(
+        lam_j < 10.0 * (rank_tol * float(s[0]) ** 2) for lam_j, s in zip(lam, sv)
     )
-    projectors = np.empty_like(taus)
-    lam_min = math.inf
-    ill = False
-    for j, tau in enumerate(taus):
-        w, v, on = support_eigh(tau, rank_tol)
-        if not on.any():
-            raise ValueError(f"output state {j} is numerically zero")
-        projectors[j] = (v * on) @ v.conj().T
-        lam_j = float(sv[j, on.sum() - 1]) ** 2
-        lam_min = min(lam_min, lam_j)
-        ill = ill or lam_j < 10.0 * (rank_tol * float(w[-1]))
-    projectors.setflags(write=False)
 
-    w, v, on = support_eigh(projectors.sum(axis=0), rank_tol)
+    d, m = sv.shape
+    u = np.linalg.svd(branches, full_matrices=False)[0]
+    u *= np.arange(m) < ranks[:, None, None]  # drop the columns off the support
+    q = u.transpose(1, 0, 2).reshape(dc, d * m)
+    w, v, on = support_eigh(q.conj().T @ q, rank_tol)
     root_w = np.zeros_like(w)
     root_w[on] = w[on] ** -0.5
-    inv_root = (v * root_w) @ v.conj().T
-    elements = inv_root @ projectors @ inv_root
+    f = q @ ((v * root_w) @ v.conj().T)
+    blocks = f.reshape(dc, d, m).transpose(1, 0, 2)
+    elements = blocks @ blocks.conj().transpose(0, 2, 1)
     elements = (elements + elements.conj().transpose(0, 2, 1)) / 2
     # deficiency of supp(Pi): outputs never land there, fold into outcome 0
-    elements[0] += np.eye(dc) - (v * on) @ v.conj().T
+    elements[0] += np.eye(dc) - f @ f.conj().T
+    u.setflags(write=False)
 
     return PpgmBundle(
         povm=Povm(elements),
-        projectors=projectors,
+        supports=u,
+        channel=chan,
+        basis=basis,
         tau_states=taus,
         tau_avg=Operator(taus.mean(axis=0), cdims, cdims),
         lambda_min=lam_min,
@@ -154,7 +179,14 @@ def support_bound(bundle: PpgmBundle) -> float:
 
     Sits between the decoding error and the pairwise bound: projectors
     dominate the error analysis, and ``lambda_min Pi_i <= tau_i`` turns each
-    projector into a state overlap.
+    projector into a state overlap.  Each term is the Gram block
+    ``||U_i^dag B_j||_F^2`` of the support factors and the branch matrices,
+    all of them from one product.
     """
-    taus = bundle.tau_states
-    return cross_overlap(bundle.projectors, taus) / len(taus)
+    u = bundle.supports
+    d, dc, m = u.shape
+    # b[c, (n, j)] = <c|K_n|j>
+    b = (bundle.channel.kraus @ bundle.basis.matrix).transpose(1, 0, 2)
+    prod = u.transpose(1, 0, 2).reshape(dc, d * m).conj().T @ b.reshape(dc, -1)
+    gram = (np.abs(prod) ** 2).reshape(d, m, -1, d).sum(axis=(1, 2))
+    return float(gram[~np.eye(d, dtype=bool)].sum()) / d

@@ -53,7 +53,7 @@ class OrthoBasis:
             raise ValueError("basis matrix must be square")
         gram = m.conj().T @ m
         err = np.max(np.abs(gram - np.eye(m.shape[0])))
-        if err > DEFAULT_TOLS.spectral:
+        if not err <= DEFAULT_TOLS.spectral:
             raise ValueError(f"basis is not orthonormal (Gram error {err:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -140,7 +140,7 @@ def channel(
     ch = Channel(kraus, in_dims, out_dims)
     flat = ch.kraus.reshape(-1, ch.dim_in)
     err = np.max(np.abs(flat.conj().T @ flat - np.eye(ch.dim_in)))
-    if err > DEFAULT_TOLS.channel_tp:
+    if not err <= DEFAULT_TOLS.channel_tp:
         raise ValueError(f"Kraus set is not trace preserving (error {err:.3e})")
     return ch
 
@@ -191,13 +191,23 @@ class Povm:
         stack = np.ascontiguousarray(self.elements, dtype=np.complex128)
         if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
             raise ValueError("a POVM needs a nonempty stack of square elements")
-        herm = (stack + stack.conj().transpose(0, 2, 1)) / 2
-        low = float(np.linalg.eigvalsh(herm)[:, 0].min())
-        if low < -DEFAULT_TOLS.povm:
-            raise ValueError(f"POVM element not PSD (min eig {low:.3e})")
+        # a non-finite entry makes the sum, and so its error, non-finite
         err = np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])))
-        if err > DEFAULT_TOLS.povm:
+        if not err <= DEFAULT_TOLS.povm:
             raise ValueError(f"POVM does not sum to identity (error {err:.3e})")
+        # 2 (M + povm I) has a Cholesky factor exactly when M > -povm I;
+        # only a failure pays for the eigenvalues that name the offender
+        shifted = stack + stack.conj().transpose(0, 2, 1)
+        shifted += (2 * DEFAULT_TOLS.povm) * np.eye(stack.shape[1])
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            low = float(np.linalg.eigvalsh(shifted)[:, 0].min()) / 2
+            low -= DEFAULT_TOLS.povm
+            if low < -DEFAULT_TOLS.povm:
+                raise ValueError(
+                    f"POVM element not PSD (min eig {low:.3e})"
+                ) from None
         stack.setflags(write=False)
         object.__setattr__(self, "elements", stack)
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from ctoq.cli import ConfigError, _z_score, load_config, main, parse_config
-from ctoq.haarhp import HpConfig, trial_peak_bytes
+from ctoq.haarhp import HpConfig, sample_peak_bytes, trial_peak_bytes
 
 CONFIG = """\
 # comment line
@@ -108,19 +108,41 @@ def test_load_config_rejects_repeated_ell(tmp_path, ell):
         load_config(write_config(tmp_path, f"n_bh = 2\nn_msg = 1\nell = {ell}\n"))
 
 
+# (3,5,4) pure peaks at 1.2 GiB in the decoder's d^5 tensors, while its
+# samples stay small; (10,4,4) maximally mixed samples a 4 GiB isometry
+TOO_BIG = {
+    "hp-run": ((3, 5, 4, [1.0]), "", trial_peak_bytes),
+    "haar-mean": (
+        (10, 4, 4, [2.0**-10] * 2**10), "xi = maximally_mixed\n", sample_peak_bytes
+    ),
+}
+
+
 @pytest.mark.parametrize("command", ["hp-run", "haar-mean"])
 def test_run_that_cannot_fit_the_address_space_exits_two(tmp_path, command):
-    # (3,5,4) pure peaks at 1.2 GiB in the decoder's d^5 tensors
-    cfg = write_config(tmp_path, "n_bh = 3\nn_msg = 5\nell = 4\ntrials = 2\n")
+    (n_bh, n_msg, ell, xi), extra, peak_bytes = TOO_BIG[command]
+    cfg = write_config(
+        tmp_path, f"n_bh = {n_bh}\nn_msg = {n_msg}\nell = {ell}\ntrials = 2\n{extra}"
+    )
     out = tmp_path / "o"
     args = [command, "--config", cfg] + (["--out", str(out)] if command == "hp-run" else [])
     proc = run_cli(*args, entry=("-c", LIMITED))
     assert proc.returncode == 2, proc.stderr
-    need = trial_peak_bytes(HpConfig(3, 5, 4, [1.0])) // 2**20
+    need = peak_bytes(HpConfig(n_bh, n_msg, ell, xi)) // 2**20
     assert need > 1024
     assert proc.stderr.startswith(f"config error: a trial needs about {need} MiB")
     assert "address-space limit leaves" in proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+def test_haar_mean_is_sized_by_its_samples(tmp_path):
+    # hp-run refuses (3,5,4) pure under a 1 GiB limit, but haar-mean builds
+    # no decoder and its samples peak at a few MiB
+    assert sample_peak_bytes(HpConfig(3, 5, 4, [1.0])) < 2**26
+    cfg = write_config(tmp_path, "n_bh = 3\nn_msg = 5\nell = 4\ntrials = 20\nseed = 3\n")
+    proc = run_cli("haar-mean", "--config", cfg, entry=("-c", LIMITED))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ell=4: closed_form=")
 
 
 def test_large_pure_config_runs_without_a_flag(tmp_path):
@@ -338,6 +360,7 @@ def test_hp_run_error_rows_name_the_exception_type(tmp_path, monkeypatch):
     assert len(trials) == 5
     for r in trials:
         assert (r["error"], r["error_type"]) == ("bad input", "ValueError")
+        assert r["stage"] == "channel"
     summary = [r for r in rows if r["kind"] == "summary"][0]
     assert "error_type" not in summary and summary["failed_trials"] == 5
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctoq.decoder import (
+    _check_r_marginal,
     _ctoq_state,
     coherent_state,
     ctoq_delta_q,
@@ -56,6 +57,15 @@ from tests.test_qcore import compose, projective_povm
 
 # ---------------------------------------------------------------------------
 # error functionals
+
+
+def test_r_marginal_check_rejects_non_finite_states():
+    # (x, a, z, b) with R-marginal I/2, then with one entry lost to NaN
+    rho = np.eye(4, dtype=complex).reshape(2, 2, 2, 2) / 4
+    _check_r_marginal(rho, "decoder")
+    rho[1, 0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="does not preserve the trace"):
+        _check_r_marginal(rho, "decoder")
 
 
 def test_delta_q_identity_is_zero():

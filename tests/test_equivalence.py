@@ -27,10 +27,17 @@ import numpy as np
 import pytest
 
 from ctoq.config import DEFAULT_TOLS
-from ctoq.decoder import _ctoq_state, coherent_state, ctoq_delta_q, delta_cl
+from ctoq.decoder import (
+    _ctoq_state,
+    coherent_state,
+    ctoq_delta_q,
+    delta_cl,
+    error_report,
+)
 from ctoq.haarhp import (
     HpConfig,
     TrialResult,
+    _trial_channel,
     _trial_rng,
     hp_channel,
     run_trial,
@@ -59,6 +66,8 @@ from ctoq.sampling import (
     random_isometry_channel,
     random_povm,
 )
+from ctoq.verify import SLACK_TOL
+from tests.helpers import dense_build_ppgm, dense_support_bound
 
 TOL = 1e-12
 # classical errors below this are rounding noise around an exact zero
@@ -372,7 +381,10 @@ def check_basis(ch, oracle_ch, basis):
     bundle = build_ppgm(ch, basis)
     np.testing.assert_allclose(basis_outputs(ch, basis), taus_o, rtol=0, atol=TOL)
     np.testing.assert_allclose(bundle.tau_states, taus_o, rtol=0, atol=TOL)
-    np.testing.assert_allclose(bundle.projectors, projectors_o, rtol=0, atol=TOL)
+    u = bundle.supports
+    np.testing.assert_allclose(
+        u @ u.conj().transpose(0, 2, 1), projectors_o, rtol=0, atol=TOL
+    )
     got_elements = bundle.povm.elements
     np.testing.assert_allclose(got_elements, elements_o, rtol=0, atol=TOL)
     assert_close(bundle.lambda_min, lam_o, "lambda_min", rel_to=lam_o)
@@ -480,6 +492,88 @@ def test_run_trial_matches_the_full_space_trial(shape, xi):
             assert abs(got.bound_two_term - want.bound_two_term) <= 2 * math.sqrt(
                 2 * NOISE
             )
+
+
+# ---------------------------------------------------------------------------
+# the pPGM in its Gram form
+
+
+def check_gram_form(ch, basis, rank_tol=None):
+    """The Gram-form pPGM against the dense construction it replaced: every
+    input of the pairwise bound, and so the bound, bit for bit; the
+    elements, the support projectors and the other bounds to 1e-12."""
+    got = build_ppgm(ch, basis, rank_tol)
+    want = dense_build_ppgm(ch, basis, rank_tol)
+    assert np.array_equal(got.tau_states, want.tau_states)
+    assert got.lambda_min == want.lambda_min
+    assert got.ill_conditioned == want.ill_conditioned
+    assert pairwise_bound(got) == pairwise_bound(want)
+    u = got.supports
+    np.testing.assert_allclose(
+        u @ u.conj().transpose(0, 2, 1), want.projectors, rtol=0, atol=TOL
+    )
+    np.testing.assert_allclose(
+        got.povm.elements, want.povm.elements, rtol=0, atol=TOL
+    )
+    assert_close(ppgm_error(got), ppgm_error(want), "ppgm_error")
+    assert_close(support_bound(got), dense_support_bound(want), "support_bound")
+    return got
+
+
+def hp_rank_tol(cfg):
+    """The support cutoff :func:`run_trial` gives the pPGMs: that of the
+    physical output space."""
+    return DEFAULT_TOLS.rank_tol(2**cfg.n_bh * 2**cfg.n_rad)
+
+
+@pytest.mark.parametrize("xi", list(HP_XI))
+@pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_gram_form_ppgm_matches_the_dense_one_on_hp_channels(shape, xi):
+    cfg = hp_cfg(shape, xi)
+    for t in range(cfg.trials):
+        ch = _trial_channel(cfg, t)
+        for which in "zx":
+            check_gram_form(ch, pauli_basis(cfg.n_msg, which), hp_rank_tol(cfg))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gram_form_ppgm_matches_the_dense_one_on_suite_sized_channels(seed):
+    rng = np.random.default_rng(900 + seed)
+    d = (2, 3, 4)[seed % 3]
+    ch = random_channel(rng, d, d + seed % 3, 1 + int(rng.integers(4)))
+    for basis in (random_basis(rng, d), random_basis(rng, d)):
+        check_gram_form(ch, basis)
+
+
+@pytest.mark.parametrize("seed, trial", [(5017, 9), (3078, 1)])
+def test_gram_form_keeps_the_pairwise_forms_where_lambda_min_is_small(seed, trial):
+    # (3,1,2) pure trials whose X-basis lambda_min is below 1e-7, so the two
+    # pairwise forms are of order 1e6 and differ by a few of their ulps
+    cfg = HpConfig(3, 1, 2, [1.0], seed=seed, trials=trial + 1)
+    ch = _trial_channel(cfg, trial)
+    check_gram_form(ch, pauli_basis(1, "z"), hp_rank_tol(cfg))
+    bundle_x = check_gram_form(ch, pauli_basis(1, "x"), hp_rank_tol(cfg))
+    assert bundle_x.lambda_min < 1e-7 and not bundle_x.ill_conditioned
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_gram_form_ppgm_and_its_bounds_at_larger_input_dimensions(d):
+    # the suites draw d <= 4; here the pPGMs of two random bases, their
+    # bound chain (appx_b) and the decoder built from them (thm1)
+    rng = np.random.default_rng(960 + d)
+    for i in range(9):
+        ch = random_channel(rng, d, d + i % 3, 1 + int(rng.integers(4)))
+        e_basis, f_basis = random_basis(rng, d), random_basis(rng, d)
+        bundles = [check_gram_form(ch, b) for b in (e_basis, f_basis)]
+        for bundle in bundles:
+            if bundle.ill_conditioned:
+                continue
+            err, mid = ppgm_error(bundle), support_bound(bundle)
+            top = pairwise_bound(bundle)[0]
+            assert err <= mid + SLACK_TOL and mid <= top + SLACK_TOL
+            assert err <= 4 * mid + SLACK_TOL
+        rep = error_report(ch, bundles[0].povm, bundles[1].povm, e_basis, f_basis)
+        assert rep.delta_q <= rep.delta_q_bound + SLACK_TOL
 
 
 def _branches(ch):

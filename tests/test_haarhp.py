@@ -353,14 +353,36 @@ def test_run_trial_records_numerical_errors_only(monkeypatch):
         return fake_channel
 
     cfg = cfg_with(n=2, k=1, ell=2, seed=41)
+    assert run_trial(cfg, 0).stage is None
     monkeypatch.setattr(haarhp, "hp_channel", raise_(ValueError("bad input")))
     r = run_trial(cfg, 0)
     assert r.error == "bad input"
     assert r.error_type == "ValueError"
+    assert r.stage == "channel"
     assert math.isnan(r.delta_q_ctoq)
     monkeypatch.setattr(haarhp, "hp_channel", raise_(MemoryError("no room")))
     with pytest.raises(MemoryError):
         run_trial(cfg, 0)
+    monkeypatch.undo()
+
+    # each later stage is named too: the X-basis pPGM, the bounds and the
+    # decoder's error
+    build = haarhp.build_ppgm
+
+    def build_z_only(ch, basis, rank_tol=None):
+        if basis.matrix[0, 0] != 1.0:  # not the computational basis
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return build(ch, basis, rank_tol)
+
+    monkeypatch.setattr(haarhp, "build_ppgm", build_z_only)
+    r = run_trial(cfg, 0)
+    assert (r.stage, r.error_type) == ("ppgm_x", "LinAlgError")
+    monkeypatch.undo()
+    monkeypatch.setattr(haarhp, "pairwise_bound", raise_(ValueError("bounds")))
+    assert run_trial(cfg, 0).stage == "bounds"
+    monkeypatch.undo()
+    monkeypatch.setattr(haarhp, "ctoq_delta_q", raise_(ValueError("decoder")))
+    assert run_trial(cfg, 0).stage == "delta_q"
 
 
 def test_hp_channel_memory_stays_small_at_six_two_four():
@@ -535,8 +557,8 @@ def test_run_trial_memory_stays_small_at_ten_two_ten_pure():
         (3, 1, 2, 1),
         (5, 2, 3, 32),  # maximally mixed
         (10, 2, 10, 1),
-        (14, 2, 10, 1),  # peak 71 MiB in the pPGMs
-        (6, 2, 2, 64),  # maximally mixed, 71 MiB in the pPGMs
+        (14, 2, 10, 1),  # peak 65 MiB, half of it the two pPGMs
+        (6, 2, 2, 64),  # maximally mixed, 65 MiB, half of it the two pPGMs
         (9, 1, 9, 512),  # maximally mixed, 104 MiB in the compression
         (14, 2, 4, 1),  # 191 MiB in the decoder's M_F,l M_E,j B stack
     ],

@@ -192,6 +192,15 @@ def test_support_eigh_rejects_nonsquare_and_asymmetric():
         support_eigh(bad)
 
 
+def test_hermitian_inputs_reject_non_finite_entries():
+    a = np.eye(2, dtype=complex)
+    a[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        support_eigh(a)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        sqrtm_psd(a)
+
+
 # ---------------------------------------------------------------------------
 # distance, fidelity
 

@@ -76,7 +76,8 @@ def test_residual_never_fires_on_outputs():
     rng = np.random.default_rng(3)
     chan = random_channel(rng, 2, 4, 1)  # rank-1 outputs, real deficiency
     bundle = build_ppgm(chan, random_basis(rng, 2))
-    pi_sum = Operator(bundle.projectors.sum(axis=0), (4,), (4,))
+    u = bundle.supports
+    pi_sum = Operator((u @ u.conj().transpose(0, 2, 1)).sum(axis=0), (4,), (4,))
     residual = np.eye(4) - support_projection(pi_sum).data
     for tau in bundle.tau_states:
         fire = float(np.einsum("ij,ji->", residual, tau).real)

@@ -76,6 +76,43 @@ def test_povm_validation():
             Povm(bad)
 
 
+def test_povm_psd_check_keeps_its_threshold():
+    # the Cholesky check of M + povm I accepts what the eigenvalue check
+    # accepted and refuses with the smallest eigenvalue
+    assert DEFAULT_TOLS.povm == 1e-9
+    for low in (-0.99e-9, 0.0):
+        Povm([np.diag([low, 0.5]), np.diag([1.0 - low, 0.5])])
+    with pytest.raises(ValueError, match=r"not PSD \(min eig -1.010e-09\)"):
+        Povm([np.diag([-1.01e-9, 0.5]), np.diag([1.0 + 1.01e-9, 0.5])])
+    rot = haar_unitary(3, np.random.default_rng(5)).data
+    tilted = rot @ np.diag([-1.01e-9, 0.25, 0.5]) @ rot.conj().T
+    with pytest.raises(ValueError, match="not PSD"):
+        Povm([tilted, np.eye(3) - tilted])
+
+
+def test_povm_rejects_non_finite_elements():
+    half = np.eye(2) / 2
+    for bad in (np.nan, np.inf):
+        broken = half.copy()
+        broken[0, 0] = bad
+        with pytest.raises(ValueError, match="does not sum to identity"):
+            Povm([broken, half])
+
+
+def test_channel_rejects_non_finite_kraus():
+    ks = random_channel(np.random.default_rng(2), 2, 3, 2).kraus.copy()
+    ks[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="not trace preserving"):
+        channel(ks, (2,), (3,))
+
+
+def test_orthobasis_rejects_non_finite():
+    m = np.eye(2, dtype=complex)
+    m[1, 1] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal"):
+        OrthoBasis(m)
+
+
 def test_channel_requires_trace_preservation():
     with pytest.raises(ValueError):
         channel([np.eye(2) * 0.5], (2,), (2,))
