@@ -22,8 +22,7 @@ class Tolerances:
     hermiticity:    max accepted asymmetry ||A - A^dag||_inf before an
                     eigendecomposition refuses the input
     spectral:       eigendecomposition round-trip and unitarity checks
-    psd:            relative negative-eigenvalue slack for PSD inputs
-    povm:           PSD / completeness slack for measurement elements
+    povm:           completeness slack for measurement factors
     channel_tp:     Kraus completeness slack for freshly built channels
     compose_tp:     looser completeness slack after channel composition
     prob_norm:      probability vector normalization drift; above this is
@@ -33,7 +32,6 @@ class Tolerances:
 
     hermiticity: float = 1e-8
     spectral: float = 1e-10
-    psd: float = 1e-9
     povm: float = 1e-9
     channel_tp: float = 1e-9
     compose_tp: float = 1e-8

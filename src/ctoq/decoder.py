@@ -12,8 +12,8 @@ assembles a channel ``C -> A`` that decodes quantum information:
   outcome-dependent diagonal phase to the register, deleting the record of
   which E outcome occurred.
 
-The two stages fuse into a decoder fixed in closed form by products of
-the two POVMs' elements.  :func:`ctoq_delta_q` evaluates its quantum
+The two stages fuse into a decoder fixed in closed form by Gram products
+of the two POVMs' factors.  :func:`ctoq_delta_q` evaluates its quantum
 decoding error from that form, on the ``d^2 x d^2`` image of a maximally
 entangled state under channel and decoder, without assembling a Kraus set.
 :func:`coherent_state` evaluates the coherent measurement alone in the same
@@ -37,12 +37,12 @@ from .qcore import (
     OrthoBasis,
     Povm,
     apply_channel,
-    basis_outputs,
     bhattacharyya,
-    cross_overlap,
     max_correlated_classical,
     max_entangled,
     max_entangled_vector,
+    off_diagonal_sum,
+    outcome_weights,
     overlap_distribution,
     povm_channel,
     ProbDist,
@@ -116,14 +116,15 @@ def delta_cl(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
     """Decoding error for classical information in a basis.
 
     Average probability, over uniformly chosen basis labels, that measuring
-    ``T(|i><i|)`` with the POVM reports a different label.
+    ``T(|i><i|)`` with the POVM reports a different label; each
+    ``tr[M_j T(|i><i|)]`` is ``||A_j^dag B_i||_F^2`` for the POVM's factors.
     """
     d = basis.dim
     if povm.n_outcomes != d:
         raise ValueError(
             f"POVM has {povm.n_outcomes} outcomes, basis has {d} vectors"
         )
-    return cross_overlap(basis_outputs(chan, basis), povm.elements) / d
+    return off_diagonal_sum(outcome_weights(povm.factors, chan, basis)) / d
 
 
 def delta_cl_tracenorm(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
@@ -147,24 +148,28 @@ def delta_cl_tracenorm(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
 
 
 def _dilation_terms(
-    ks: np.ndarray, m_e: np.ndarray
+    ks: np.ndarray, a_e: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The E-POVM's dilation on the branch matrix ``B = [K_n|a>]``.
+    """The E-POVM's dilation on the branch matrix ``B = [K_n|a>]``, from the
+    POVM's factors ``A_j``.
 
-    Returns ``Y_j = M_E,j B`` as ``y[j, c, n, a]`` and the traced-out term
-    ``q[j, a, k, b] = delta_jk tr(M_E,j X) - tr(M_E,k M_E,j X)`` for
-    ``X = sum_n K_n|a><b|K_n^dag``.  That term is what undoing the dilation
-    leaves outside its range, ``tr(V^dag P_k (I - V V^dag) P_j V X)``,
-    written with ``V^dag P_k P_j V = delta_jk M_E,j``.
+    Returns ``Y_j = M_E,j B = A_j (A_j^dag B)`` as ``y[j, a, n, c]`` and the
+    traced-out term ``q[j, a, k, b] = delta_jk tr(M_E,j X) - tr(M_E,k M_E,j
+    X)`` for ``X = sum_n K_n|a><b|K_n^dag``: what undoing the dilation
+    leaves outside its range, ``tr(V^dag P_k (I - V V^dag) P_j V X)`` with
+    ``V^dag P_k P_j V = delta_jk M_E,j``.  Both traces are Gram products
+    over ``(n, c)``.
     """
     n_kraus, dc, d_in = ks.shape
-    d = m_e.shape[0]
-    b = ks.transpose(1, 0, 2).reshape(dc, n_kraus * d_in)
-    y = (m_e @ b).reshape(d, dc, n_kraus, d_in)
-    q = -np.einsum("jcna,kcnb->jakb", y, y.conj(), optimize=True)
-    diag = np.einsum("jcna,ncb->jab", y, ks.conj(), optimize=True)
+    d = a_e.shape[0]
+    # rows (a, n), columns c: the transpose of B
+    bt = ks.transpose(2, 0, 1).reshape(d_in * n_kraus, dc)
+    y = (bt @ a_e.conj()) @ a_e.transpose(0, 2, 1)
+    rows = y.reshape(d * d_in, n_kraus * dc)
+    q = -(rows @ rows.conj().T).reshape(d, d_in, d, d_in)
+    diag = rows.reshape(d, d_in, -1) @ ks.reshape(n_kraus * dc, d_in).conj()
     q[np.arange(d), :, np.arange(d), :] += diag
-    return y, q
+    return y.reshape(d, d_in, n_kraus, dc), q
 
 
 def _check_povms(d: int, dc: int, *povms: Povm) -> None:
@@ -209,10 +214,11 @@ def coherent_state(chan: Channel, povm_e: Povm, e_basis: OrthoBasis) -> Operator
     _check_povms(d, dc, povm_e)
     ks = chan.kraus
     n_kraus, _, d_in = ks.shape
-    y, q = _dilation_terms(ks, povm_e.elements)
+    y, q = _dilation_terms(ks, povm_e.factors)
     u = e_basis.matrix
     # w[(c, x, a), n] = <c| sum_j u[x, j] M_E,j K_n |a>
-    w = np.einsum("xj,jcna->cxan", u, y, optimize=True).reshape(-1, n_kraus)
+    w = (u @ y.reshape(d, -1)).reshape(d, d_in, n_kraus, dc)
+    w = w.transpose(3, 0, 1, 2).reshape(-1, n_kraus)
     rho = (w @ w.conj().T).reshape(dc, d, d_in, dc, d, d_in)
     rho[0, :, :, 0] += np.einsum(
         "xj,jakb,zk->xazb", u, q, u.conj(), optimize=True
@@ -226,34 +232,41 @@ def coherent_state(chan: Channel, povm_e: Povm, e_basis: OrthoBasis) -> Operator
 def _ctoq_state(
     chan: Channel, povm_e: Povm, povm_f: Povm, e_basis: OrthoBasis, f_basis: OrthoBasis
 ) -> np.ndarray:
-    """``(D o T (x) id_R)(Phi)`` for the decoder ``D`` of :func:`ctoq_delta_q`.
-
-    ``Phi`` is maximally entangled on two copies of the channel's input
-    space R; the result is a ``(d dim R) x (d dim R)`` matrix on
-    ``A (x) R``.  With ``T`` the identity on C it is the Choi matrix of
-    ``D`` over ``dim C``, which fixes ``D`` on all of C.  The R-marginal must
-    be ``I / dim R`` within ``DEFAULT_TOLS.compose_tp``: the decoder
-    preserves the trace of the channel's outputs.
-    """
+    """``(D o T (x) id_R)(Phi)`` for the decoder ``D`` of :func:`ctoq_delta_q`,
+    a ``(d dim R) x (d dim R)`` matrix on ``A (x) R`` for ``Phi`` maximally
+    entangled on two copies of the channel's input space R.  With ``T`` the
+    identity on C it is the Choi matrix of ``D``.  Its R-marginal must be ``I
+    / dim R`` within ``DEFAULT_TOLS.compose_tp``: ``D`` preserves the trace
+    of the channel's outputs."""
     d = e_basis.dim
     if f_basis.dim != d:
         raise ValueError("bases must share a dimension")
     dc = chan.dim_out
     _check_povms(d, dc, povm_e, povm_f)
     d_in = chan.dim_in
-    m_f = povm_f.elements
-    y, q = _dilation_terms(chan.kraus, povm_e.elements)
-    # Z_lj = M_F,l Y_j; traces against X = sum_n K_n|a><b|K_n^dag,
-    # contracted over (C, n): p[l, j, a, k, b] = tr(M_F,l M_E,j X M_E,k)
-    z = (m_f[:, None] @ y.reshape(1, d, dc, -1)).reshape((d,) + y.shape)
-    p = np.einsum("ljcna,kcnb->ljakb", z, y.conj(), optimize=True)
-    c = m_f[:, 0, 0].real
-    g = p + c[:, None, None, None, None] * q
-
+    a_f = povm_f.factors
+    y, q = _dilation_terms(chan.kraus, povm_e.factors)
     u = e_basis.matrix
     phases = np.exp(1j * np.angle(u.conj().T @ f_basis.matrix))  # [j, l]
-    h = np.einsum("jl,ljayb,yl->jayb", phases, g, phases.conj())
-    rho = np.einsum("xj,jayb,zy->xazb", u, h, u.conj(), optimize=True) / d_in
+    # the measured branch: V_l[(j, a), (n, r)] = phi_jl (A_l^dag Y_j)[r, (n,
+    # a)] for one F outcome at a time, so only one V_l is held
+    y = y.reshape(-1, dc)
+    h = np.zeros((d * d_in, d * d_in), dtype=np.complex128)
+    for l in range(d):
+        v = (y @ a_f[l].conj()).reshape(d, -1)
+        v *= phases[:, l, None]
+        v = v.reshape(d * d_in, -1)
+        h += v @ v.conj().T
+        del v
+    h = h.reshape(d, d_in, d, d_in)
+    # the traced-out term, on e0' = |0>, weighted by c_l = <0|M_F,l|0>
+    c = np.sum(np.abs(a_f[:, 0, :]) ** 2, axis=1)
+    h += q * ((phases * c) @ phases.conj().T)[:, None, :, None]
+    del y, q
+    # rho = (U_E (x) I) h (U_E (x) I)^dag, one side at a time
+    rho = (u @ h.reshape(d, -1)).reshape(d * d_in, d, d_in)
+    rho = (rho.transpose(0, 2, 1) @ u.conj().T).transpose(0, 2, 1) / d_in
+    rho = rho.reshape(d, d_in, d, d_in)
     _check_r_marginal(rho, "decoder")
     return rho.reshape(d * d_in, d * d_in)
 
@@ -265,28 +278,34 @@ def ctoq_delta_q(
 
     The decoder ``D`` is the coherent measurement of ``povm_e`` in
     ``e_basis`` followed by the eraser of ``povm_f``, whose phase correction
-    ``Theta_l`` is diagonal in the E basis with the phases of
-    ``<j_E|l_F>``.  It is never assembled as a Kraus set.  With
-    ``A_l = Theta_l U_E`` and ``c_l = <0|M_F,l|0>`` it acts as
+    ``Theta_l`` is diagonal in the E basis with the phases
+    ``phi_jl = phase(<j_E|l_F>)``.  It is never assembled as a Kraus set.
+    With ``c_l = <0|M_F,l|0>`` it acts as
 
-        ``D(X) = sum_l A_l ( [tr(M_F,l M_E,j X M_E,j')]_{jj'}
-        + c_l [delta_jj' tr(M_E,j X) - tr(M_E,j' M_E,j X)]_{jj'} ) A_l^dag``.
+        ``D(X) = sum_l Theta_l U_E ( [tr(M_F,l M_E,j X M_E,j')]_{jj'}
+        + c_l [delta_jj' tr(M_E,j X) - tr(M_E,j' M_E,j X)]_{jj'} )
+        U_E^dag Theta_l^dag``.
 
     The first term is the measured branch.  The second is the part that
     undoing the dilation leaves outside its range, as in
-    :func:`coherent_state`.  It sits on the dilation's fixed vector
-    ``e0' = |0>`` of C, and the eraser then measures ``e0'``, so ``c_l``
-    reads the ``(0, 0)`` entry of ``M_F,l``.
-    A compression of C onto the span of the channel outputs has to keep
-    ``e0'`` as its index 0, or ``c_l`` changes; the one the Hayden-Preskill
-    trials use, :func:`ctoq.qcore.output_span_channel`, does.
-    ``A_l = U_E diag(phase(U_E^dag f_l))`` needs no ``d x d`` product.
+    :func:`coherent_state`, on the dilation's fixed vector ``e0' = |0>`` of
+    C, which the eraser then measures.  A compression of C onto the span of
+    the channel outputs has to keep ``e0'`` as its index 0, as
+    :func:`ctoq.qcore.output_span_channel` does, or ``c_l`` changes.
 
-    Every ``X = K_n|a><a'|K_n^dag`` enters through the branch matrix
-    ``B = [K_n|a>]``: two batched products ``Y_j = M_E,j B`` and
-    ``M_F,l Y_j`` and three contractions over ``(C, n)`` give all three
-    traces on the ``d^2 x d^2`` state ``(D o T (x) id)(Phi)``.  The error is
-    its trace distance to the maximally entangled state ``Phi``.
+    ``X = K_n|a><a'|K_n^dag`` enters through the branch matrix ``B =
+    [K_n|a>]`` and each element through its factor, ``M_l = A_l A_l^dag``.
+    With ``Y_j = A^E_j (A^E_j^dag B)`` and ``W_lj = A^F_l^dag Y_j``, the
+    state ``(D o T (x) id)(Phi)`` is ``(U_E (x) I) h (U_E (x) I)^dag / dim
+    R`` with
+
+        ``h[(j, a), (k, b)] = sum_l phi_jl phi_kl^* <W_lk[:, b], W_lj[:, a]>
+        + q[j, a, k, b] sum_l c_l phi_jl phi_kl^*``,
+
+    one Gram product per F outcome ``l``, ``q`` the traced-out term of
+    :func:`coherent_state` and ``c_l = ||A^F_l[0, :]||^2``; no product of
+    two elements is formed.  The error is the state's trace distance to
+    ``Phi``.
     """
     d = e_basis.dim
     if chan.dim_in != d:
@@ -322,16 +341,9 @@ def xi_ef(
     distribution of the l-th f-vector over the e-basis.  Zero exactly when
     the bases are mutually unbiased.
     """
-    d = e_basis.dim
-    pi = Operator(np.eye(d) / d, (d,), (d,))
-    tau_pi = apply_channel(chan, pi)
     fids = _overlap_fidelities(e_basis, f_basis)
-    q = np.array(
-        [
-            float(np.einsum("ij,ji->", tau_pi.data, m).real)
-            for m in povm_f.elements
-        ]
-    )
+    # tr[T(pi) M_l] is the mean over any basis of tr[T(|i><i|) M_l]
+    q = outcome_weights(povm_f.factors, chan, e_basis).mean(axis=1)
     return float(1.0 - np.dot(q, fids))
 
 
@@ -389,13 +401,8 @@ def povm_from_decoder(decoder: Channel, basis: OrthoBasis) -> Povm:
     d = basis.dim
     if decoder.dim_out != d:
         raise ValueError("decoder output dim must match the basis dim")
-    ks = decoder.kraus
-    elements = []
-    for j in range(d):
-        x = np.einsum("noi,o->ni", ks.conj(), basis.column(j))
-        m = x.T @ x.conj()
-        elements.append((m + m.conj().T) / 2)
-    return Povm(elements)
+    # column n of the factor A_j is H_n^dag |j_W>
+    return Povm(np.einsum("noi,oj->jin", decoder.kraus.conj(), basis.matrix))
 
 
 def noisy_ghz_state(chan: Channel, e_basis: OrthoBasis) -> Operator:
@@ -406,17 +413,9 @@ def noisy_ghz_state(chan: Channel, e_basis: OrthoBasis) -> Operator:
     exactly the coherent measurement's output on half of a maximally
     entangled state (with subsystems reordered to (C, A, R))."""
     d = e_basis.dim
-    ks = chan.kraus
     u = e_basis.matrix
-    ys = np.einsum("noi,ij->njo", ks, u)  # ys[n, j] = K_n |j_E>
-    dc = chan.dim_out
-    dim = d * dc * d
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(d):
-        for i in range(d):
-            t_ji = np.einsum("no,np->op", ys[:, j], ys[:, i].conj())
-            r_part = np.outer(u[:, j].conj(), u[:, i])
-            a_part = np.outer(u[:, j], u[:, i].conj())
-            out += np.kron(np.kron(r_part, t_ji), a_part)
+    ys = np.einsum("noi,ij->njo", chan.kraus, u)  # ys[n, j] = K_n |j_E>
+    # one pure branch per Kraus operator: d^{-1/2} sum_j |j*> K_n|j> |j>
+    psi = np.einsum("xj,njo,zj->nxoz", u.conj(), ys, u).reshape(len(ys), -1)
     dims = (d,) + chan.out_dims + (d,)
-    return Operator(out / d, dims, dims)
+    return Operator(psi.T @ psi.conj() / d, dims, dims)

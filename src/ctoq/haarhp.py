@@ -409,12 +409,12 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     ``d = 2^k``, ``n`` Kraus operators and ``s`` compressed output
     dimensions: the isometry with its Ginibre and QR copies; the Kraus
     stack, its copy and their thin SVD; the outputs read off the
-    compressed channel; both bases' pPGMs, that is their outputs, elements
-    and ``(d, s, m)`` support factors with ``m = min(s, n)``, the Gram
-    matrix of the factors with its eigenvectors, and the POVM check's
-    copies; and the decoder's ``d^2 s n d`` stack ``M_F,l M_E,j B`` with its
-    copies, ``p`` and ``g`` (``d^5`` each) and the ``d^2 x d^2`` state.
-    The first three stages are all that a sample of
+    compressed channel; both bases' pPGMs (outputs, construction
+    temporaries, ``(d, s, m)`` support factors with ``m = min(s, n)``, and
+    their Gram matrix with its eigenvectors); and the decoder (both POVMs'
+    ``(d, s, m + 1)`` factors, the ``d^2 n s`` stack ``M_E,j B`` and one F
+    outcome's ``d^2 n (m + 1)`` products with it, each with a copy, and
+    seven ``d^2 x d^2`` arrays).  The first three stages are all that a sample of
     :func:`pairwise_overlap_samples` runs."""
     d, n = cfg.dim_msg, 2 ** (cfg.n_bh + cfg.n_msg - cfg.n_rad)
     iso = cfg.dim_scrambled * d * cfg.rank
@@ -422,15 +422,15 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     dc = kraus // (n * d)
     m = min(dc, n * d)
     s = min(dc, m + 1)
-    y = d * d * s * n
+    w = min(s, n) + 1
     dm = d * min(s, n)
     return (
         4 * iso,
         iso + 3 * kraus + (dc + n * d) * m + 3 * dc * s + 2 * n * s * d,
         2 * d * s * s + 2 * n * s * d,
         (7 * d + 2) * s * s + 4 * dm * dm + 3 * n * s * d,
-        (6 * d + 2) * s * s + n * s * d + 4 * d**4
-        + max(2 * d * y + 3 * y + d**5, d * y + y + 2 * d**5),
+        (2 * d + 2) * s * s + n * s * d + 4 * d * s * w
+        + 2 * d * d * n * (s + w) + 7 * d**4,
     )
 
 

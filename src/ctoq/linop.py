@@ -24,7 +24,6 @@ __all__ = [
     "permute",
     "trace_distance",
     "support_eigh",
-    "sqrtm_psd",
 ]
 
 
@@ -119,27 +118,6 @@ def trace_distance(rho: Operator, sigma: Operator) -> float:
     diff = _hermitian_part(rho.data - sigma.data, "difference")
     w = np.linalg.eigvalsh(diff)
     return float(0.5 * np.sum(np.abs(w)))
-
-
-def _psd_eigh(data: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    herm = _hermitian_part(data, name)
-    w, v = np.linalg.eigh(herm)
-    floor = -DEFAULT_TOLS.psd * max(1.0, float(w[-1]) if w.size else 1.0)
-    if w.size and w[0] < floor:
-        raise ValueError(f"{name} is not PSD (min eigenvalue {w[0]:.3e})")
-    return np.clip(w, 0.0, None), v
-
-
-def sqrtm_psd(data: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix via eigendecomposition.
-
-    Eigenvalues below the numerical-rank cutoff are zeroed first; the square
-    root would otherwise amplify O(eps) noise to O(sqrt(eps)).
-    """
-    w, v = _psd_eigh(data, "matrix")
-    cut = DEFAULT_TOLS.rank_tol(data.shape[0]) * (float(w[-1]) if w.size else 0.0)
-    w[w <= cut] = 0.0
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def support_eigh(

@@ -27,6 +27,8 @@ from .qcore import (
     basis_outputs,
     collision_entropy,
     cross_overlap,
+    off_diagonal_sum,
+    outcome_weights,
 )
 
 __all__ = [
@@ -42,8 +44,8 @@ __all__ = [
 class PpgmBundle:
     """A built measurement together with everything its bounds read.
 
-    ``povm`` holds the measurement's elements as one ``(d, dC, dC)``
-    stack.  ``supports`` is the read-only ``(d, dC, m)`` stack of the
+    ``povm`` holds the measurement's ``(d, dC, w)`` factor stack (see
+    :func:`build_ppgm`).  ``supports`` is the read-only ``(d, dC, m)`` stack of the
     support factors ``U_j``, orthonormal columns with
     ``U_j U_j^dag = Pi_j``, zero-padded to a common width ``m``.
     ``channel`` and ``basis`` are what the measurement discriminates; the
@@ -81,14 +83,13 @@ def build_ppgm(
     the output fix it only to ``eps lambda_max / lambda_min``.  With
     ``Q = [U_1 ... U_d]`` and ``G = Q^dag Q``, whose nonzero spectrum is that
     of ``Pi``, one eigendecomposition of ``G`` gives ``F = Q G^{-1/2}`` on
-    ``supp G`` and ``M_j = F_j F_j^dag`` for the column blocks ``F_j``: that
-    is ``Pi^{-1/2} Pi_j Pi^{-1/2}`` without forming any ``dC x dC``
-    projector.  ``F F^dag`` projects onto ``supp(Pi)``; the deficiency
-    ``I - F F^dag``, on which no output state has weight, is merged into
-    outcome 0 so the POVM has exactly one outcome per basis vector.  On a
-    channel compressed by :func:`ctoq.qcore.output_span_channel`, as in the
-    Hayden-Preskill trials, ``supp(Pi)`` is the output span, so the
-    deficiency is at most the one pinned ``|0>`` direction.
+    ``supp G``, and its column blocks ``F_j`` are the POVM's factors:
+    ``F_j F_j^dag = Pi^{-1/2} Pi_j Pi^{-1/2}``, with no ``dC x dC`` matrix
+    formed.  The deficiency ``I - F F^dag`` of ``supp(Pi)``, on which no
+    output has weight, goes to outcome 0, whose factor gets an orthonormal
+    basis of it appended (``dC - rank G`` columns, :func:`_deficiency`).  On
+    a channel compressed by :func:`ctoq.qcore.output_span_channel`, as in
+    the Hayden-Preskill trials, that is at most the pinned ``|0>``.
     """
     dc = chan.dim_out
     cdims = chan.out_dims
@@ -117,18 +118,20 @@ def build_ppgm(
     u *= np.arange(m) < ranks[:, None, None]  # drop the columns off the support
     q = u.transpose(1, 0, 2).reshape(dc, d * m)
     w, v, on = support_eigh(q.conj().T @ q, rank_tol)
+    # G has rank at most dC: rounding can lift one of its null eigenvalues
+    # above the cutoff, and F F^dag would then miss being a projector
+    on[: max(len(w) - dc, 0)] = False
     root_w = np.zeros_like(w)
     root_w[on] = w[on] ** -0.5
     f = q @ ((v * root_w) @ v.conj().T)
-    blocks = f.reshape(dc, d, m).transpose(1, 0, 2)
-    elements = blocks @ blocks.conj().transpose(0, 2, 1)
-    elements = (elements + elements.conj().transpose(0, 2, 1)) / 2
+    factors = np.zeros((d, dc, m + max(dc - int(on.sum()), 0)), dtype=np.complex128)
+    factors[:, :, :m] = f.reshape(dc, d, m).transpose(1, 0, 2)
     # deficiency of supp(Pi): outputs never land there, fold into outcome 0
-    elements[0] += np.eye(dc) - f @ f.conj().T
+    factors[0, :, m:] = _deficiency(f, factors.shape[2] - m)
     u.setflags(write=False)
 
     return PpgmBundle(
-        povm=Povm(elements),
+        povm=Povm(factors),
         supports=u,
         channel=chan,
         basis=basis,
@@ -139,14 +142,34 @@ def build_ppgm(
     )
 
 
-def ppgm_error(bundle: PpgmBundle) -> float:
-    """Classical decoding error of the measurement on its own channel.
+def _deficiency(f: np.ndarray, k: int) -> np.ndarray:
+    """``k`` orthonormal columns spanning the range of the projector ``P = I
+    - F F^dag``: its pivoted Cholesky factor, without forming ``P``.  Each
+    column is ``P e_i`` at the largest remaining diagonal entry ``i``, less
+    its part on the columns before it."""
+    e = np.zeros((len(f), k), dtype=np.complex128)
+    diag = 1.0 - np.einsum("cr,cr->c", f, f.conj()).real
+    for s in range(k):
+        i = int(np.argmax(diag))
+        col = -(f @ f[i].conj())
+        col[i] += 1.0
+        col -= e[:, :s] @ e[i, :s].conj()
+        col /= np.linalg.norm(col)
+        e[:, s] = col
+        diag -= np.abs(col) ** 2
+    return e
 
-    Reads the cached output states, so every bound below is evaluated on
-    exactly the same data.
+
+def ppgm_error(bundle: PpgmBundle) -> float:
+    """Classical decoding error ``(1/d) sum_{i != j} tr[M_j tau_i]`` of the
+    measurement on its own channel.
+
+    Each term is ``||A_j^dag B_i||_F^2`` for the POVM's factors ``A_j``,
+    from the same Gram product as :func:`support_bound`.
     """
-    taus = bundle.tau_states
-    return cross_overlap(taus, bundle.povm.elements) / len(taus)
+    d = bundle.basis.dim
+    povm = bundle.povm.factors
+    return off_diagonal_sum(outcome_weights(povm, bundle.channel, bundle.basis)) / d
 
 
 def pairwise_bound(bundle: PpgmBundle) -> tuple[float, float, float]:
@@ -183,10 +206,6 @@ def support_bound(bundle: PpgmBundle) -> float:
     ``||U_i^dag B_j||_F^2`` of the support factors and the branch matrices,
     all of them from one product.
     """
-    u = bundle.supports
-    d, dc, m = u.shape
-    # b[c, (n, j)] = <c|K_n|j>
-    b = (bundle.channel.kraus @ bundle.basis.matrix).transpose(1, 0, 2)
-    prod = u.transpose(1, 0, 2).reshape(dc, d * m).conj().T @ b.reshape(dc, -1)
-    gram = (np.abs(prod) ** 2).reshape(d, m, -1, d).sum(axis=(1, 2))
-    return float(gram[~np.eye(d, dtype=bool)].sum()) / d
+    d = bundle.basis.dim
+    gram = outcome_weights(bundle.supports, bundle.channel, bundle.basis)
+    return off_diagonal_sum(gram) / d

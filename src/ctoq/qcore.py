@@ -15,11 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linop import Operator, permute, sqrtm_psd
+from .linop import Operator, permute
 
 __all__ = [
     "Channel",
     "Povm",
+    "outcome_weights",
+    "off_diagonal_sum",
     "OrthoBasis",
     "ProbDist",
     "max_entangled",
@@ -179,45 +181,54 @@ def output_span_channel(ch: Channel) -> tuple[Channel, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Ordered positive operators summing to the identity.
+    """Ordered positive operators summing to the identity, held as factors.
 
-    ``elements`` holds every element in one read-only ``(n, dim, dim)``
-    complex array; a contiguous complex stack is taken over without a copy.
+    ``factors`` is one read-only ``(n, dim, w)`` complex array ``A``, zero-
+    padded to a common width ``w``; element ``l`` is ``M_l = A_l A_l^dag``,
+    positive by construction.  The entries must be finite and ``sum_l A_l
+    A_l^dag = I`` hold within ``DEFAULT_TOLS.povm``, checked by one product.
+    A contiguous complex stack is taken over without a copy.
     """
 
-    elements: np.ndarray
+    factors: np.ndarray
 
     def __post_init__(self) -> None:
-        stack = np.ascontiguousarray(self.elements, dtype=np.complex128)
-        if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
-            raise ValueError("a POVM needs a nonempty stack of square elements")
-        # a non-finite entry makes the sum, and so its error, non-finite
-        err = np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])))
+        a = np.ascontiguousarray(self.factors, dtype=np.complex128)
+        if a.ndim != 3 or not a.size:
+            raise ValueError("a POVM needs a nonempty (n, dim, w) stack of factors")
+        if not np.isfinite(a).all():
+            raise ValueError("POVM factors must be finite")
+        flat = a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+        err = np.max(np.abs(flat @ flat.conj().T - np.eye(a.shape[1])))
         if not err <= DEFAULT_TOLS.povm:
             raise ValueError(f"POVM does not sum to identity (error {err:.3e})")
-        # 2 (M + povm I) has a Cholesky factor exactly when M > -povm I;
-        # only a failure pays for the eigenvalues that name the offender
-        shifted = stack + stack.conj().transpose(0, 2, 1)
-        shifted += (2 * DEFAULT_TOLS.povm) * np.eye(stack.shape[1])
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            low = float(np.linalg.eigvalsh(shifted)[:, 0].min()) / 2
-            low -= DEFAULT_TOLS.povm
-            if low < -DEFAULT_TOLS.povm:
-                raise ValueError(
-                    f"POVM element not PSD (min eig {low:.3e})"
-                ) from None
-        stack.setflags(write=False)
-        object.__setattr__(self, "elements", stack)
+        a.setflags(write=False)
+        object.__setattr__(self, "factors", a)
 
     @property
     def n_outcomes(self) -> int:
-        return self.elements.shape[0]
+        return self.factors.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[1]
+        return self.factors.shape[1]
+
+
+def outcome_weights(factors: np.ndarray, ch: Channel, basis: OrthoBasis) -> np.ndarray:
+    """``[j, i] = ||A_j^dag B_i||_F^2 = tr(A_j A_j^dag tau_i)`` for a factor
+    stack ``A`` and the branch matrices ``B_i = [K_n|i>]_n``, from one Gram
+    product; no output ``tau_i = B_i B_i^dag`` is formed."""
+    m, dc, w = factors.shape
+    # b[c, (n, i)] = <c|K_n|i>
+    b = (ch.kraus @ basis.matrix).transpose(1, 0, 2)
+    prod = factors.transpose(1, 0, 2).reshape(dc, m * w).conj().T @ b.reshape(dc, -1)
+    return (np.abs(prod) ** 2).reshape(m, w, -1, basis.dim).sum(axis=(1, 2))
+
+
+def off_diagonal_sum(a: np.ndarray) -> float:
+    """Sum of a square array's off-diagonal entries, under a mask rather than
+    as total minus trace, so a small result keeps its full precision."""
+    return float(a[~np.eye(len(a), dtype=bool)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +257,9 @@ def max_correlated_classical(basis: OrthoBasis) -> Operator:
     which the state is the dephased half of the maximally entangled state.
     """
     d = basis.dim
-    first = basis.matrix
-    second = basis.matrix.conj()
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-    for j in range(d):
-        pa = np.outer(first[:, j], first[:, j].conj())
-        pb = np.outer(second[:, j], second[:, j].conj())
-        out += np.kron(pa, pb)
-    return Operator(out / d, (d, d), (d, d))
+    u = basis.matrix
+    v = (u[:, None, :] * u.conj()[None, :, :]).reshape(d * d, d)  # |j j*>
+    return Operator(v @ v.conj().T / d, (d, d), (d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +357,9 @@ def basis_outputs(ch: Channel, basis: OrthoBasis) -> np.ndarray:
 
 
 def cross_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """``sum_{i != j} tr[a_i b_j]`` over two equally long matrix stacks.
-
-    The off-diagonal terms are summed under a mask rather than as total
-    minus trace, so a small result keeps its full precision.
-    """
-    gram = np.einsum("iab,jba->ij", a, b).real
-    return float(gram[~np.eye(len(gram), dtype=bool)].sum())
+    """``sum_{i != j} tr[a_i b_j]`` over two equally long matrix stacks,
+    summed by :func:`off_diagonal_sum`."""
+    return off_diagonal_sum(np.einsum("iab,jba->ij", a, b).real)
 
 
 # ---------------------------------------------------------------------------
@@ -432,35 +434,30 @@ def pauli_basis(n_qubits: int, which: str) -> OrthoBasis:
 
 def dephasing_channel(basis: OrthoBasis) -> Channel:
     """Complete dephasing in the given basis."""
-    d = basis.dim
-    ks = [
-        np.outer(basis.column(j), basis.column(j).conj()) for j in range(d)
-    ]
-    return channel(ks, (d,), (d,))
+    u = basis.matrix
+    return channel(u.T[:, :, None] * u.T.conj()[:, None, :], (basis.dim,), (basis.dim,))
 
 
 def measure_prepare_channel(povm: Povm, outputs: Sequence[Operator]) -> Channel:
     """Channel rho -> sum_j tr[rho M_j] sigma_j.
 
-    One Kraus operator per (outcome, output eigenvector, input basis vector);
-    the outputs must be density operators on a common space.
+    One Kraus operator ``sqrt(w_a) |v_a><A_j[:, r]|`` per (outcome, output
+    eigenvector ``v_a`` of weight ``w_a``, nonzero factor column ``r``); the
+    outputs must be density operators on a common space.
     """
     if len(outputs) != povm.n_outcomes:
         raise ValueError("need one output state per POVM outcome")
-    din = povm.dim
     dout = outputs[0].dim_row
     out_dims = outputs[0].row_dims
     ks = []
-    for m, sigma in zip(povm.elements, outputs):
-        root = sqrtm_psd(m)
+    for a, sigma in zip(povm.factors, outputs):
+        cols = a[:, np.any(a != 0, axis=0)].conj().T
         w, v = np.linalg.eigh((sigma.data + sigma.data.conj().T) / 2)
-        for a in range(dout):
-            if w[a] <= DEFAULT_TOLS.rank_tol(dout) * max(float(w[-1]), 0.0):
+        for j in range(dout):
+            if w[j] <= DEFAULT_TOLS.rank_tol(dout) * max(float(w[-1]), 0.0):
                 continue
-            amp = math.sqrt(float(w[a]))
-            for b in range(din):
-                ks.append(amp * np.outer(v[:, a], root[b, :]))
-    return channel(ks, (din,), out_dims)
+            ks.extend(math.sqrt(float(w[j])) * v[:, j, None] * cols[:, None, :])
+    return channel(ks, (povm.dim,), out_dims)
 
 
 def povm_channel(povm: Povm, basis: OrthoBasis) -> Channel:

@@ -57,17 +57,13 @@ def haar_isometry(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> Povm:
-    """Normalized random PSD set: S^{-1/2} A_j S^{-1/2} with A_j Wishart."""
-    raws = [ginibre(rng, dim, dim) for _ in range(n_outcomes)]
-    psd = [g @ g.conj().T for g in raws]
-    total = sum(psd)
-    w, v = np.linalg.eigh(total)
+    """Normalized random POVM ``M_j = S^{-1/2} g_j g_j^dag S^{-1/2}`` for
+    Ginibre ``g_j`` and ``S = sum_j g_j g_j^dag``, held as the factors
+    ``S^{-1/2} g_j``."""
+    raws = np.stack([ginibre(rng, dim, dim) for _ in range(n_outcomes)])
+    w, v = np.linalg.eigh(np.sum(raws @ raws.conj().transpose(0, 2, 1), axis=0))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    els = []
-    for a in psd:
-        m = inv_root @ a @ inv_root
-        els.append((m + m.conj().T) / 2)
-    return Povm(els)
+    return Povm(inv_root @ raws)
 
 
 def random_channel(
@@ -113,16 +109,12 @@ def random_isometry_channel(
     d = e_basis.dim
     if dim_out < d:
         raise ValueError("need dim_out >= basis dim")
-    g = ginibre(rng, dim_out, d)
-    v = np.linalg.qr(g)[0]
+    v = np.linalg.qr(ginibre(rng, dim_out, d))[0]
     ch = channel([v], (d,), (dim_out,))
-    images = v @ e_basis.matrix  # images of the basis vectors
-    leftover = (np.eye(dim_out) - v @ v.conj().T) / d
-    els = []
-    for j in range(d):
-        m = np.outer(images[:, j], images[:, j].conj()) + leftover
-        els.append((m + m.conj().T) / 2)
-    return ch, Povm(els)
+    factors = np.zeros((d, dim_out, 1 + dim_out - d), dtype=np.complex128)
+    factors[:, :, 0] = (v @ e_basis.matrix).T
+    factors[:, :, 1:] = np.linalg.qr(v, mode="complete")[0][:, d:] / math.sqrt(d)
+    return ch, Povm(factors)
 
 
 def random_block_channel(
@@ -141,20 +133,15 @@ def random_block_channel(
     dc = d * block_size
     rot = haar_isometry(dc, dc, rng)
 
+    # block j of the rotated output space is spanned by these columns
+    blocks = rot.reshape(dc, d, block_size).transpose(1, 0, 2)
     outputs = []
-    projectors = []
     for j in range(d):
         g = ginibre(rng, block_size, block_size)
         blk = g @ g.conj().T
         blk /= np.trace(blk).real
-        full = np.zeros((dc, dc), dtype=np.complex128)
-        sl = slice(j * block_size, (j + 1) * block_size)
-        full[sl, sl] = blk
-        outputs.append(Operator(rot @ full @ rot.conj().T, (dc,), (dc,)))
-        proj = np.zeros((dc, dc), dtype=np.complex128)
-        proj[sl, sl] = np.eye(block_size)
-        projectors.append(rot @ proj @ rot.conj().T)
+        full = blocks[j] @ blk @ blocks[j].conj().T
+        outputs.append(Operator(full, (dc,), (dc,)))
 
-    els = [np.outer(e_basis.column(j), e_basis.column(j).conj()) for j in range(d)]
-    ch = measure_prepare_channel(Povm(els), outputs)
-    return ch, Povm(projectors)
+    readout = Povm(e_basis.matrix.T[:, :, None])  # |j_E><j_E|
+    return measure_prepare_channel(readout, outputs), Povm(blocks)

@@ -121,26 +121,33 @@ def suite_mub_bound(instances: int, seed: int) -> SuiteResult:
     return rec.done(instances)
 
 
-def suite_pairwise_forms(instances: int, seed: int) -> SuiteResult:
-    """Pairwise-overlap bound on the measurement error, both forms."""
-    rng = np.random.default_rng(seed)
-    rec = _Recorder("prop2")
-    done = 0
-    attempts = 0
+def _unflagged_bundles(rng: np.random.Generator, instances: int):
+    """``(i, d, bundle)``: pPGMs of random channels and bases at d = 2, 3, 4 in
+    turn, the ill-conditioned skipped, at most 20 draws per instance."""
+    done = attempts = 0
     while done < instances and attempts < instances * 20:
         attempts += 1
         d = _DIMS[done % len(_DIMS)]
-        dc = d + attempts % 3
-        chan = random_channel(rng, d, dc, 1 + int(rng.integers(4)))
-        basis = random_basis(rng, d)
-        bundle = build_ppgm(chan, basis)
-        if bundle.ill_conditioned:
-            continue
-        done += 1
+        chan = random_channel(rng, d, d + attempts % 3, 1 + int(rng.integers(4)))
+        bundle = build_ppgm(chan, random_basis(rng, d))
+        if not bundle.ill_conditioned:
+            done += 1
+            yield done, d, bundle
+
+
+def suite_pairwise_forms(instances: int, seed: int) -> SuiteResult:
+    """Pairwise-overlap bound on the measurement error, both forms.
+
+    The forms are compared through their numerators, the forms times
+    ``lambda_min``: one ulp of a form can exceed any fixed tolerance."""
+    rec = _Recorder("prop2")
+    done = 0
+    for done, d, bundle in _unflagged_bundles(np.random.default_rng(seed), instances):
         err = ppgm_error(bundle)
-        sum_form, entropy_form, _ = pairwise_bound(bundle)
+        sum_form, entropy_form, lam = pairwise_bound(bundle)
         rec.check(sum_form - err, f"i={done} d={d} bound")
-        rec.check(1e-10 - abs(sum_form - entropy_form), f"i={done} d={d} identity")
+        gap = lam * abs(sum_form - entropy_form)
+        rec.check(1e-10 - gap, f"i={done} d={d} identity")
     return rec.done(done)
 
 
@@ -164,20 +171,9 @@ def suite_defect_bounds(instances: int, seed: int) -> SuiteResult:
 def suite_support_chain(instances: int, seed: int) -> SuiteResult:
     """Error <= support-overlap bound <= pairwise bound, plus the looser
     factor-4 variant."""
-    rng = np.random.default_rng(seed)
     rec = _Recorder("appx_b")
     done = 0
-    attempts = 0
-    while done < instances and attempts < instances * 20:
-        attempts += 1
-        d = _DIMS[done % len(_DIMS)]
-        dc = d + attempts % 3
-        chan = random_channel(rng, d, dc, 1 + int(rng.integers(4)))
-        basis = random_basis(rng, d)
-        bundle = build_ppgm(chan, basis)
-        if bundle.ill_conditioned:
-            continue
-        done += 1
+    for done, d, bundle in _unflagged_bundles(np.random.default_rng(seed), instances):
         err = ppgm_error(bundle)
         mid = support_bound(bundle)
         top = pairwise_bound(bundle)[0]

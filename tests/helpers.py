@@ -2,12 +2,21 @@
 
 No command of the library needs them, so they live here rather than in
 ``src/ctoq``; each is the library function of the same name as it was
-before it left the library, unchanged.  The dense pPGM is the exception to
-the naming: ``dense_build_ppgm`` and ``dense_support_bound`` are
-``ctoq.ppgm.build_ppgm`` and ``ctoq.ppgm.support_bound`` as they were
-before the Gram form replaced them, with one eigendecomposition per output
-and a ``(d, dC, dC)`` stack of support projectors, and they return and read
-a ``DensePpgmBundle``, the bundle of that time.
+before it left the library, unchanged.  The dense forms are the exception
+to the naming:
+
+* ``dense_build_ppgm``, ``dense_support_bound`` and ``dense_ppgm_error``
+  are ``ctoq.ppgm.build_ppgm``, ``support_bound`` and ``ppgm_error`` as
+  they were before the Gram form replaced them, with one eigendecomposition
+  per output and a ``(d, dC, dC)`` stack of support projectors, and they
+  return and read a ``DensePpgmBundle``, the bundle of that time.
+* ``dense_povm`` is the element-based ``ctoq.qcore.Povm`` check, completeness
+  and positivity of a ``(n, dim, dim)`` stack, before POVMs were held as
+  factors; it returns the factored :class:`ctoq.qcore.Povm` of the checked
+  elements.  ``elements`` multiplies a POVM's factors back out.
+* ``dense_ctoq_state`` is ``ctoq.decoder._ctoq_state`` as it was before the
+  factored form: the ``d^2`` products ``M_F,l M_E,j B`` of the elements and
+  the ``d^5`` tensor of their traces.
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ctoq.config import DEFAULT_TOLS
-from ctoq.linop import Operator, support_eigh
+from ctoq.decoder import _check_povms, _check_r_marginal
+from ctoq.linop import Operator, _hermitian_part, support_eigh
 from ctoq.qcore import (
     Channel,
     OrthoBasis,
@@ -136,8 +146,8 @@ def haar_unitary(d: int, rng: np.random.Generator) -> Operator:
 class DensePpgmBundle:
     """A built measurement together with everything its bounds read.
 
-    ``povm`` holds the measurement's elements as one ``(d, dC, dC)``
-    stack; ``tau_states`` and ``projectors`` are read-only ``(d, dC, dC)``
+    ``elements`` is the measurement's ``(d, dC, dC)`` element stack and
+    ``povm`` the checked POVM built from it; ``tau_states`` and ``projectors`` are read-only ``(d, dC, dC)``
     stacks of the outputs and their support projectors, and ``tau_avg`` is
     the outputs' mean.  ``lambda_min`` is the smallest nonzero eigenvalue
     over all outputs; instances where it sits within a decade of the
@@ -146,6 +156,7 @@ class DensePpgmBundle:
     """
 
     povm: Povm
+    elements: np.ndarray
     projectors: np.ndarray
     tau_states: np.ndarray
     tau_avg: Operator
@@ -203,7 +214,8 @@ def dense_build_ppgm(
     elements[0] += np.eye(dc) - (v * on) @ v.conj().T
 
     return DensePpgmBundle(
-        povm=Povm(elements),
+        povm=dense_povm(elements),
+        elements=elements,
         projectors=projectors,
         tau_states=taus,
         tau_avg=Operator(taus.mean(axis=0), cdims, cdims),
@@ -221,3 +233,134 @@ def dense_support_bound(bundle: DensePpgmBundle) -> float:
     """
     taus = bundle.tau_states
     return cross_overlap(bundle.projectors, taus) / len(taus)
+
+
+def dense_ppgm_error(bundle: DensePpgmBundle) -> float:
+    """Classical decoding error of the measurement on its own channel.
+
+    Reads the cached output states, so every bound below is evaluated on
+    exactly the same data.
+    """
+    taus = bundle.tau_states
+    return cross_overlap(taus, bundle.elements) / len(taus)
+
+
+# ---------------------------------------------------------------------------
+# POVMs as element stacks
+
+
+PSD_TOL = 1e-9  # relative negative-eigenvalue slack for PSD inputs
+
+
+def _psd_eigh(data: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    herm = _hermitian_part(data, name)
+    w, v = np.linalg.eigh(herm)
+    floor = -PSD_TOL * max(1.0, float(w[-1]) if w.size else 1.0)
+    if w.size and w[0] < floor:
+        raise ValueError(f"{name} is not PSD (min eigenvalue {w[0]:.3e})")
+    return np.clip(w, 0.0, None), v
+
+
+def sqrtm_psd(data: np.ndarray) -> np.ndarray:
+    """Principal square root of a PSD matrix via eigendecomposition.
+
+    Eigenvalues below the numerical-rank cutoff are zeroed first; the square
+    root would otherwise amplify O(eps) noise to O(sqrt(eps)).
+    """
+    w, v = _psd_eigh(data, "matrix")
+    cut = DEFAULT_TOLS.rank_tol(data.shape[0]) * (float(w[-1]) if w.size else 0.0)
+    w[w <= cut] = 0.0
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def elements(povm: Povm) -> np.ndarray:
+    """The ``(n, dim, dim)`` element stack ``A_l A_l^dag`` of a POVM."""
+    a = povm.factors
+    return a @ a.conj().transpose(0, 2, 1)
+
+
+def dense_povm(stack: Sequence[np.ndarray] | np.ndarray) -> Povm:
+    """Check an element stack as ``Povm`` did before it held factors, then
+    factor it: ``A_l = V_l sqrt(w_l)`` from ``M_l = V_l w_l V_l^dag``, with
+    the eigenvalues the check allows below zero clipped to zero."""
+    stack = np.ascontiguousarray(stack, dtype=np.complex128)
+    if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+        raise ValueError("a POVM needs a nonempty stack of square elements")
+    # a non-finite entry makes the sum, and so its error, non-finite
+    err = np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])))
+    if not err <= DEFAULT_TOLS.povm:
+        raise ValueError(f"POVM does not sum to identity (error {err:.3e})")
+    # 2 (M + povm I) has a Cholesky factor exactly when M > -povm I;
+    # only a failure pays for the eigenvalues that name the offender
+    shifted = stack + stack.conj().transpose(0, 2, 1)
+    shifted += (2 * DEFAULT_TOLS.povm) * np.eye(stack.shape[1])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        low = float(np.linalg.eigvalsh(shifted)[:, 0].min()) / 2
+        low -= DEFAULT_TOLS.povm
+        if low < -DEFAULT_TOLS.povm:
+            raise ValueError(f"POVM element not PSD (min eig {low:.3e})") from None
+    w, v = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)
+    return Povm(v * np.sqrt(np.clip(w, 0.0, None))[:, None, :])
+
+
+# ---------------------------------------------------------------------------
+# the decoder state from element products
+
+
+def _dense_dilation_terms(
+    ks: np.ndarray, m_e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The E-POVM's dilation on the branch matrix ``B = [K_n|a>]``.
+
+    Returns ``Y_j = M_E,j B`` as ``y[j, c, n, a]`` and the traced-out term
+    ``q[j, a, k, b] = delta_jk tr(M_E,j X) - tr(M_E,k M_E,j X)`` for
+    ``X = sum_n K_n|a><b|K_n^dag``.  That term is what undoing the dilation
+    leaves outside its range, ``tr(V^dag P_k (I - V V^dag) P_j V X)``,
+    written with ``V^dag P_k P_j V = delta_jk M_E,j``.
+    """
+    n_kraus, dc, d_in = ks.shape
+    d = m_e.shape[0]
+    b = ks.transpose(1, 0, 2).reshape(dc, n_kraus * d_in)
+    y = (m_e @ b).reshape(d, dc, n_kraus, d_in)
+    q = -np.einsum("jcna,kcnb->jakb", y, y.conj(), optimize=True)
+    diag = np.einsum("jcna,ncb->jab", y, ks.conj(), optimize=True)
+    q[np.arange(d), :, np.arange(d), :] += diag
+    return y, q
+
+
+def dense_ctoq_state(
+    chan: Channel, povm_e: Povm, povm_f: Povm, e_basis: OrthoBasis, f_basis: OrthoBasis
+) -> np.ndarray:
+    """``(D o T (x) id_R)(Phi)`` for the decoder ``D`` of
+    :func:`ctoq.decoder.ctoq_delta_q`.
+
+    ``Phi`` is maximally entangled on two copies of the channel's input
+    space R; the result is a ``(d dim R) x (d dim R)`` matrix on
+    ``A (x) R``.  With ``T`` the identity on C it is the Choi matrix of
+    ``D`` over ``dim C``, which fixes ``D`` on all of C.  The R-marginal must
+    be ``I / dim R`` within ``DEFAULT_TOLS.compose_tp``: the decoder
+    preserves the trace of the channel's outputs.
+    """
+    d = e_basis.dim
+    if f_basis.dim != d:
+        raise ValueError("bases must share a dimension")
+    dc = chan.dim_out
+    _check_povms(d, dc, povm_e, povm_f)
+    d_in = chan.dim_in
+    m_f = elements(povm_f)
+    y, q = _dense_dilation_terms(chan.kraus, elements(povm_e))
+    # Z_lj = M_F,l Y_j; traces against X = sum_n K_n|a><b|K_n^dag,
+    # contracted over (C, n): p[l, j, a, k, b] = tr(M_F,l M_E,j X M_E,k)
+    z = (m_f[:, None] @ y.reshape(1, d, dc, -1)).reshape((d,) + y.shape)
+    p = np.einsum("ljcna,kcnb->ljakb", z, y.conj(), optimize=True)
+    c = m_f[:, 0, 0].real
+    g = p + c[:, None, None, None, None] * q
+
+    u = e_basis.matrix
+    phases = np.exp(1j * np.angle(u.conj().T @ f_basis.matrix))  # [j, l]
+    h = np.einsum("jl,ljayb,yl->jayb", phases, g, phases.conj())
+    rho = np.einsum("xj,jayb,zy->xazb", u, h, u.conj(), optimize=True) / d_in
+    _check_r_marginal(rho, "decoder")
+    return rho.reshape(d * d_in, d * d_in)

@@ -4,9 +4,20 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ctoq.cli import ConfigError, _z_score, load_config, main, parse_config
+import ctoq.cli as cli
+import ctoq.verify as verify
+from ctoq.cli import (
+    _THREE_SIGMA_TAIL,
+    ConfigError,
+    _t_critical,
+    _z_score,
+    load_config,
+    main,
+    parse_config,
+)
 from ctoq.haarhp import HpConfig, sample_peak_bytes, trial_peak_bytes
 
 CONFIG = """\
@@ -108,10 +119,11 @@ def test_load_config_rejects_repeated_ell(tmp_path, ell):
         load_config(write_config(tmp_path, f"n_bh = 2\nn_msg = 1\nell = {ell}\n"))
 
 
-# (3,5,4) pure peaks at 1.2 GiB in the decoder's d^5 tensors, while its
-# samples stay small; (10,4,4) maximally mixed samples a 4 GiB isometry
+# (2,6,4) pure needs about 2.3 GiB, mostly the decoder's d^2 x d^2 arrays
+# at d = 64, while its samples stay small; (10,4,4) maximally mixed samples
+# a 4 GiB isometry
 TOO_BIG = {
-    "hp-run": ((3, 5, 4, [1.0]), "", trial_peak_bytes),
+    "hp-run": ((2, 6, 4, [1.0]), "", trial_peak_bytes),
     "haar-mean": (
         (10, 4, 4, [2.0**-10] * 2**10), "xi = maximally_mixed\n", sample_peak_bytes
     ),
@@ -136,10 +148,11 @@ def test_run_that_cannot_fit_the_address_space_exits_two(tmp_path, command):
 
 
 def test_haar_mean_is_sized_by_its_samples(tmp_path):
-    # hp-run refuses (3,5,4) pure under a 1 GiB limit, but haar-mean builds
+    # hp-run refuses (2,6,4) pure under a 1 GiB limit, but haar-mean builds
     # no decoder and its samples peak at a few MiB
-    assert sample_peak_bytes(HpConfig(3, 5, 4, [1.0])) < 2**26
-    cfg = write_config(tmp_path, "n_bh = 3\nn_msg = 5\nell = 4\ntrials = 20\nseed = 3\n")
+    assert trial_peak_bytes(HpConfig(2, 6, 4, [1.0])) > 2**30
+    assert sample_peak_bytes(HpConfig(2, 6, 4, [1.0])) < 2**26
+    cfg = write_config(tmp_path, "n_bh = 2\nn_msg = 6\nell = 4\ntrials = 20\nseed = 3\n")
     proc = run_cli("haar-mean", "--config", cfg, entry=("-c", LIMITED))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ell=4: closed_form=")
@@ -400,6 +413,65 @@ def test_haar_mean_single_trial_is_a_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err and "trials >= 2" in captured.err
+
+
+def test_t_critical_is_the_three_sigma_quantile():
+    # one degree of freedom is the Cauchy law: P(|T| > t) = 1 - 2 atan(t) / pi
+    assert _THREE_SIGMA_TAIL == pytest.approx(0.0026997960632601866, rel=1e-12)
+    cauchy = 1.0 / math.tan(math.pi * _THREE_SIGMA_TAIL / 2)
+    assert _t_critical(1) == pytest.approx(cauchy, rel=1e-10)  # 235.8
+    # scipy.stats.t.isf(tail / 2, dof), computed once
+    for dof, want in ((2, 19.20674421150858), (19, 3.447233150603715), (10000, 3.000750172530191)):
+        assert _t_critical(dof) == pytest.approx(want, rel=1e-10)
+
+
+def fake_samples(z, trials):
+    """``pairwise_overlap_samples`` whose mean sits ``z`` standard errors
+    from the closed form."""
+
+    def samples(cfg):
+        spread = np.resize([1.0, -1.0], trials) * 1e-3
+        se = spread.std(ddof=1) / math.sqrt(trials)
+        return cli.haar_mean_pairwise_overlap(cfg) + spread - spread.mean() + z * se
+
+    return samples
+
+
+@pytest.mark.parametrize(
+    "trials, z, status",
+    [(2, 200.0, 0), (2, 300.0, 1), (20, 3.3, 0), (20, 3.6, 1)],
+)
+def test_haar_mean_gates_z_at_the_t_quantile(tmp_path, capsys, monkeypatch, trials, z, status):
+    # the 3-sigma level of t with trials - 1 degrees of freedom: 235.8 at
+    # 2 trials, 3.447 at 20
+    monkeypatch.setattr(cli, "pairwise_overlap_samples", fake_samples(z, trials))
+    cfg = write_config(tmp_path, f"n_bh = 3\nn_msg = 1\nell = 2\ntrials = {trials}\n")
+    assert main(["haar-mean", "--config", cfg]) == status
+    assert f"z={z:+.2f} trials={trials}" in capsys.readouterr().out
+
+
+def test_haar_mean_passes_a_correct_two_trial_run(tmp_path, capsys):
+    # a Student t with one degree of freedom: |z| > 3 one run in five
+    cfg = write_config(tmp_path, "n_bh = 3\nn_msg = 5\nell = 4\ntrials = 2\nseed = 3\n")
+    assert main(["haar-mean", "--config", cfg]) == 0
+    assert "z=-11.81 trials=2" in capsys.readouterr().out
+
+
+def test_prop2_compares_the_pairwise_numerators(capsys, monkeypatch):
+    # seed 5006, instance 9: lambda_min 4.2e-8, both forms 2.04e7, and their
+    # 3.6e-9 gap one ulp of them
+    assert main(["verify", "prop2", "--instances", "200", "--seed", "5006"]) == 0
+    assert capsys.readouterr().out.startswith("prop2: PASS instances=200 failures=0")
+    exact = verify.pairwise_bound
+    for shift, failures in ((1.0e-9, 0), (1.2e-9, 12)):
+        # the entropy form's numerator moved by ``shift``: the check fails
+        # beyond 1e-10 + SLACK_TOL = 1.1e-9
+        def shifted(bundle, shift=shift):
+            sum_form, entropy_form, lam = exact(bundle)
+            return sum_form, entropy_form + shift / lam, lam
+
+        monkeypatch.setattr(verify, "pairwise_bound", shifted)
+        assert verify.run_suite("prop2", 12, 5006).failures == failures
 
 
 def test_z_score_degenerate_sample_keeps_the_sign():

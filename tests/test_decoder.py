@@ -17,7 +17,7 @@ from ctoq.decoder import (
     xi_bounds,
     xi_ef,
 )
-from ctoq.linop import Operator, permute, sqrtm_psd, trace_distance
+from ctoq.linop import Operator, permute, trace_distance
 from ctoq.ppgm import build_ppgm
 from ctoq.qcore import (
     Channel,
@@ -38,12 +38,15 @@ from ctoq.sampling import (
     random_povm,
 )
 from tests.helpers import (
+    dense_povm,
     depolarizing_channel,
+    elements,
     haar_unitary,
     identity,
     identity_channel,
     partial_trace,
     random_density,
+    sqrtm_psd,
     unitary_channel,
 )
 from tests.test_equivalence import (
@@ -137,7 +140,7 @@ def test_naimark_projective_exact():
     z = computational_basis(2)
     ext = naimark_extend(projective_povm(z))
     v = ext.data
-    for j, el in enumerate(projective_povm(z).elements):
+    for j, el in enumerate(elements(projective_povm(z))):
         rec = v.conj().T @ outcome_projection(ext, j) @ v
         np.testing.assert_allclose(rec, el, atol=1e-14)
 
@@ -149,11 +152,11 @@ def test_naimark_trine_reconstruction():
         ang = 2 * math.pi * k / 3
         psi = np.array([math.cos(ang / 2), math.sin(ang / 2)], dtype=complex)
         els.append(2 / 3 * np.outer(psi, psi.conj()))
-    povm = Povm(els)
+    povm = dense_povm(els)
     ext = naimark_extend(povm)
     v = ext.data
     np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
-    for j, el in enumerate(povm.elements):
+    for j, el in enumerate(elements(povm)):
         rec = v.conj().T @ outcome_projection(ext, j) @ v
         assert np.max(np.abs(rec - el)) < 1e-12
 
@@ -214,7 +217,7 @@ def test_build_v_inv_isometry_and_range_action():
 
 def test_build_v_inv_unitary_dilation_case():
     # projective POVM on 1 outcome: V is unitary, second term vanishes
-    povm = Povm([np.eye(2)])
+    povm = Povm(np.eye(2)[None])
     ext = naimark_extend(povm)
     v = ext.data
     e0 = v[:, 0]
@@ -310,7 +313,7 @@ def test_coherent_measurement_register_marginal_statistics():
     u = basis.matrix
     in_basis = u.conj().T @ marg @ u
     probs = [
-        float(np.einsum("ij,ji->", rho.data, m).real) for m in povm.elements
+        float(np.einsum("ij,ji->", rho.data, m).real) for m in elements(povm)
     ]
     np.testing.assert_allclose(in_basis, np.diag(probs), atol=1e-10)
 
@@ -350,7 +353,7 @@ def test_build_theta_unitary_random():
 
 def test_eraser_single_outcome_is_partial_trace():
     rng = np.random.default_rng(11)
-    povm = Povm([np.eye(3)])
+    povm = Povm(np.eye(3)[None])
     ch = build_eraser(povm, [identity(2)])
     rho = random_density(rng, 6)
     state = Operator(rho.data, (3, 2), (3, 2))
@@ -385,7 +388,7 @@ def test_eraser_invariant_under_slicing_basis():
     ch = build_eraser(povm, thetas)
     q = haar_unitary(3, rng).data  # random slicing basis of C
     alt_ks = []
-    for m_el, th in zip(povm.elements, thetas):
+    for m_el, th in zip(elements(povm), thetas):
         root = sqrtm_psd(m_el)
         for m in range(3):
             row = q[:, m].conj() @ root
@@ -570,7 +573,7 @@ def test_povm_from_identity_decoder_is_projective():
     rng = np.random.default_rng(20)
     w = random_basis(rng, 3)
     povm = povm_from_decoder(identity_channel(3), w)
-    for j, el in enumerate(povm.elements):
+    for j, el in enumerate(elements(povm)):
         np.testing.assert_allclose(
             el,
             np.outer(w.column(j), w.column(j).conj()),

@@ -42,7 +42,7 @@ from ctoq.haarhp import (
     hp_channel,
     run_trial,
 )
-from ctoq.linop import Operator, sqrtm_psd, trace_distance
+from ctoq.linop import Operator, trace_distance
 from ctoq.ppgm import build_ppgm, pairwise_bound, ppgm_error, support_bound
 from ctoq.qcore import (
     Channel,
@@ -66,8 +66,16 @@ from ctoq.sampling import (
     random_isometry_channel,
     random_povm,
 )
+import ctoq.verify as verify
 from ctoq.verify import SLACK_TOL
-from tests.helpers import dense_build_ppgm, dense_support_bound
+from tests.helpers import (
+    dense_build_ppgm,
+    dense_ctoq_state,
+    dense_ppgm_error,
+    dense_support_bound,
+    elements,
+    sqrtm_psd,
+)
 
 TOL = 1e-12
 # classical errors below this are rounding noise around an exact zero
@@ -201,12 +209,12 @@ def naimark_extend(povm: Povm) -> Operator:
     m = povm.n_outcomes
     dc = povm.dim
     v = np.zeros((dc * m, dc), dtype=np.complex128)
-    for j, el in enumerate(povm.elements):
+    for j, el in enumerate(elements(povm)):
         v[j::m, :] = sqrtm_psd(el)
     err = np.max(np.abs(v.conj().T @ v - np.eye(dc)))
     if err > 1e-9:
         raise ValueError(f"dilation map is not an isometry (error {err:.3e})")
-    for j, el in enumerate(povm.elements):
+    for j, el in enumerate(elements(povm)):
         err = np.max(np.abs(v[j::m].conj().T @ v[j::m] - el))
         if err > 1e-8:
             raise ValueError(f"dilation does not reproduce element {j} ({err:.3e})")
@@ -276,7 +284,7 @@ def build_eraser(povm_f: Povm, thetas) -> Channel:
     d = thetas[0].dim_row
     dc = povm_f.dim
     ks = []
-    for m_el, th in zip(povm_f.elements, thetas):
+    for m_el, th in zip(elements(povm_f), thetas):
         root = sqrtm_psd(m_el)
         # K_{l,m}[a, (c, b)] = Theta_l[a, b] root[m, c]
         block = np.einsum("mc,ab->macb", root, th.data)
@@ -309,7 +317,7 @@ def oracle_ctoq_kraus(povm_e, povm_f, e_basis, f_basis):
     total_ks = []
     for l in range(d):
         theta = build_theta(e_basis, f_basis, l).data
-        m_f = povm_f.elements[l]
+        m_f = elements(povm_f)[l]
         root_f = sqrtm_psd(m_f)
         z = np.stack([root_f @ mj for mj in ms])
         total_ks.extend(np.einsum("ab,bmc->mac", theta @ u, z))
@@ -385,7 +393,7 @@ def check_basis(ch, oracle_ch, basis):
     np.testing.assert_allclose(
         u @ u.conj().transpose(0, 2, 1), projectors_o, rtol=0, atol=TOL
     )
-    got_elements = bundle.povm.elements
+    got_elements = elements(bundle.povm)
     np.testing.assert_allclose(got_elements, elements_o, rtol=0, atol=TOL)
     assert_close(bundle.lambda_min, lam_o, "lambda_min", rel_to=lam_o)
     assert bundle.ill_conditioned == ill_o
@@ -513,9 +521,9 @@ def check_gram_form(ch, basis, rank_tol=None):
         u @ u.conj().transpose(0, 2, 1), want.projectors, rtol=0, atol=TOL
     )
     np.testing.assert_allclose(
-        got.povm.elements, want.povm.elements, rtol=0, atol=TOL
+        elements(got.povm), want.elements, rtol=0, atol=TOL
     )
-    assert_close(ppgm_error(got), ppgm_error(want), "ppgm_error")
+    assert_close(ppgm_error(got), dense_ppgm_error(want), "ppgm_error")
     assert_close(support_bound(got), dense_support_bound(want), "support_bound")
     return got
 
@@ -574,6 +582,73 @@ def test_gram_form_ppgm_and_its_bounds_at_larger_input_dimensions(d):
             assert err <= 4 * mid + SLACK_TOL
         rep = error_report(ch, bundles[0].povm, bundles[1].povm, e_basis, f_basis)
         assert rep.delta_q <= rep.delta_q_bound + SLACK_TOL
+
+
+# ---------------------------------------------------------------------------
+# the decoder state from the POVMs' factors
+
+
+def check_factored_decoder(ch, povm_e, povm_f, e_basis, f_basis):
+    """The factored decoder state against the one built from the element
+    products and the ``d^5`` tensor it replaced, and its ``delta_q``."""
+    d = e_basis.dim
+    args = (povm_e, povm_f, e_basis, f_basis)
+    want = dense_ctoq_state(ch, *args)
+    np.testing.assert_allclose(_ctoq_state(ch, *args), want, rtol=0, atol=TOL)
+    dq = trace_distance(max_entangled(d), Operator(want, (d, d), (d, d)))
+    assert_close(ctoq_delta_q(ch, *args), dq, "delta_q")
+
+
+@pytest.mark.parametrize("xi", list(HP_XI))
+@pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_factored_decoder_matches_the_dense_one_on_hp_channels(shape, xi):
+    cfg = hp_cfg(shape, xi)
+    z, x = pauli_basis(cfg.n_msg, "z"), pauli_basis(cfg.n_msg, "x")
+    for t in range(cfg.trials):
+        ch = _trial_channel(cfg, t)
+        pz = build_ppgm(ch, z, hp_rank_tol(cfg)).povm
+        px = build_ppgm(ch, x, hp_rank_tol(cfg)).povm
+        check_factored_decoder(ch, pz, px, z, x)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factored_decoder_matches_the_dense_one_on_suite_sized_channels(seed):
+    # the pPGMs of two random bases, and two random POVMs
+    rng = np.random.default_rng(900 + seed)
+    d = (2, 3, 4)[seed % 3]
+    ch = random_channel(rng, d, d + seed % 3, 1 + int(rng.integers(4)))
+    e_basis, f_basis = random_basis(rng, d), random_basis(rng, d)
+    povms = [build_ppgm(ch, b).povm for b in (e_basis, f_basis)]
+    check_factored_decoder(ch, *povms, e_basis, f_basis)
+    povms = [random_povm(rng, ch.dim_out, d) for _ in range(2)]
+    check_factored_decoder(ch, *povms, e_basis, f_basis)
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_factored_decoder_matches_the_dense_one_at_larger_input_dimensions(
+    monkeypatch, d
+):
+    # instances as thm1 draws them, at d beyond the suites' 2, 3, 4
+    monkeypatch.setattr(verify, "_DIMS", (d,))
+    rng = np.random.default_rng(970 + d)
+    for i in range(4):
+        _, ch, pe, pf, e_basis, f_basis = verify._instance(rng, i)
+        check_factored_decoder(ch, pe, pf, e_basis, f_basis)
+
+
+@pytest.mark.parametrize(
+    "suite, d",
+    [("thm1", 8), ("thm1", 16), ("cor1", 8), ("cor1", 16), ("appx_a", 8),
+     ("appx_a", 16), ("eq18", 8), ("eq18", 16),
+     # ghz at d = 16 would hold (d^2 dC)^2 = 4096^2 states
+     ("ghz", 8)],
+)
+def test_random_povm_suites_at_larger_input_dimensions(monkeypatch, suite, d):
+    # the suites that draw random POVMs, at d beyond their 2, 3, 4
+    monkeypatch.setattr(verify, "_DIMS", (d,))
+    result = verify.run_suite(suite, 6, 980 + d)
+    assert result.passed, result.notes
+    assert result.instances == 6
 
 
 def _branches(ch):

@@ -63,6 +63,8 @@ NOT_RUN_BY_A_COMMAND = {
     ("decoder.py", "delta_cl_tracenorm"): "acceptance criterion 03",
     ("qcore.py", "max_correlated_classical"): "delta_cl_tracenorm, criterion 03",
     ("qcore.py", "povm_channel"): "delta_cl_tracenorm, criterion 03",
+    ("qcore.py", "apply_channel"): "delta_cl_tracenorm, criterion 03",
+    ("qcore.py", "_resolve_targets"): "apply_channel, criterion 03",
 }
 
 

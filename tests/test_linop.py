@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctoq.linop import Operator, permute, sqrtm_psd, support_eigh, trace_distance
+from ctoq.linop import Operator, permute, support_eigh, trace_distance
 from ctoq.sampling import ginibre
 from tests.helpers import (
     func_on_support,
@@ -12,6 +12,7 @@ from tests.helpers import (
     operator,
     partial_trace,
     random_density,
+    sqrtm_psd,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -10,7 +10,7 @@ from ctoq.ppgm import (
 )
 from ctoq.qcore import Povm, computational_basis, measure_prepare_channel, pauli_basis
 from ctoq.sampling import ginibre, random_basis, random_block_channel, random_channel
-from tests.helpers import depolarizing_channel, func_on_support, operator
+from tests.helpers import depolarizing_channel, elements, func_on_support, operator
 
 
 def support_projection(rho):
@@ -52,7 +52,7 @@ def test_ppgm_orthogonal_supports_decodes_perfectly():
 def test_ppgm_depolarizing_qubit():
     z = pauli_basis(1, "z")
     bundle = build_ppgm(depolarizing_channel(2), z)
-    for el in bundle.povm.elements:
+    for el in elements(bundle.povm):
         np.testing.assert_allclose(el, np.eye(2) / 2, atol=1e-12)
     assert ppgm_error(bundle) == pytest.approx(0.5, abs=1e-12)
     sum_form, entropy_form, lam = pairwise_bound(bundle)
@@ -68,7 +68,7 @@ def test_ppgm_povm_complete_randomized():
         d = (2, 3)[i % 2]
         chan = random_channel(rng, d, d + 1 + i % 2, int(rng.integers(1, 4)))
         bundle = build_ppgm(chan, random_basis(rng, d))  # Povm validates
-        total = bundle.povm.elements.sum(axis=0)
+        total = elements(bundle.povm).sum(axis=0)
         assert np.max(np.abs(total - np.eye(chan.dim_out))) < 1e-9
 
 
@@ -116,7 +116,7 @@ def test_ill_conditioned_flag():
     # one output eigenvalue sits just above the support cutoff
     tiny = 1e-15
     z = computational_basis(2)
-    povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    povm = Povm(np.eye(2)[:, :, None])  # |0><0|, |1><1|
     outputs = [
         operator(np.diag([1.0 - tiny, tiny]), 2),
         operator(np.diag([0.5, 0.5]), 2),

@@ -26,7 +26,9 @@ from ctoq.qcore import (
 )
 from ctoq.sampling import random_basis, random_channel, random_povm
 from tests.helpers import (
+    dense_povm,
     depolarizing_channel,
+    elements,
     haar_unitary,
     identity_channel,
     operator,
@@ -37,7 +39,7 @@ from tests.helpers import (
 
 
 def projective_povm(basis: OrthoBasis) -> Povm:
-    return Povm([np.outer(col, col.conj()) for col in basis.matrix.T])
+    return Povm(basis.matrix.T[:, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -62,41 +64,73 @@ def test_probdist_rejects_large_drift_and_negatives():
 
 
 def test_povm_validation():
-    half = np.eye(2) / 2
-    povm = Povm([half, half])
-    assert povm.elements.shape == (2, 2, 2) and (povm.n_outcomes, povm.dim) == (2, 2)
+    root_half = np.eye(2) / math.sqrt(2)
+    povm = Povm([root_half, root_half])
+    assert povm.factors.shape == (2, 2, 2) and (povm.n_outcomes, povm.dim) == (2, 2)
+    np.testing.assert_allclose(elements(povm), [np.eye(2) / 2] * 2, atol=1e-15)
     with pytest.raises(ValueError):
-        povm.elements[0, 0, 0] = 1.0
+        povm.factors[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        Povm([half, np.eye(2)])  # sums to 1.5 I
-    with pytest.raises(ValueError):
-        Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
-    for bad in (np.zeros((0, 2, 2)), np.eye(2), np.ones((1, 2, 3))):
+        Povm([root_half, np.eye(2)])  # sums to 1.5 I
+    for bad in (np.zeros((0, 2, 2)), np.zeros((2, 2, 0)), np.eye(2), np.ones((1, 2, 3))):
         with pytest.raises(ValueError):
             Povm(bad)
+    # factors of unequal widths, zero-padded: |0><0| and |1><1| + 0
+    padded = Povm([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    np.testing.assert_array_equal(elements(padded), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+def test_povm_completeness_check_keeps_its_threshold():
+    # sum_l A_l A_l^dag off the identity by 0.99e-9 is accepted, by 1.01e-9
+    # refused, on the diagonal and off it
+    assert DEFAULT_TOLS.povm == 1e-9
+
+    def on_diagonal(off):
+        return Povm([np.diag([math.sqrt(1.0 + off), 1.0]), np.zeros((2, 2))])
+
+    def off_diagonal(off):
+        # a = sqrt(off) (1, 1) beside diag(1 - |a_i|^2): the sum is I + off X
+        a = math.sqrt(off) * np.ones(2)
+        return Povm([np.diag(np.sqrt(1.0 - a**2)), np.stack([a, np.zeros(2)], axis=1)])
+
+    for make in (on_diagonal, off_diagonal):
+        make(0.0)
+        make(0.99e-9)
+        with pytest.raises(ValueError, match=r"does not sum to identity \(error 1.010e-09\)"):
+            make(1.01e-9)
 
 
 def test_povm_psd_check_keeps_its_threshold():
-    # the Cholesky check of M + povm I accepts what the eigenvalue check
-    # accepted and refuses with the smallest eigenvalue
-    assert DEFAULT_TOLS.povm == 1e-9
+    # the element-based check the factored Povm replaced, kept for dense
+    # inputs: the Cholesky check of M + povm I accepts what the eigenvalue
+    # check accepted and refuses with the smallest eigenvalue
     for low in (-0.99e-9, 0.0):
-        Povm([np.diag([low, 0.5]), np.diag([1.0 - low, 0.5])])
+        povm = dense_povm([np.diag([low, 0.5]), np.diag([1.0 - low, 0.5])])
+        np.testing.assert_allclose(elements(povm)[0], np.diag([0.0, 0.5]), atol=1e-15)
     with pytest.raises(ValueError, match=r"not PSD \(min eig -1.010e-09\)"):
-        Povm([np.diag([-1.01e-9, 0.5]), np.diag([1.0 + 1.01e-9, 0.5])])
+        dense_povm([np.diag([-1.01e-9, 0.5]), np.diag([1.0 + 1.01e-9, 0.5])])
     rot = haar_unitary(3, np.random.default_rng(5)).data
     tilted = rot @ np.diag([-1.01e-9, 0.25, 0.5]) @ rot.conj().T
     with pytest.raises(ValueError, match="not PSD"):
-        Povm([tilted, np.eye(3) - tilted])
+        dense_povm([tilted, np.eye(3) - tilted])
+    half = np.eye(2) / 2
+    with pytest.raises(ValueError, match="does not sum to identity"):
+        dense_povm([half, np.eye(2)])
+    with pytest.raises(ValueError):
+        dense_povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
 
 def test_povm_rejects_non_finite_elements():
-    half = np.eye(2) / 2
     for bad in (np.nan, np.inf):
-        broken = half.copy()
-        broken[0, 0] = bad
+        broken = np.eye(2) / math.sqrt(2)
+        broken[0, 1] = bad
+        with pytest.raises(ValueError, match="factors must be finite"):
+            Povm([broken, np.eye(2) / math.sqrt(2)])
+        half = np.eye(2) / 2
+        dense = half.copy()
+        dense[0, 0] = bad
         with pytest.raises(ValueError, match="does not sum to identity"):
-            Povm([broken, half])
+            dense_povm([dense, half])
 
 
 def test_channel_rejects_non_finite_kraus():
@@ -423,7 +457,7 @@ def test_povm_channel_statistics():
     out = apply_channel(ch, rho)
     for j in range(3):
         prob = float(
-            np.einsum("ij,ji->", rho.data, povm.elements[j]).real
+            np.einsum("ij,ji->", rho.data, elements(povm)[j]).real
         )
         got = float(
             (basis.column(j).conj() @ out.data @ basis.column(j)).real
