@@ -36,15 +36,11 @@ from .qcore import (
     Channel,
     OrthoBasis,
     Povm,
-    apply_channel,
     bhattacharyya,
-    max_correlated_classical,
-    max_entangled,
     max_entangled_vector,
     off_diagonal_sum,
     outcome_weights,
     overlap_distribution,
-    povm_channel,
     ProbDist,
 )
 
@@ -52,7 +48,6 @@ __all__ = [
     "ErrorReport",
     "delta_q",
     "delta_cl",
-    "delta_cl_tracenorm",
     "coherent_state",
     "ctoq_delta_q",
     "xi_ef",
@@ -103,13 +98,14 @@ def delta_q(decoder: Channel, chan: Channel) -> float:
             f"decoder input dim {decoder.dim_in} != channel output dim "
             f"{chan.dim_out}"
         )
-    kx = chan.kraus @ max_entangled_vector(d).reshape(d, d)
+    phi = max_entangled_vector(d)
+    kx = chan.kraus @ phi.reshape(d, d)
     # branch (k, h) is H_h K_k phi, all of them in one contraction
     y = np.einsum(
         "hac,kcb->khab", decoder.kraus, kx, optimize=True
     ).reshape(-1, d * d)
     out = Operator(y.T @ y.conj(), (d, d), (d, d))
-    return trace_distance(max_entangled(d), out)
+    return trace_distance(Operator(phi[:, None], (d, d), (1,)), out)
 
 
 def delta_cl(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
@@ -127,49 +123,34 @@ def delta_cl(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
     return off_diagonal_sum(outcome_weights(povm.factors, chan, basis)) / d
 
 
-def delta_cl_tracenorm(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
-    """Trace-norm form of the classical decoding error.
-
-    Half the trace distance between the maximally correlated state (conjugate
-    basis on the reference factor) and its image under the channel followed
-    by the measure-and-prepare map of the POVM.
-    """
-    omega = max_correlated_classical(basis)
-    after = apply_channel(chan, omega, targets=[0])
-    # the readout measures C as one factor
-    dims = (chan.dim_out, basis.dim)
-    after = Operator(after.data, dims, dims)
-    back = apply_channel(povm_channel(povm, basis), after, targets=[0])
-    return trace_distance(omega, back)
-
-
 # ---------------------------------------------------------------------------
 # construction
 
 
-def _dilation_terms(
-    ks: np.ndarray, a_e: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _dilation_terms(ks: np.ndarray, a_e: np.ndarray) -> np.ndarray:
     """The E-POVM's dilation on the branch matrix ``B = [K_n|a>]``, from the
-    POVM's factors ``A_j``.
-
-    Returns ``Y_j = M_E,j B = A_j (A_j^dag B)`` as ``y[j, a, n, c]`` and the
-    traced-out term ``q[j, a, k, b] = delta_jk tr(M_E,j X) - tr(M_E,k M_E,j
-    X)`` for ``X = sum_n K_n|a><b|K_n^dag``: what undoing the dilation
-    leaves outside its range, ``tr(V^dag P_k (I - V V^dag) P_j V X)`` with
-    ``V^dag P_k P_j V = delta_jk M_E,j``.  Both traces are Gram products
-    over ``(n, c)``.
-    """
+    POVM's factors ``A_j``: ``Y_j = M_E,j B = A_j (A_j^dag B)`` as
+    ``y[j, a, n, c]``."""
     n_kraus, dc, d_in = ks.shape
-    d = a_e.shape[0]
     # rows (a, n), columns c: the transpose of B
     bt = ks.transpose(2, 0, 1).reshape(d_in * n_kraus, dc)
     y = (bt @ a_e.conj()) @ a_e.transpose(0, 2, 1)
-    rows = y.reshape(d * d_in, n_kraus * dc)
-    q = -(rows @ rows.conj().T).reshape(d, d_in, d, d_in)
-    diag = rows.reshape(d, d_in, -1) @ ks.reshape(n_kraus * dc, d_in).conj()
+    return y.reshape(len(a_e), d_in, n_kraus, dc)
+
+
+def _traced_out_term(y: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """``q[j, a, k, b] = delta_jk tr(M_E,j X) - tr(M_E,k M_E,j X)`` for ``X
+    = sum_n K_n|a><b|K_n^dag``, from the Gram products over ``(n, c)`` of
+    ``y`` of :func:`_dilation_terms`: what undoing the dilation leaves
+    outside its range, ``tr(V^dag P_k (I - V V^dag) P_j V X)`` with
+    ``V^dag P_k P_j V = delta_jk M_E,j``."""
+    d, d_in = y.shape[:2]
+    rows = y.reshape(d * d_in, -1)
+    q = rows @ rows.conj().T
+    q = np.negative(q, out=q).reshape(d, d_in, d, d_in)
+    diag = rows.reshape(d, d_in, -1) @ ks.reshape(-1, d_in).conj()
     q[np.arange(d), :, np.arange(d), :] += diag
-    return y.reshape(d, d_in, n_kraus, dc), q
+    return q
 
 
 def _check_povms(d: int, dc: int, *povms: Povm) -> None:
@@ -214,7 +195,8 @@ def coherent_state(chan: Channel, povm_e: Povm, e_basis: OrthoBasis) -> Operator
     _check_povms(d, dc, povm_e)
     ks = chan.kraus
     n_kraus, _, d_in = ks.shape
-    y, q = _dilation_terms(ks, povm_e.factors)
+    y = _dilation_terms(ks, povm_e.factors)
+    q = _traced_out_term(y, ks)
     u = e_basis.matrix
     # w[(c, x, a), n] = <c| sum_j u[x, j] M_E,j K_n |a>
     w = (u @ y.reshape(d, -1)).reshape(d, d_in, n_kraus, dc)
@@ -245,28 +227,33 @@ def _ctoq_state(
     _check_povms(d, dc, povm_e, povm_f)
     d_in = chan.dim_in
     a_f = povm_f.factors
-    y, q = _dilation_terms(chan.kraus, povm_e.factors)
+    y = _dilation_terms(chan.kraus, povm_e.factors)
     u = e_basis.matrix
     phases = np.exp(1j * np.angle(u.conj().T @ f_basis.matrix))  # [j, l]
     # the measured branch: V_l[(j, a), (n, r)] = phi_jl (A_l^dag Y_j)[r, (n,
     # a)] for one F outcome at a time, so only one V_l is held
-    y = y.reshape(-1, dc)
     h = np.zeros((d * d_in, d * d_in), dtype=np.complex128)
     for l in range(d):
-        v = (y @ a_f[l].conj()).reshape(d, -1)
+        v = (y.reshape(-1, dc) @ a_f[l].conj()).reshape(d, -1)
         v *= phases[:, l, None]
         v = v.reshape(d * d_in, -1)
         h += v @ v.conj().T
         del v
     h = h.reshape(d, d_in, d, d_in)
-    # the traced-out term, on e0' = |0>, weighted by c_l = <0|M_F,l|0>
+    # the traced-out term, on e0' = |0>, weighted by c_l = <0|M_F,l|0>;
+    # formed only now and scaled in place, so that at most two d^2 dim_in^2
+    # arrays are held at a time here
     c = np.sum(np.abs(a_f[:, 0, :]) ** 2, axis=1)
-    h += q * ((phases * c) @ phases.conj().T)[:, None, :, None]
+    q = _traced_out_term(y, chan.kraus)
+    q *= ((phases * c) @ phases.conj().T)[:, None, :, None]
+    h += q
     del y, q
     # rho = (U_E (x) I) h (U_E (x) I)^dag, one side at a time
     rho = (u @ h.reshape(d, -1)).reshape(d * d_in, d, d_in)
-    rho = (rho.transpose(0, 2, 1) @ u.conj().T).transpose(0, 2, 1) / d_in
-    rho = rho.reshape(d, d_in, d, d_in)
+    del h
+    rho = rho.transpose(0, 2, 1) @ u.conj().T
+    rho /= d_in
+    rho = np.ascontiguousarray(rho.transpose(0, 2, 1)).reshape(d, d_in, d, d_in)
     _check_r_marginal(rho, "decoder")
     return rho.reshape(d * d_in, d * d_in)
 
@@ -311,7 +298,8 @@ def ctoq_delta_q(
     if chan.dim_in != d:
         raise ValueError(f"basis dim {d} != channel input dim {chan.dim_in}")
     rho = _ctoq_state(chan, povm_e, povm_f, e_basis, f_basis)
-    return trace_distance(max_entangled(d), Operator(rho, (d, d), (d, d)))
+    phi = Operator(max_entangled_vector(d)[:, None], (d, d), (1,))
+    return trace_distance(phi, Operator(rho, (d, d), (d, d)))
 
 
 # ---------------------------------------------------------------------------

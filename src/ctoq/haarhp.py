@@ -37,11 +37,10 @@ from .decoder import ctoq_delta_q
 from .ppgm import support_bound, build_ppgm, ppgm_error, pairwise_bound
 from .qcore import (
     Channel,
-    basis_outputs,
     channel,
     collision_entropy,
-    computational_basis,
     cross_overlap,
+    off_diagonal_sum,
     output_span_channel,
     pauli_basis,
 )
@@ -322,13 +321,6 @@ def _trial_isometry(cfg: HpConfig, trial: int) -> np.ndarray:
     )
 
 
-def _trial_channel(cfg: HpConfig, trial: int) -> Channel:
-    """The trial's retrieval channel, compressed onto the span of its
-    outputs plus ``|0>`` (:func:`output_span_channel`)."""
-    ch, _ = output_span_channel(hp_channel(_trial_isometry(cfg, trial), cfg))
-    return ch
-
-
 def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
     """One trial: sample the scrambling isometry, build the channel and both
     measurements, and evaluate every error functional, the decoder's in
@@ -404,6 +396,14 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
         )
 
 
+def _sizes(cfg: HpConfig) -> tuple[int, int, int, int, int]:
+    """``(d, n, iso, kraus, dC)``: ``2^k``, the Kraus count, the entries of
+    the isometry and the Kraus stack, and the uncompressed output dim."""
+    d, n = cfg.dim_msg, 2 ** (cfg.n_bh + cfg.n_msg - cfg.n_rad)
+    kraus = cfg.dim_scrambled * cfg.dim_past * d
+    return d, n, cfg.dim_scrambled * d * cfg.rank, kraus, kraus // (n * d)
+
+
 def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     """Complex entries alive at the peak of each stage of a trial, with
     ``d = 2^k``, ``n`` Kraus operators and ``s`` compressed output
@@ -414,12 +414,9 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     their Gram matrix with its eigenvectors); and the decoder (both POVMs'
     ``(d, s, m + 1)`` factors, the ``d^2 n s`` stack ``M_E,j B`` and one F
     outcome's ``d^2 n (m + 1)`` products with it, each with a copy, and
-    seven ``d^2 x d^2`` arrays).  The first three stages are all that a sample of
-    :func:`pairwise_overlap_samples` runs."""
-    d, n = cfg.dim_msg, 2 ** (cfg.n_bh + cfg.n_msg - cfg.n_rad)
-    iso = cfg.dim_scrambled * d * cfg.rank
-    kraus = cfg.dim_scrambled * cfg.dim_past * d
-    dc = kraus // (n * d)
+    three ``d^2 x d^2`` arrays: the state with a term being added, or
+    with its difference to ``Phi`` and that one's eigenvalue copy)."""
+    d, n, iso, kraus, dc = _sizes(cfg)
     m = min(dc, n * d)
     s = min(dc, m + 1)
     w = min(s, n) + 1
@@ -430,7 +427,7 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
         2 * d * s * s + 2 * n * s * d,
         (7 * d + 2) * s * s + 4 * dm * dm + 3 * n * s * d,
         (2 * d + 2) * s * s + n * s * d + 4 * d * s * w
-        + 2 * d * d * n * (s + w) + 7 * d**4,
+        + 2 * d * d * n * (s + w) + 3 * d**4,
     )
 
 
@@ -449,10 +446,13 @@ def trial_peak_bytes(cfg: HpConfig) -> int:
 
 def sample_peak_bytes(cfg: HpConfig) -> int:
     """Upper estimate of the bytes one sample of
-    :func:`pairwise_overlap_samples` holds at its peak: the isometry, the
-    Kraus stack and its compression, and the outputs, with no pPGM or
-    decoder."""
-    return _peak_bytes(_stage_entries(cfg)[:3])
+    :func:`pairwise_overlap_samples` holds at its peak: the isometry with
+    its Ginibre and QR copies; two of each of it and the Kraus stack while
+    the channel is built; the stack with two copies and the ``(n d)^2`` Gram
+    matrix and its moduli or the ``d dC^2`` outputs, by side."""
+    d, n, iso, kraus, dc = _sizes(cfg)
+    side = 3 * (n * d) ** 2 // 2 if _gram_side(n, dc, d) else d * dc * dc
+    return _peak_bytes((4 * iso, 2 * iso + 2 * kraus, 3 * kraus + side))
 
 
 def run_experiment(cfg: HpConfig, n_jobs: int = 1) -> list[TrialResult]:
@@ -470,18 +470,43 @@ def run_experiment(cfg: HpConfig, n_jobs: int = 1) -> list[TrialResult]:
         return [f.result() for f in futures]
 
 
+def _gram_side(n: int, dc: int, d: int) -> bool:
+    """Whether :func:`_pairwise_overlap` of ``n`` Kraus operators
+    ``dC x d`` costs fewer multiply-adds on the Gram side, about
+    ``d^2 n^2 dC``, than on the output side, about ``d dC^2 (n + d)``."""
+    return d * n * n < dc * (n + d)
+
+
+def _pairwise_overlap(ks: np.ndarray) -> float:
+    """``sum_{i != j} tr[tau_i tau_j]`` for the branch matrices ``B_i =
+    [K_n|i>]_n`` of an ``(n, dC, d)`` Kraus stack, on the side
+    :func:`_gram_side` picks."""
+    n, dc, d = ks.shape
+    if _gram_side(n, dc, d):
+        b = ks.transpose(1, 0, 2).reshape(dc, n * d)  # column (n, i) is K_n|i>
+        g = np.abs(b.conj().T @ b)
+        g *= g
+        return off_diagonal_sum(g.reshape(n, d, n, d).sum(axis=(0, 2)))
+    b = np.ascontiguousarray(ks.transpose(2, 1, 0))  # b[i] = B_i
+    taus = b @ b.conj().transpose(0, 2, 1)
+    return cross_overlap(taus, taus)
+
+
 def pairwise_overlap_samples(cfg: HpConfig) -> np.ndarray:
     """Per-trial values of ``sum_{i != j} tr[xi_i xi_j]``.
 
-    The Monte-Carlo counterpart of :func:`haar_mean_pairwise_overlap`; no
-    measurements or decoders are built, and the outputs are read on the
-    channel compressed onto their span, so large sample counts stay cheap.
-    The value is basis independent in distribution; the computational basis
-    is used.
+    The Monte-Carlo counterpart of :func:`haar_mean_pairwise_overlap`, on
+    the draws of :func:`run_trial` with no measurement or decoder.  The
+    value is basis independent in distribution; in the computational basis
+    the branch matrices ``B_i = [K_n|i>]_n`` are slices of the Kraus stack.
+    It is read on the side with fewer multiply-adds: the ``(d, dC, dC)``
+    outputs ``B_i B_i^dag`` and their contraction, about ``d dC^2 (n +
+    d)``, or the ``n x n`` blocks, ``tr[tau_i tau_j] = ||B_i^dag
+    B_j||_F^2``, about ``d^2 n^2 dC``.  Neither needs the compression that
+    :func:`run_trial` makes for its measurements: an isometry onto a space
+    holding every output leaves each ``tr[tau_i tau_j]`` as it is.
     """
-    basis = computational_basis(cfg.dim_msg)
     out = np.empty(cfg.trials)
     for t in range(cfg.trials):
-        taus = basis_outputs(_trial_channel(cfg, t), basis)
-        out[t] = cross_overlap(taus, taus)
+        out[t] = _pairwise_overlap(hp_channel(_trial_isometry(cfg, t), cfg).kraus)
     return out

@@ -24,8 +24,6 @@ __all__ = [
     "off_diagonal_sum",
     "OrthoBasis",
     "ProbDist",
-    "max_entangled",
-    "max_correlated_classical",
     "apply_channel",
     "basis_outputs",
     "output_span_channel",
@@ -37,7 +35,6 @@ __all__ = [
     "fourier_basis",
     "computational_basis",
     "dephasing_channel",
-    "povm_channel",
     "measure_prepare_channel",
     "is_mub",
 ]
@@ -241,27 +238,6 @@ def max_entangled_vector(d: int) -> np.ndarray:
     return vec
 
 
-def max_entangled(d: int) -> Operator:
-    """Maximally entangled state d^{-1/2} sum_j |jj> as a density operator."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    vec = max_entangled_vector(d)
-    return Operator(np.outer(vec, vec.conj()), (d, d), (d, d))
-
-
-def max_correlated_classical(basis: OrthoBasis) -> Operator:
-    """Maximally correlated classical state d^{-1} sum_j |j j*><j j*| in a
-    basis.
-
-    The second factor uses the conjugate basis {|j*>}, the convention under
-    which the state is the dephased half of the maximally entangled state.
-    """
-    d = basis.dim
-    u = basis.matrix
-    v = (u[:, None, :] * u.conj()[None, :, :]).reshape(d * d, d)  # |j j*>
-    return Operator(v @ v.conj().T / d, (d, d), (d, d))
-
-
 # ---------------------------------------------------------------------------
 # channel application
 
@@ -458,15 +434,3 @@ def measure_prepare_channel(povm: Povm, outputs: Sequence[Operator]) -> Channel:
                 continue
             ks.extend(math.sqrt(float(w[j])) * v[:, j, None] * cols[:, None, :])
     return channel(ks, (povm.dim,), out_dims)
-
-
-def povm_channel(povm: Povm, basis: OrthoBasis) -> Channel:
-    """Measure-and-prepare map rho -> sum_j tr[rho M_j] |j_W><j_W|."""
-    if povm.n_outcomes != basis.dim:
-        raise ValueError("need one POVM outcome per basis vector")
-    d = basis.dim
-    outputs = [
-        Operator(np.outer(basis.column(j), basis.column(j).conj()), (d,), (d,))
-        for j in range(d)
-    ]
-    return measure_prepare_channel(povm, outputs)

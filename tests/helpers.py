@@ -17,6 +17,15 @@ to the naming:
 * ``dense_ctoq_state`` is ``ctoq.decoder._ctoq_state`` as it was before the
   factored form: the ``d^2`` products ``M_F,l M_E,j B`` of the elements and
   the ``d^5`` tensor of their traces.
+* ``max_entangled``, ``max_correlated_classical``, ``povm_channel`` and
+  ``delta_cl_tracenorm`` are the dense states and the trace-norm form of
+  the classical error that criterion 03 compares ``delta_cl`` with; no
+  command ran them, and the decoder takes ``Phi`` as a ket.
+* ``compressed_pairwise_overlap_samples`` is
+  ``ctoq.haarhp.pairwise_overlap_samples`` as it was before it read the
+  overlap off the uncompressed branch matrices: each sample's channel
+  compressed by ``_trial_channel``, its ``(d, s, s)`` outputs and their
+  ``cross_overlap``.
 """
 
 from __future__ import annotations
@@ -29,14 +38,20 @@ import numpy as np
 
 from ctoq.config import DEFAULT_TOLS
 from ctoq.decoder import _check_povms, _check_r_marginal
-from ctoq.linop import Operator, _hermitian_part, support_eigh
+from ctoq.haarhp import HpConfig, _trial_isometry, hp_channel
+from ctoq.linop import Operator, _hermitian_part, support_eigh, trace_distance
 from ctoq.qcore import (
     Channel,
     OrthoBasis,
     Povm,
+    apply_channel,
     basis_outputs,
     channel,
+    computational_basis,
     cross_overlap,
+    max_entangled_vector,
+    measure_prepare_channel,
+    output_span_channel,
 )
 from ctoq.sampling import ginibre, haar_isometry
 
@@ -364,3 +379,78 @@ def dense_ctoq_state(
     rho = np.einsum("xj,jayb,zy->xazb", u, h, u.conj(), optimize=True) / d_in
     _check_r_marginal(rho, "decoder")
     return rho.reshape(d * d_in, d * d_in)
+
+
+# ---------------------------------------------------------------------------
+# Haar samples through the compressed channel
+
+
+def _trial_channel(cfg: HpConfig, trial: int) -> Channel:
+    """The trial's retrieval channel, compressed onto the span of its
+    outputs plus ``|0>`` (:func:`output_span_channel`)."""
+    ch, _ = output_span_channel(hp_channel(_trial_isometry(cfg, trial), cfg))
+    return ch
+
+
+def compressed_pairwise_overlap_samples(cfg: HpConfig) -> np.ndarray:
+    """Per-trial values of ``sum_{i != j} tr[xi_i xi_j]``, read off the
+    outputs of each trial's compressed channel in the computational basis."""
+    basis = computational_basis(cfg.dim_msg)
+    out = np.empty(cfg.trials)
+    for t in range(cfg.trials):
+        taus = basis_outputs(_trial_channel(cfg, t), basis)
+        out[t] = cross_overlap(taus, taus)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# dense states and the trace-norm classical error
+
+
+def max_entangled(d: int) -> Operator:
+    """Maximally entangled state d^{-1/2} sum_j |jj> as a density operator."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    vec = max_entangled_vector(d)
+    return Operator(np.outer(vec, vec.conj()), (d, d), (d, d))
+
+
+def max_correlated_classical(basis: OrthoBasis) -> Operator:
+    """Maximally correlated classical state d^{-1} sum_j |j j*><j j*| in a
+    basis.
+
+    The second factor uses the conjugate basis {|j*>}, the convention under
+    which the state is the dephased half of the maximally entangled state.
+    """
+    d = basis.dim
+    u = basis.matrix
+    v = (u[:, None, :] * u.conj()[None, :, :]).reshape(d * d, d)  # |j j*>
+    return Operator(v @ v.conj().T / d, (d, d), (d, d))
+
+
+def povm_channel(povm: Povm, basis: OrthoBasis) -> Channel:
+    """Measure-and-prepare map rho -> sum_j tr[rho M_j] |j_W><j_W|."""
+    if povm.n_outcomes != basis.dim:
+        raise ValueError("need one POVM outcome per basis vector")
+    d = basis.dim
+    outputs = [
+        Operator(np.outer(basis.column(j), basis.column(j).conj()), (d,), (d,))
+        for j in range(d)
+    ]
+    return measure_prepare_channel(povm, outputs)
+
+
+def delta_cl_tracenorm(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
+    """Trace-norm form of the classical decoding error.
+
+    Half the trace distance between the maximally correlated state (conjugate
+    basis on the reference factor) and its image under the channel followed
+    by the measure-and-prepare map of the POVM.
+    """
+    omega = max_correlated_classical(basis)
+    after = apply_channel(chan, omega, targets=[0])
+    # the readout measures C as one factor
+    dims = (chan.dim_out, basis.dim)
+    after = Operator(after.data, dims, dims)
+    back = apply_channel(povm_channel(povm, basis), after, targets=[0])
+    return trace_distance(omega, back)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import ctoq
-from ctoq.decoder import delta_cl, delta_cl_tracenorm
+from ctoq.decoder import delta_cl
 from ctoq.haarhp import (
     HpConfig,
     haar_mean_pairwise_overlap,
@@ -32,6 +32,7 @@ from ctoq.verify import (
     suite_pairwise_forms,
     suite_decoder_bound,
 )
+from tests.helpers import delta_cl_tracenorm
 
 SEED = 20240817
 PACKAGE_ROOT = Path(ctoq.__file__).resolve().parents[1]

@@ -119,7 +119,7 @@ def test_load_config_rejects_repeated_ell(tmp_path, ell):
         load_config(write_config(tmp_path, f"n_bh = 2\nn_msg = 1\nell = {ell}\n"))
 
 
-# (2,6,4) pure needs about 2.3 GiB, mostly the decoder's d^2 x d^2 arrays
+# (2,6,4) pure needs about 1.1 GiB, mostly the decoder's d^2 x d^2 arrays
 # at d = 64, while its samples stay small; (10,4,4) maximally mixed samples
 # a 4 GiB isometry
 TOO_BIG = {

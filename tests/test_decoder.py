@@ -9,7 +9,6 @@ from ctoq.decoder import (
     coherent_state,
     ctoq_delta_q,
     delta_cl,
-    delta_cl_tracenorm,
     delta_q,
     noisy_ghz_state,
     povm_from_decoder,
@@ -26,7 +25,6 @@ from ctoq.qcore import (
     channel,
     computational_basis,
     dephasing_channel,
-    max_entangled,
     pauli_basis,
 )
 from ctoq.sampling import (
@@ -38,12 +36,14 @@ from ctoq.sampling import (
     random_povm,
 )
 from tests.helpers import (
+    delta_cl_tracenorm,
     dense_povm,
     depolarizing_channel,
     elements,
     haar_unitary,
     identity,
     identity_channel,
+    max_entangled,
     partial_trace,
     random_density,
     sqrtm_psd,

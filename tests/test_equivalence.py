@@ -9,7 +9,8 @@ function, the error functionals as double loops, the overlap sums as
 ``total - trace``, the Naimark dilation and the coherent measurement as a
 Kraus stack over a full-QR range complement, and the composite decoder's
 Kraus set assembled one operator at a time, with the eraser and its phase
-corrections as channels.  Every quantity the library reports must agree
+corrections as channels, and the Haar samples' pairwise overlap from the
+outputs of the compressed channel.  Every quantity the library reports must agree
 with them to 1e-12 (relative where it is divided by ``lambda_min``); the
 closed-form decoder and coherent-measurement states must agree with the
 states propagated through the assembled Kraus sets to 1e-12, and the
@@ -37,9 +38,9 @@ from ctoq.decoder import (
 from ctoq.haarhp import (
     HpConfig,
     TrialResult,
-    _trial_channel,
     _trial_rng,
     hp_channel,
+    pairwise_overlap_samples,
     run_trial,
 )
 from ctoq.linop import Operator, trace_distance
@@ -53,7 +54,6 @@ from ctoq.qcore import (
     channel,
     collision_entropy,
     cross_overlap,
-    max_entangled,
     max_entangled_vector,
     output_span_channel,
     pauli_basis,
@@ -66,14 +66,18 @@ from ctoq.sampling import (
     random_isometry_channel,
     random_povm,
 )
+import ctoq.haarhp as haarhp
 import ctoq.verify as verify
 from ctoq.verify import SLACK_TOL
 from tests.helpers import (
+    _trial_channel,
+    compressed_pairwise_overlap_samples,
     dense_build_ppgm,
     dense_ctoq_state,
     dense_ppgm_error,
     dense_support_bound,
     elements,
+    max_entangled,
     sqrtm_psd,
 )
 
@@ -500,6 +504,66 @@ def test_run_trial_matches_the_full_space_trial(shape, xi):
             assert abs(got.bound_two_term - want.bound_two_term) <= 2 * math.sqrt(
                 2 * NOISE
             )
+
+
+def overlap_samples_and_sides(cfg, monkeypatch):
+    """``pairwise_overlap_samples(cfg)`` and, per sample, the side that
+    summed it: the Gram side sums its blocks with ``off_diagonal_sum``, the
+    output side with ``cross_overlap``."""
+    sides = []
+    for name, side in (("off_diagonal_sum", "gram"), ("cross_overlap", "outputs")):
+        def spy(*args, real=getattr(haarhp, name), side=side):
+            sides.append(side)
+            return real(*args)
+        monkeypatch.setattr(haarhp, name, spy)
+    return pairwise_overlap_samples(cfg), sides
+
+
+def cheaper_side(cfg):
+    """The side of fewer multiply-adds, counted from the shapes: ``d dC^2
+    (n + d)`` for the outputs, ``d^2 n^2 dC`` for the Gram blocks."""
+    d, n = cfg.dim_msg, 2 ** (cfg.n_bh + cfg.n_msg - cfg.n_rad)
+    dc = cfg.dim_past * 2**cfg.n_rad
+    return "gram" if d * d * n * n * dc < d * dc * dc * (n + d) else "outputs"
+
+
+def check_overlap_samples(cfg, monkeypatch):
+    """The samples against the compressed channel's outputs on the same
+    draws, to 1e-12 relative, or absolute where the overlap is below
+    1e-12; returns the side every sample was read on."""
+    got, sides = overlap_samples_and_sides(cfg, monkeypatch)
+    want = compressed_pairwise_overlap_samples(cfg)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= TOL * (abs(w) if abs(w) >= TOL else 1.0), (g, w)
+    assert sides == [cheaper_side(cfg)] * cfg.trials
+    return sides[0]
+
+
+@pytest.mark.parametrize("xi", list(HP_XI))
+@pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_overlap_samples_match_the_compressed_outputs_on_hp_channels(
+    shape, xi, monkeypatch
+):
+    check_overlap_samples(hp_cfg(shape, xi), monkeypatch)
+
+
+@pytest.mark.parametrize("xi", ["pure", "mixed"])
+def test_overlap_samples_match_the_compressed_outputs_on_the_bench_sweep(
+    xi, monkeypatch
+):
+    sides = [
+        check_overlap_samples(hp_cfg((5, 2, ell), xi), monkeypatch)
+        for ell in range(2, 6)
+    ]
+    if xi == "pure":  # one sweep covers both sides
+        assert sides == ["outputs", "outputs", "gram", "gram"]
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 4), (6, 2, 4)], ids=["2-6-4", "6-2-4"])
+def test_overlap_samples_match_the_compressed_outputs_at_wide_shapes(
+    shape, monkeypatch
+):
+    check_overlap_samples(hp_cfg(shape, "pure"), monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from ctoq.decoder import ctoq_delta_q
 from ctoq.haarhp import (
     HpConfig,
+    _gram_side,
+    _sizes,
     _trial_rng,
     derived_quantities,
     haar_mean_pairwise_overlap,
@@ -16,13 +18,21 @@ from ctoq.haarhp import (
     run_experiment,
     run_trial,
     average_error_bound,
+    sample_peak_bytes,
     trial_peak_bytes,
 )
 from ctoq.linop import Operator, permute
 from ctoq.ppgm import build_ppgm, ppgm_error
-from ctoq.qcore import apply_channel, basis_outputs, max_entangled, pauli_basis
+from ctoq.qcore import apply_channel, basis_outputs, pauli_basis
 from ctoq.sampling import haar_isometry
-from tests.helpers import haar_unitary, kron, partial_trace, random_density, unitary_channel
+from tests.helpers import (
+    haar_unitary,
+    kron,
+    max_entangled,
+    partial_trace,
+    random_density,
+    unitary_channel,
+)
 
 PURE = (1.0,)
 
@@ -561,6 +571,7 @@ def test_run_trial_memory_stays_small_at_ten_two_ten_pure():
         (6, 2, 2, 64),  # maximally mixed, 65 MiB, half of it the two pPGMs
         (9, 1, 9, 512),  # maximally mixed, 104 MiB in the compression
         (14, 2, 4, 1),  # 191 MiB in the decoder's M_F,l M_E,j B stack
+        (1, 5, 3, 1),  # d = 32: 51 MiB, three 16 MiB d^2 x d^2 arrays
     ],
 )
 def test_trial_peak_bytes_bounds_the_traced_peak(n_bh, n_msg, ell, rank):
@@ -575,4 +586,29 @@ def test_trial_peak_bytes_bounds_the_traced_peak(n_bh, n_msg, ell, rank):
     estimate = trial_peak_bytes(cfg)
     assert estimate >= peak
     if peak >= 64 * 2**20:
+        assert estimate <= 4 * peak
+
+
+@pytest.mark.parametrize(
+    "n_bh, n_msg, ell, rank, gram",
+    [
+        (14, 2, 4, 1, False),  # 25 MiB, the isometry's QR copies
+        (8, 2, 1, 256, False),  # maximally mixed, 65 MiB
+        (10, 2, 10, 1, True),
+        (7, 2, 6, 128, True),  # maximally mixed, 16 MiB
+    ],
+)
+def test_sample_peak_bytes_bounds_the_traced_peak(n_bh, n_msg, ell, rank, gram):
+    cfg = HpConfig(n_bh, n_msg, ell, [1.0 / rank] * rank, seed=1)
+    d, n, _, _, dc = _sizes(cfg)
+    assert _gram_side(n, dc, d) == gram
+    tracemalloc.start()
+    try:
+        pairwise_overlap_samples(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = sample_peak_bytes(cfg)
+    assert estimate >= peak
+    if peak >= 16 * 2**20:
         assert estimate <= 4 * peak

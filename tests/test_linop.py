@@ -241,6 +241,25 @@ def test_trace_distance_eigen_vs_singular():
         assert td == pytest.approx(0.5 * s.sum(), abs=1e-10)
 
 
+def test_trace_distance_takes_a_pure_state_as_its_ket():
+    # the same distance, bit for bit, as from the dense projector, whether
+    # the ket has zero entries (the maximally entangled one) or none
+    rng = np.random.default_rng(31)
+    phi = np.zeros(9, dtype=complex)
+    phi[::4] = 1 / math.sqrt(3)
+    psi = ginibre(rng, 9, 1)[:, 0]
+    for vec in (phi, psi / np.linalg.norm(psi)):
+        ket = Operator(vec[:, None], (3, 3), (1,))
+        dense = Operator(np.outer(vec, vec.conj()), (3, 3), (3, 3))
+        for sigma in (random_density(rng, 9), dense):
+            sigma = Operator(sigma.data, (3, 3), (3, 3))
+            assert trace_distance(ket, sigma) == trace_distance(dense, sigma)
+    with pytest.raises(ValueError, match="norm"):
+        trace_distance(Operator(2 * phi[:, None], (3, 3), (1,)), dense)
+    with pytest.raises(ValueError, match="mismatch"):
+        trace_distance(Operator(phi[:, None], (9,), (1,)), dense)
+
+
 def test_trace_distance_rejects_mismatch():
     with pytest.raises(ValueError):
         trace_distance(identity(2), Operator(np.eye(4) / 4, (2, 2), (2, 2)))

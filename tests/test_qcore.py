@@ -18,11 +18,8 @@ from ctoq.qcore import (
     dephasing_channel,
     fourier_basis,
     is_mub,
-    max_correlated_classical,
-    max_entangled,
     overlap_distribution,
     pauli_basis,
-    povm_channel,
 )
 from ctoq.sampling import random_basis, random_channel, random_povm
 from tests.helpers import (
@@ -31,8 +28,11 @@ from tests.helpers import (
     elements,
     haar_unitary,
     identity_channel,
+    max_correlated_classical,
+    max_entangled,
     operator,
     partial_trace,
+    povm_channel,
     random_density,
     unitary_channel,
 )
