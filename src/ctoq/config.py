@@ -25,8 +25,6 @@ class Tolerances:
     povm:           completeness slack for measurement factors
     channel_tp:     Kraus completeness slack for freshly built channels
     compose_tp:     looser completeness slack after channel composition
-    prob_norm:      probability vector normalization drift; above this is
-                    an error, below it the vector is silently renormalized
     state_trace:    unit-trace slack for density operators
     """
 
@@ -35,7 +33,6 @@ class Tolerances:
     povm: float = 1e-9
     channel_tp: float = 1e-9
     compose_tp: float = 1e-8
-    prob_norm: float = 1e-10
     state_trace: float = 1e-9
 
     def rank_tol(self, dim: int) -> float:

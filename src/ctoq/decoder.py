@@ -36,12 +36,9 @@ from .qcore import (
     Channel,
     OrthoBasis,
     Povm,
-    bhattacharyya,
     max_entangled_vector,
     off_diagonal_sum,
     outcome_weights,
-    overlap_distribution,
-    ProbDist,
 )
 
 __all__ = [
@@ -307,14 +304,12 @@ def ctoq_delta_q(
 
 
 def _overlap_fidelities(e_basis: OrthoBasis, f_basis: OrthoBasis) -> np.ndarray:
-    d = e_basis.dim
-    unif = ProbDist(np.full(d, 1.0 / d))
-    return np.array(
-        [
-            bhattacharyya(unif, overlap_distribution(e_basis, f_basis, l))
-            for l in range(d)
-        ]
-    )
+    """Classical fidelities ``F_l = (sum_j sqrt(p_l(j) / d))^2`` of the
+    uniform distribution with the overlap distributions ``p_l(j) =
+    |<j_E|l_F>|^2``, that is ``(sum_j |<j_E|l_F>|)^2 / d``, from one product
+    of the two basis matrices."""
+    amps = np.abs(e_basis.matrix.conj().T @ f_basis.matrix)
+    return amps.sum(axis=0) ** 2 / e_basis.dim
 
 
 def xi_ef(

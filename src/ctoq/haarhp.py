@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .decoder import ctoq_delta_q
-from .ppgm import support_bound, build_ppgm, ppgm_error, pairwise_bound
+from .decoder import ctoq_delta_q, delta_cl
+from .ppgm import support_bound, build_ppgm, pairwise_bound
 from .qcore import (
     Channel,
     channel,
@@ -356,8 +356,8 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
         stage = "bounds"
         taus_z = bundle_z.tau_states
         purities_z = np.einsum("jab,jba->j", taus_z, taus_z).real
-        dcl_z = ppgm_error(bundle_z)
-        dcl_x = ppgm_error(bundle_x)
+        dcl_z = delta_cl(bundle_z.povm, ch, basis_z)
+        dcl_x = delta_cl(bundle_x.povm, ch, basis_x)
         sum_z, ent_z, lam_z = pairwise_bound(bundle_z)
         sum_x, ent_x, lam_x = pairwise_bound(bundle_x)
         bound = math.sqrt(max(dcl_z * (2.0 - dcl_z), 0.0)) + math.sqrt(max(dcl_x, 0.0))

@@ -62,10 +62,6 @@ class Operator:
         object.__setattr__(self, "col_dims", col_dims)
 
     @property
-    def dim_row(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def is_square(self) -> bool:
         return self.row_dims == self.col_dims
 

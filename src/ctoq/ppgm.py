@@ -34,7 +34,6 @@ from .qcore import (
 __all__ = [
     "PpgmBundle",
     "build_ppgm",
-    "ppgm_error",
     "pairwise_bound",
     "support_bound",
 ]
@@ -158,18 +157,6 @@ def _deficiency(f: np.ndarray, k: int) -> np.ndarray:
         e[:, s] = col
         diag -= np.abs(col) ** 2
     return e
-
-
-def ppgm_error(bundle: PpgmBundle) -> float:
-    """Classical decoding error ``(1/d) sum_{i != j} tr[M_j tau_i]`` of the
-    measurement on its own channel.
-
-    Each term is ``||A_j^dag B_i||_F^2`` for the POVM's factors ``A_j``,
-    from the same Gram product as :func:`support_bound`.
-    """
-    d = bundle.basis.dim
-    povm = bundle.povm.factors
-    return off_diagonal_sum(outcome_weights(povm, bundle.channel, bundle.basis)) / d
 
 
 def pairwise_bound(bundle: PpgmBundle) -> tuple[float, float, float]:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linop import Operator, permute
+from .linop import Operator
 
 __all__ = [
     "Channel",
@@ -23,19 +23,14 @@ __all__ = [
     "outcome_weights",
     "off_diagonal_sum",
     "OrthoBasis",
-    "ProbDist",
-    "apply_channel",
     "basis_outputs",
     "output_span_channel",
     "cross_overlap",
-    "bhattacharyya",
     "collision_entropy",
-    "overlap_distribution",
     "pauli_basis",
     "fourier_basis",
     "computational_basis",
     "dephasing_channel",
-    "measure_prepare_channel",
     "is_mub",
 ]
 
@@ -60,33 +55,6 @@ class OrthoBasis:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
-
-
-@dataclass(frozen=True, eq=False)
-class ProbDist:
-    """Probability vector; tiny normalization drift is silently repaired."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64).copy()
-        if w.ndim != 1:
-            raise ValueError("weights must be a vector")
-        if w.size and w.min() < -DEFAULT_TOLS.prob_norm:
-            raise ValueError(f"negative weight {w.min():.3e}")
-        w = np.clip(w, 0.0, None)
-        total = float(w.sum())
-        if abs(total - 1.0) > DEFAULT_TOLS.prob_norm:
-            raise ValueError(f"weights sum to {total:.12g}, expected 1")
-        w /= total
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        return self.weights.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,80 +207,7 @@ def max_entangled_vector(d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# channel application
-
-
-def _resolve_targets(
-    state: Operator, ch: Channel, targets: Sequence[int] | None
-) -> list[int]:
-    dims = state.row_dims
-    if targets is None:
-        targets = tuple(range(len(ch.in_dims)))
-    targets = [int(t) for t in targets]
-    if sorted(set(targets)) != targets:
-        raise ValueError("targets must be strictly ascending")
-    if any(t < 0 or t >= len(dims) for t in targets):
-        raise IndexError(f"targets {targets} out of range")
-    tdims = tuple(dims[t] for t in targets)
-    if tdims != ch.in_dims:
-        raise ValueError(
-            f"target dims {tdims} do not match channel input {ch.in_dims}"
-        )
-    return targets
-
-
-def apply_channel(
-    ch: Channel,
-    state: Operator,
-    targets: Sequence[int] | None = None,
-) -> Operator:
-    """Kraus sum on the target subsystems, identity on the rest.
-
-    The channel's output subsystems take the position of the first target;
-    untouched subsystems keep their relative order.
-    """
-    if not state.is_square:
-        raise ValueError("apply_channel needs a square state")
-    dims = state.row_dims
-    n = len(dims)
-    targets = _resolve_targets(state, ch, targets)
-    ks = ch.kraus
-
-    if len(targets) == n:
-        out = np.einsum(
-            "nij,jk,nlk->il", ks, state.data, ks.conj(), optimize=True
-        )
-        return Operator(out, ch.out_dims, ch.out_dims)
-
-    rest = [i for i in range(n) if i not in targets]
-    dt = math.prod(ch.in_dims)
-    dr = math.prod(dims[i] for i in rest)
-    tensor = state.data.reshape(dims + dims)
-    axes = targets + rest
-    tensor = tensor.transpose(axes + [n + i for i in axes])
-    st4 = tensor.reshape(dt, dr, dt, dr)
-    out4 = np.einsum("not,tasb,nps->oapb", ks, st4, ks.conj(), optimize=True)
-
-    do = math.prod(ch.out_dims)
-    out_dims = ch.out_dims + tuple(dims[i] for i in rest)
-    result = Operator(out4.reshape(do * dr, do * dr), out_dims, out_dims)
-
-    # current order is [out block, rest...]; move the out block to where the
-    # first target subsystem was
-    n_out = len(ch.out_dims)
-    cur = [("out", j) for j in range(n_out)] + [("rest", i) for i in rest]
-    final: list[tuple[str, int]] = []
-    for i in range(n):
-        if i == targets[0]:
-            final.extend(("out", j) for j in range(n_out))
-        elif i in targets:
-            continue
-        else:
-            final.append(("rest", i))
-    order = [cur.index(x) for x in final]
-    if order != list(range(len(cur))):
-        result = permute(result, order)
-    return result
+# channel outputs
 
 
 def basis_outputs(ch: Channel, basis: OrthoBasis) -> np.ndarray:
@@ -339,30 +234,13 @@ def cross_overlap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# classical helpers
-
-
-def bhattacharyya(p: ProbDist, q: ProbDist) -> float:
-    """Classical fidelity (sum_j sqrt(p_j q_j))^2 between distributions."""
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    return float(np.sum(np.sqrt(p.weights * q.weights)) ** 2)
+# entropy and basis overlaps
 
 
 def collision_entropy(rho: Operator) -> float:
     """Renyi-2 entropy -log2 tr(rho^2)."""
     purity = float(np.einsum("ij,ji->", rho.data, rho.data).real)
     return -math.log2(purity)
-
-
-def overlap_distribution(e: OrthoBasis, f: OrthoBasis, l: int) -> ProbDist:
-    """Distribution p_l(j) = |<j_e|l_f>|^2 of one f-vector over the e-basis."""
-    if e.dim != f.dim:
-        raise ValueError(f"dimension mismatch: {e.dim} vs {f.dim}")
-    if not 0 <= l < f.dim:
-        raise IndexError(f"outcome {l} out of range for dim {f.dim}")
-    amps = e.matrix.conj().T @ f.column(l)
-    return ProbDist(np.abs(amps) ** 2)
 
 
 def is_mub(e: OrthoBasis, f: OrthoBasis) -> bool:
@@ -413,24 +291,3 @@ def dephasing_channel(basis: OrthoBasis) -> Channel:
     u = basis.matrix
     return channel(u.T[:, :, None] * u.T.conj()[:, None, :], (basis.dim,), (basis.dim,))
 
-
-def measure_prepare_channel(povm: Povm, outputs: Sequence[Operator]) -> Channel:
-    """Channel rho -> sum_j tr[rho M_j] sigma_j.
-
-    One Kraus operator ``sqrt(w_a) |v_a><A_j[:, r]|`` per (outcome, output
-    eigenvector ``v_a`` of weight ``w_a``, nonzero factor column ``r``); the
-    outputs must be density operators on a common space.
-    """
-    if len(outputs) != povm.n_outcomes:
-        raise ValueError("need one output state per POVM outcome")
-    dout = outputs[0].dim_row
-    out_dims = outputs[0].row_dims
-    ks = []
-    for a, sigma in zip(povm.factors, outputs):
-        cols = a[:, np.any(a != 0, axis=0)].conj().T
-        w, v = np.linalg.eigh((sigma.data + sigma.data.conj().T) / 2)
-        for j in range(dout):
-            if w[j] <= DEFAULT_TOLS.rank_tol(dout) * max(float(w[-1]), 0.0):
-                continue
-            ks.extend(math.sqrt(float(w[j])) * v[:, j, None] * cols[:, None, :])
-    return channel(ks, (povm.dim,), out_dims)

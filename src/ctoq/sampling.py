@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .linop import Operator
 from .qcore import (
     Channel,
     OrthoBasis,
@@ -20,7 +19,6 @@ from .qcore import (
     channel,
     computational_basis,
     fourier_basis,
-    measure_prepare_channel,
     pauli_basis,
 )
 
@@ -127,7 +125,10 @@ def random_block_channel(
     label perfectly.
 
     The block structure is hidden behind a Haar rotation of the output
-    space so nothing is axis-aligned.
+    space so nothing is axis-aligned.  Label ``j`` prepares ``sigma_j = c_j
+    c_j^dag`` with ``c_j = R_j g_j / ||g_j||_F`` for the rotated block
+    ``R_j`` and a Ginibre ``g_j``; the Kraus operators are ``c_j[:, r]
+    <j_E|``, one per column ``r``.
     """
     d = e_basis.dim
     dc = d * block_size
@@ -135,13 +136,10 @@ def random_block_channel(
 
     # block j of the rotated output space is spanned by these columns
     blocks = rot.reshape(dc, d, block_size).transpose(1, 0, 2)
-    outputs = []
+    bras = e_basis.matrix.T.conj()  # row j is <j_E|
+    ks = np.empty((d, block_size, dc, d), dtype=np.complex128)
     for j in range(d):
         g = ginibre(rng, block_size, block_size)
-        blk = g @ g.conj().T
-        blk /= np.trace(blk).real
-        full = blocks[j] @ blk @ blocks[j].conj().T
-        outputs.append(Operator(full, (dc,), (dc,)))
-
-    readout = Povm(e_basis.matrix.T[:, :, None])  # |j_E><j_E|
-    return measure_prepare_channel(readout, outputs), Povm(blocks)
+        c = blocks[j] @ g / np.linalg.norm(g)
+        ks[j] = c.T[:, :, None] * bras[j]
+    return channel(ks.reshape(-1, dc, d), (d,), (dc,)), Povm(blocks)

@@ -24,7 +24,7 @@ from .decoder import (
     xi_ef,
 )
 from .linop import permute, trace_distance
-from .ppgm import support_bound, build_ppgm, ppgm_error, pairwise_bound
+from .ppgm import support_bound, build_ppgm, pairwise_bound
 from .qcore import is_mub
 from .sampling import (
     mub_pair,
@@ -143,7 +143,7 @@ def suite_pairwise_forms(instances: int, seed: int) -> SuiteResult:
     rec = _Recorder("prop2")
     done = 0
     for done, d, bundle in _unflagged_bundles(np.random.default_rng(seed), instances):
-        err = ppgm_error(bundle)
+        err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
         sum_form, entropy_form, lam = pairwise_bound(bundle)
         rec.check(sum_form - err, f"i={done} d={d} bound")
         gap = lam * abs(sum_form - entropy_form)
@@ -174,7 +174,7 @@ def suite_support_chain(instances: int, seed: int) -> SuiteResult:
     rec = _Recorder("appx_b")
     done = 0
     for done, d, bundle in _unflagged_bundles(np.random.default_rng(seed), instances):
-        err = ppgm_error(bundle)
+        err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
         mid = support_bound(bundle)
         top = pairwise_bound(bundle)[0]
         rec.check(mid - err, f"i={done} d={d} error<=support")

@@ -21,6 +21,13 @@ to the naming:
   ``delta_cl_tracenorm`` are the dense states and the trace-norm form of
   the classical error that criterion 03 compares ``delta_cl`` with; no
   command ran them, and the decoder takes ``Phi`` as a ket.
+  ``apply_channel``, the Kraus sum on chosen subsystems of a dense state,
+  is the one they and the tests apply channels with.
+* ``measure_prepare_channel`` is the channel ``rho -> sum_j tr[rho M_j]
+  sigma_j`` from dense outputs ``sigma_j``, which
+  ``ctoq.sampling.random_block_channel`` was built with before it took its
+  Kraus operators from the factors of the outputs; it reads the output
+  dimension off the dims, as ``Operator.dim_row`` did.
 * ``compressed_pairwise_overlap_samples`` is
   ``ctoq.haarhp.pairwise_overlap_samples`` as it was before it read the
   overlap off the uncompressed branch matrices: each sample's channel
@@ -39,18 +46,16 @@ import numpy as np
 from ctoq.config import DEFAULT_TOLS
 from ctoq.decoder import _check_povms, _check_r_marginal
 from ctoq.haarhp import HpConfig, _trial_isometry, hp_channel
-from ctoq.linop import Operator, _hermitian_part, support_eigh, trace_distance
+from ctoq.linop import Operator, _hermitian_part, permute, support_eigh, trace_distance
 from ctoq.qcore import (
     Channel,
     OrthoBasis,
     Povm,
-    apply_channel,
     basis_outputs,
     channel,
     computational_basis,
     cross_overlap,
     max_entangled_vector,
-    measure_prepare_channel,
     output_span_channel,
 )
 from ctoq.sampling import ginibre, haar_isometry
@@ -404,6 +409,105 @@ def compressed_pairwise_overlap_samples(cfg: HpConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# channel application
+
+
+def _resolve_targets(
+    state: Operator, ch: Channel, targets: Sequence[int] | None
+) -> list[int]:
+    dims = state.row_dims
+    if targets is None:
+        targets = tuple(range(len(ch.in_dims)))
+    targets = [int(t) for t in targets]
+    if sorted(set(targets)) != targets:
+        raise ValueError("targets must be strictly ascending")
+    if any(t < 0 or t >= len(dims) for t in targets):
+        raise IndexError(f"targets {targets} out of range")
+    tdims = tuple(dims[t] for t in targets)
+    if tdims != ch.in_dims:
+        raise ValueError(
+            f"target dims {tdims} do not match channel input {ch.in_dims}"
+        )
+    return targets
+
+
+def apply_channel(
+    ch: Channel,
+    state: Operator,
+    targets: Sequence[int] | None = None,
+) -> Operator:
+    """Kraus sum on the target subsystems, identity on the rest.
+
+    The channel's output subsystems take the position of the first target;
+    untouched subsystems keep their relative order.
+    """
+    if not state.is_square:
+        raise ValueError("apply_channel needs a square state")
+    dims = state.row_dims
+    n = len(dims)
+    targets = _resolve_targets(state, ch, targets)
+    ks = ch.kraus
+
+    if len(targets) == n:
+        out = np.einsum(
+            "nij,jk,nlk->il", ks, state.data, ks.conj(), optimize=True
+        )
+        return Operator(out, ch.out_dims, ch.out_dims)
+
+    rest = [i for i in range(n) if i not in targets]
+    dt = math.prod(ch.in_dims)
+    dr = math.prod(dims[i] for i in rest)
+    tensor = state.data.reshape(dims + dims)
+    axes = targets + rest
+    tensor = tensor.transpose(axes + [n + i for i in axes])
+    st4 = tensor.reshape(dt, dr, dt, dr)
+    out4 = np.einsum("not,tasb,nps->oapb", ks, st4, ks.conj(), optimize=True)
+
+    do = math.prod(ch.out_dims)
+    out_dims = ch.out_dims + tuple(dims[i] for i in rest)
+    result = Operator(out4.reshape(do * dr, do * dr), out_dims, out_dims)
+
+    # current order is [out block, rest...]; move the out block to where the
+    # first target subsystem was
+    n_out = len(ch.out_dims)
+    cur = [("out", j) for j in range(n_out)] + [("rest", i) for i in rest]
+    final: list[tuple[str, int]] = []
+    for i in range(n):
+        if i == targets[0]:
+            final.extend(("out", j) for j in range(n_out))
+        elif i in targets:
+            continue
+        else:
+            final.append(("rest", i))
+    order = [cur.index(x) for x in final]
+    if order != list(range(len(cur))):
+        result = permute(result, order)
+    return result
+
+
+def measure_prepare_channel(povm: Povm, outputs: Sequence[Operator]) -> Channel:
+    """Channel rho -> sum_j tr[rho M_j] sigma_j.
+
+    One Kraus operator ``sqrt(w_a) |v_a><A_j[:, r]|`` per (outcome, output
+    eigenvector ``v_a`` of weight ``w_a``, nonzero factor column ``r``); the
+    outputs must be density operators on a common space.
+    """
+    if len(outputs) != povm.n_outcomes:
+        raise ValueError("need one output state per POVM outcome")
+    out_dims = outputs[0].row_dims
+    dout = math.prod(out_dims)
+    ks = []
+    for a, sigma in zip(povm.factors, outputs):
+        cols = a[:, np.any(a != 0, axis=0)].conj().T
+        w, v = np.linalg.eigh((sigma.data + sigma.data.conj().T) / 2)
+        for j in range(dout):
+            if w[j] <= DEFAULT_TOLS.rank_tol(dout) * max(float(w[-1]), 0.0):
+                continue
+            ks.extend(math.sqrt(float(w[j])) * v[:, j, None] * cols[:, None, :])
+    return channel(ks, (povm.dim,), out_dims)
+
+
+# ---------------------------------------------------------------------------
 # dense states and the trace-norm classical error
 
 
@@ -434,7 +538,7 @@ def povm_channel(povm: Povm, basis: OrthoBasis) -> Channel:
         raise ValueError("need one POVM outcome per basis vector")
     d = basis.dim
     outputs = [
-        Operator(np.outer(basis.column(j), basis.column(j).conj()), (d,), (d,))
+        Operator(np.outer(basis.matrix[:, j], basis.matrix[:, j].conj()), (d,), (d,))
         for j in range(d)
     ]
     return measure_prepare_channel(povm, outputs)

@@ -119,11 +119,11 @@ def test_load_config_rejects_repeated_ell(tmp_path, ell):
         load_config(write_config(tmp_path, f"n_bh = 2\nn_msg = 1\nell = {ell}\n"))
 
 
-# (2,6,4) pure needs about 1.1 GiB, mostly the decoder's d^2 x d^2 arrays
-# at d = 64, while its samples stay small; (10,4,4) maximally mixed samples
+# (1,7,4) pure needs about 15 GiB, mostly the decoder's d^2 x d^2 arrays
+# at d = 128, while its samples stay small; (10,4,4) maximally mixed samples
 # a 4 GiB isometry
 TOO_BIG = {
-    "hp-run": ((2, 6, 4, [1.0]), "", trial_peak_bytes),
+    "hp-run": ((1, 7, 4, [1.0]), "", trial_peak_bytes),
     "haar-mean": (
         (10, 4, 4, [2.0**-10] * 2**10), "xi = maximally_mixed\n", sample_peak_bytes
     ),
@@ -148,11 +148,11 @@ def test_run_that_cannot_fit_the_address_space_exits_two(tmp_path, command):
 
 
 def test_haar_mean_is_sized_by_its_samples(tmp_path):
-    # hp-run refuses (2,6,4) pure under a 1 GiB limit, but haar-mean builds
-    # no decoder and its samples peak at a few MiB
-    assert trial_peak_bytes(HpConfig(2, 6, 4, [1.0])) > 2**30
-    assert sample_peak_bytes(HpConfig(2, 6, 4, [1.0])) < 2**26
-    cfg = write_config(tmp_path, "n_bh = 2\nn_msg = 6\nell = 4\ntrials = 20\nseed = 3\n")
+    # hp-run refuses (1,7,4) pure under a 1 GiB limit, but haar-mean builds
+    # no decoder and its samples peak at about 10 MiB
+    assert trial_peak_bytes(HpConfig(1, 7, 4, [1.0])) > 2**30
+    assert sample_peak_bytes(HpConfig(1, 7, 4, [1.0])) < 2**26
+    cfg = write_config(tmp_path, "n_bh = 1\nn_msg = 7\nell = 4\ntrials = 20\nseed = 3\n")
     proc = run_cli("haar-mean", "--config", cfg, entry=("-c", LIMITED))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ell=4: closed_form=")

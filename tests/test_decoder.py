@@ -21,7 +21,6 @@ from ctoq.ppgm import build_ppgm
 from ctoq.qcore import (
     Channel,
     Povm,
-    apply_channel,
     channel,
     computational_basis,
     dephasing_channel,
@@ -36,6 +35,7 @@ from ctoq.sampling import (
     random_povm,
 )
 from tests.helpers import (
+    apply_channel,
     delta_cl_tracenorm,
     dense_povm,
     depolarizing_channel,
@@ -255,7 +255,7 @@ def explicit_coherent_channel(ext, e_basis, rho: Operator) -> Operator:
     e0p[0] = 1.0
     vinv = build_v_inv(ext, e0, e0p).data
     g = sum(
-        np.kron(outcome_projection(ext, j), e_basis.column(j).reshape(-1, 1))
+        np.kron(outcome_projection(ext, j), e_basis.matrix[:, j].reshape(-1, 1))
         for j in range(d)
     )
     r_full = np.kron(vinv, np.eye(d)) @ g @ v  # C -> (C, C', A)
@@ -371,7 +371,7 @@ def test_eraser_projective_outcome_applies_phase():
     ch = build_eraser(povm, thetas)
     rho = random_density(rng, 2)
     for l in range(2):
-        proj = np.outer(f.column(l), f.column(l).conj())
+        proj = np.outer(f.matrix[:, l], f.matrix[:, l].conj())
         state = Operator(np.kron(proj, rho.data), (2, 2), (2, 2))
         got = apply_channel(ch, state, targets=[0, 1])
         want = thetas[l].data @ rho.data @ thetas[l].data.conj().T
@@ -576,7 +576,7 @@ def test_povm_from_identity_decoder_is_projective():
     for j, el in enumerate(elements(povm)):
         np.testing.assert_allclose(
             el,
-            np.outer(w.column(j), w.column(j).conj()),
+            np.outer(w.matrix[:, j], w.matrix[:, j].conj()),
             atol=1e-12,
         )
 

@@ -30,6 +30,7 @@ import pytest
 from ctoq.config import DEFAULT_TOLS
 from ctoq.decoder import (
     _ctoq_state,
+    _overlap_fidelities,
     coherent_state,
     ctoq_delta_q,
     delta_cl,
@@ -44,12 +45,11 @@ from ctoq.haarhp import (
     run_trial,
 )
 from ctoq.linop import Operator, trace_distance
-from ctoq.ppgm import build_ppgm, pairwise_bound, ppgm_error, support_bound
+from ctoq.ppgm import build_ppgm, pairwise_bound, support_bound
 from ctoq.qcore import (
     Channel,
     OrthoBasis,
     Povm,
-    apply_channel,
     basis_outputs,
     channel,
     collision_entropy,
@@ -59,7 +59,9 @@ from ctoq.qcore import (
     pauli_basis,
 )
 from ctoq.sampling import (
+    ginibre,
     haar_isometry,
+    mub_pair,
     random_basis,
     random_block_channel,
     random_channel,
@@ -71,6 +73,7 @@ import ctoq.verify as verify
 from ctoq.verify import SLACK_TOL
 from tests.helpers import (
     _trial_channel,
+    apply_channel,
     compressed_pairwise_overlap_samples,
     dense_build_ppgm,
     dense_ctoq_state,
@@ -78,6 +81,7 @@ from tests.helpers import (
     dense_support_bound,
     elements,
     max_entangled,
+    measure_prepare_channel,
     sqrtm_psd,
 )
 
@@ -94,7 +98,7 @@ def oracle_taus(ch, basis):
     ks = ch.kraus
     taus = []
     for j in range(basis.dim):
-        cols = ks @ basis.column(j)
+        cols = ks @ basis.matrix[:, j]
         tau = cols.T @ cols.conj()
         taus.append((tau + tau.conj().T) / 2)
     return taus
@@ -147,7 +151,7 @@ def oracle_ppgm(ch, basis):
         cut = rank_tol * max(float(w[-1]), 0.0)
         # the smallest nonzero eigenvalue as a squared singular value of
         # [K_n|j>]_n, which eigvalsh of tau fixes only to eps lambda_max
-        s = np.linalg.svd(ch.kraus @ basis.column(j), compute_uv=False)
+        s = np.linalg.svd(ch.kraus @ basis.matrix[:, j], compute_uv=False)
         lam_j = float(s[np.count_nonzero(w > cut) - 1]) ** 2
         lam_min = min(lam_min, lam_j)
         ill = ill or lam_j < 10.0 * cut
@@ -272,7 +276,7 @@ def build_theta(e_basis: OrthoBasis, f_basis: OrthoBasis, l: int) -> Operator:
     each overlap ``<j_e|l_f>`` (zero overlaps contribute phase 0)."""
     if e_basis.dim != f_basis.dim:
         raise ValueError("bases must share a dimension")
-    amps = e_basis.matrix.conj().T @ f_basis.column(l)
+    amps = e_basis.matrix.conj().T @ f_basis.matrix[:, l]
     phases = np.exp(1j * np.angle(amps))
     u = e_basis.matrix
     return Operator(
@@ -285,7 +289,7 @@ def build_eraser(povm_f: Povm, thetas) -> Channel:
     phase correction to A, discard C."""
     if len(thetas) != povm_f.n_outcomes:
         raise ValueError("need one phase correction per POVM outcome")
-    d = thetas[0].dim_row
+    d = len(thetas[0].data)
     dc = povm_f.dim
     ks = []
     for m_el, th in zip(elements(povm_f), thetas):
@@ -346,8 +350,8 @@ def oracle_run_trial(cfg, trial):
         taus_z = bundle_z.tau_states
         purities_z = np.einsum("jab,jba->j", taus_z, taus_z).real
         bundle_x = build_ppgm(ch, basis_x)
-        dcl_z = ppgm_error(bundle_z)
-        dcl_x = ppgm_error(bundle_x)
+        dcl_z = delta_cl(bundle_z.povm, bundle_z.channel, bundle_z.basis)
+        dcl_x = delta_cl(bundle_x.povm, bundle_x.channel, bundle_x.basis)
         sum_z, ent_z, lam_z = pairwise_bound(bundle_z)
         sum_x, ent_x, lam_x = pairwise_bound(bundle_x)
         dq = ctoq_delta_q(ch, bundle_z.povm, bundle_x.povm, basis_z, basis_x)
@@ -403,7 +407,7 @@ def check_basis(ch, oracle_ch, basis):
     assert bundle.ill_conditioned == ill_o
 
     dcl_o = oracle_delta_cl(elements_o, taus_o)
-    assert_close(ppgm_error(bundle), dcl_o, "ppgm_error")
+    assert_close(delta_cl(bundle.povm, bundle.channel, bundle.basis), dcl_o, "delta_cl")
     assert_close(delta_cl(bundle.povm, ch, basis), dcl_o, "delta_cl")
     sum_o, ent_o, sup_o = oracle_bounds(taus_o, projectors_o, lam_o)
     sum_form, entropy_form, lam = pairwise_bound(bundle)
@@ -587,7 +591,9 @@ def check_gram_form(ch, basis, rank_tol=None):
     np.testing.assert_allclose(
         elements(got.povm), want.elements, rtol=0, atol=TOL
     )
-    assert_close(ppgm_error(got), dense_ppgm_error(want), "ppgm_error")
+    assert_close(
+        delta_cl(got.povm, got.channel, got.basis), dense_ppgm_error(want), "delta_cl"
+    )
     assert_close(support_bound(got), dense_support_bound(want), "support_bound")
     return got
 
@@ -640,7 +646,8 @@ def test_gram_form_ppgm_and_its_bounds_at_larger_input_dimensions(d):
         for bundle in bundles:
             if bundle.ill_conditioned:
                 continue
-            err, mid = ppgm_error(bundle), support_bound(bundle)
+            err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
+            mid = support_bound(bundle)
             top = pairwise_bound(bundle)[0]
             assert err <= mid + SLACK_TOL and mid <= top + SLACK_TOL
             assert err <= 4 * mid + SLACK_TOL
@@ -850,3 +857,82 @@ def test_eraser_after_coherent_state_is_the_decoder_state(seed):
 
 def test_eraser_after_coherent_state_on_two_factor_output():
     check_eraser_after_coherent_state(*two_factor_instance(941))
+
+
+# ---------------------------------------------------------------------------
+# the defect's fidelities and the block channel
+
+
+def oracle_overlap_fidelities(e_basis, f_basis):
+    """``F_l = (sum_j sqrt(p_l(j) / d))^2`` with ``p_l(j) = |<j_E|l_F>|^2``,
+    one overlap distribution at a time."""
+    d = e_basis.dim
+    fids = []
+    for l in range(d):
+        f_l = f_basis.matrix[:, l]
+        p = [abs(np.vdot(e_basis.matrix[:, j], f_l)) ** 2 for j in range(d)]
+        fids.append(np.sum(np.sqrt(np.array(p) / d)) ** 2)
+    return np.array(fids)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_overlap_fidelities_match_the_distribution_form(d):
+    rng = np.random.default_rng(1900 + d)
+    for _ in range(4):
+        e_basis, f_basis = random_basis(rng, d), random_basis(rng, d)
+        np.testing.assert_allclose(
+            _overlap_fidelities(e_basis, f_basis),
+            oracle_overlap_fidelities(e_basis, f_basis),
+            rtol=0,
+            atol=1e-14,
+        )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_overlap_fidelities_are_one_on_mubs_and_one_over_d_on_one_basis(d):
+    np.testing.assert_allclose(
+        _overlap_fidelities(*mub_pair(d)), 1.0, rtol=0, atol=1e-14
+    )
+    e_basis = random_basis(np.random.default_rng(1950 + d), d)
+    np.testing.assert_allclose(
+        _overlap_fidelities(e_basis, e_basis), 1.0 / d, rtol=0, atol=1e-14
+    )
+
+
+def oracle_block_channel(rng, e_basis, block_size):
+    """``random_block_channel`` as it was built before: each dense output
+    ``sigma_j`` eigendecomposed back into Kraus operators by
+    ``measure_prepare_channel``, from the same draws."""
+    d = e_basis.dim
+    dc = d * block_size
+    rot = haar_isometry(dc, dc, rng)
+    blocks = rot.reshape(dc, d, block_size).transpose(1, 0, 2)
+    outputs = []
+    for j in range(d):
+        g = ginibre(rng, block_size, block_size)
+        blk = g @ g.conj().T
+        blk /= np.trace(blk).real
+        outputs.append(Operator(blocks[j] @ blk @ blocks[j].conj().T, (dc,), (dc,)))
+    readout = Povm(e_basis.matrix.T[:, :, None])  # |j_E><j_E|
+    return measure_prepare_channel(readout, outputs), Povm(blocks)
+
+
+def choi(ch):
+    """``sum_n vec(K_n) vec(K_n)^dag``, the same for every Kraus set of the
+    channel."""
+    flat = ch.kraus.reshape(len(ch.kraus), -1)
+    return flat.T @ flat.conj()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_channel_matches_the_measure_prepare_build(seed):
+    d, block_size = (2, 3, 4)[seed % 3], 1 + seed % 3
+    e_basis = random_basis(np.random.default_rng(1960 + seed), d)
+    ch, povm_e = random_block_channel(np.random.default_rng(seed), e_basis, block_size)
+    want, want_povm = oracle_block_channel(
+        np.random.default_rng(seed), e_basis, block_size
+    )
+    assert (ch.in_dims, ch.out_dims) == (want.in_dims, want.out_dims)
+    np.testing.assert_array_equal(povm_e.factors, want_povm.factors)
+    np.testing.assert_allclose(choi(ch), choi(want), rtol=0, atol=1e-12)
+    assert delta_cl(povm_e, ch, e_basis) < 1e-12

@@ -60,8 +60,6 @@ def test_every_tolerance_is_read_outside_config():
 # Functions no command runs, each with the caller that keeps it.
 NOT_RUN_BY_A_COMMAND = {
     ("qcore.py", "dephasing_channel"): "the README quick start (tests/test_readme.py)",
-    ("qcore.py", "apply_channel"): "tests/helpers.delta_cl_tracenorm, criterion 03",
-    ("qcore.py", "_resolve_targets"): "apply_channel, criterion 03",
 }
 
 

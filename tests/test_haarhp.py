@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctoq.decoder import ctoq_delta_q
+from ctoq.decoder import ctoq_delta_q, delta_cl
 from ctoq.haarhp import (
     HpConfig,
     _gram_side,
@@ -22,10 +22,11 @@ from ctoq.haarhp import (
     trial_peak_bytes,
 )
 from ctoq.linop import Operator, permute
-from ctoq.ppgm import build_ppgm, ppgm_error
-from ctoq.qcore import apply_channel, basis_outputs, pauli_basis
+from ctoq.ppgm import build_ppgm
+from ctoq.qcore import basis_outputs, pauli_basis
 from ctoq.sampling import haar_isometry
 from tests.helpers import (
+    apply_channel,
     haar_unitary,
     kron,
     max_entangled,
@@ -129,7 +130,7 @@ def test_hp_channel_isometric_when_nothing_kept():
     assert len(ch.kraus) == 1
     z = pauli_basis(1, "z")
     bundle = build_ppgm(ch, z)
-    assert ppgm_error(bundle) < 1e-10
+    assert delta_cl(bundle.povm, bundle.channel, bundle.basis) < 1e-10
 
 
 def test_hp_channel_ell_zero_is_constant():
@@ -147,7 +148,8 @@ def test_hp_channel_ell_zero_is_constant():
         partial_trace(out0, [0]).data, want.data, atol=1e-12
     )
     bundle = build_ppgm(ch, pauli_basis(1, "z"))
-    assert ppgm_error(bundle) == pytest.approx(1 - 0.5, abs=1e-10)
+    err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
+    assert err == pytest.approx(1 - 0.5, abs=1e-10)
 
 
 def test_hp_channel_trace_preserving_randomized():
@@ -453,7 +455,7 @@ def test_reverse_basis_order_also_satisfies_bound():
         v = sample_isometry(cfg, _trial_rng(cfg, t))
         ch = hp_channel(v, cfg)
         bundle_z, bundle_x = build_ppgm(ch, z), build_ppgm(ch, x)
-        de, df = ppgm_error(bundle_x), ppgm_error(bundle_z)
+        de, df = delta_cl(bundle_x.povm, ch, x), delta_cl(bundle_z.povm, ch, z)
         dq = ctoq_delta_q(ch, bundle_x.povm, bundle_z.povm, x, z)
         assert dq <= math.sqrt(de * (2 - de)) + math.sqrt(df) + 1e-9
         moved = moved or abs(dq - r.delta_q_ctoq) > 1e-12

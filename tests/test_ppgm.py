@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from ctoq.decoder import delta_cl
 from ctoq.linop import Operator
 from ctoq.ppgm import (
     support_bound,
     build_ppgm,
-    ppgm_error,
     pairwise_bound,
 )
-from ctoq.qcore import Povm, computational_basis, measure_prepare_channel, pauli_basis
+from ctoq.qcore import Povm, computational_basis, pauli_basis
 from ctoq.sampling import ginibre, random_basis, random_block_channel, random_channel
-from tests.helpers import depolarizing_channel, elements, func_on_support, operator
+from tests.helpers import (
+    depolarizing_channel,
+    elements,
+    func_on_support,
+    measure_prepare_channel,
+    operator,
+)
 
 
 def support_projection(rho):
@@ -43,7 +49,7 @@ def test_ppgm_orthogonal_supports_decodes_perfectly():
     basis = random_basis(rng, 3)
     chan, _ = random_block_channel(rng, basis, block_size=2)
     bundle = build_ppgm(chan, basis)
-    assert ppgm_error(bundle) < 1e-10
+    assert delta_cl(bundle.povm, bundle.channel, bundle.basis) < 1e-10
     assert support_bound(bundle) < 1e-10
     sum_form, entropy_form, _ = pairwise_bound(bundle)
     assert sum_form < 1e-9 and entropy_form < 1e-9
@@ -54,7 +60,8 @@ def test_ppgm_depolarizing_qubit():
     bundle = build_ppgm(depolarizing_channel(2), z)
     for el in elements(bundle.povm):
         np.testing.assert_allclose(el, np.eye(2) / 2, atol=1e-12)
-    assert ppgm_error(bundle) == pytest.approx(0.5, abs=1e-12)
+    err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
+    assert err == pytest.approx(0.5, abs=1e-12)
     sum_form, entropy_form, lam = pairwise_bound(bundle)
     assert lam == pytest.approx(0.5, abs=1e-12)
     assert sum_form == pytest.approx(1.0, abs=1e-10)
@@ -104,7 +111,7 @@ def test_error_chain_randomized():
         bundle = build_ppgm(chan, random_basis(rng, d))
         if bundle.ill_conditioned:
             continue
-        err = ppgm_error(bundle)
+        err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
         mid = support_bound(bundle)
         top = pairwise_bound(bundle)[0]
         assert err <= mid + 1e-9

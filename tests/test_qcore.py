@@ -9,20 +9,17 @@ from ctoq.qcore import (
     Channel,
     OrthoBasis,
     Povm,
-    ProbDist,
-    apply_channel,
-    bhattacharyya,
     channel,
     collision_entropy,
     computational_basis,
     dephasing_channel,
     fourier_basis,
     is_mub,
-    overlap_distribution,
     pauli_basis,
 )
 from ctoq.sampling import random_basis, random_channel, random_povm
 from tests.helpers import (
+    apply_channel,
     dense_povm,
     depolarizing_channel,
     elements,
@@ -49,18 +46,6 @@ def projective_povm(basis: OrthoBasis) -> Povm:
 def test_orthobasis_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         OrthoBasis(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_probdist_renormalizes_small_drift():
-    p = ProbDist(np.array([0.5, 0.5 + 1e-12]))
-    assert p.weights.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_probdist_rejects_large_drift_and_negatives():
-    with pytest.raises(ValueError):
-        ProbDist(np.array([0.6, 0.5]))
-    with pytest.raises(ValueError):
-        ProbDist(np.array([1.1, -0.1]))
 
 
 def test_povm_validation():
@@ -372,18 +357,7 @@ def test_compose_rejects_dim_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# classical helpers
-
-
-def test_bhattacharyya_cases():
-    p = ProbDist(np.array([0.5, 0.5]))
-    q = ProbDist(np.array([1.0, 0.0]))
-    r = ProbDist(np.array([0.0, 1.0]))
-    assert bhattacharyya(p, p) == pytest.approx(1.0)
-    assert bhattacharyya(p, q) == pytest.approx(0.5)
-    assert bhattacharyya(q, r) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        bhattacharyya(p, ProbDist(np.array([1.0])))
+# entropy and basis overlaps
 
 
 def test_collision_entropy_cases():
@@ -396,37 +370,6 @@ def test_collision_entropy_cases():
     ) == pytest.approx(0.6780719051126377, abs=1e-12)
 
 
-def test_overlap_distribution_point_mass_and_mub():
-    z = computational_basis(2)
-    x = pauli_basis(1, "x")
-    p_same = overlap_distribution(z, z, 1)
-    np.testing.assert_allclose(p_same.weights, [0.0, 1.0], atol=1e-15)
-    for l in range(2):
-        np.testing.assert_allclose(
-            overlap_distribution(z, x, l).weights, [0.5, 0.5], atol=1e-15
-        )
-    f3 = fourier_basis(3)
-    for l in range(3):
-        np.testing.assert_allclose(
-            overlap_distribution(computational_basis(3), f3, l).weights,
-            np.full(3, 1 / 3),
-            atol=1e-14,
-        )
-    with pytest.raises(IndexError):
-        overlap_distribution(z, x, 2)
-
-
-def test_overlap_distribution_symmetry():
-    rng = np.random.default_rng(20)
-    e = random_basis(rng, 4)
-    f = random_basis(rng, 4)
-    for l in range(4):
-        p = overlap_distribution(e, f, l).weights
-        for j in range(4):
-            q = overlap_distribution(f, e, j).weights
-            assert p[j] == pytest.approx(q[l], abs=1e-12)
-
-
 def test_pauli_basis_and_mub_predicate():
     z1 = pauli_basis(1, "z")
     np.testing.assert_allclose(z1.matrix, np.eye(2))
@@ -435,10 +378,9 @@ def test_pauli_basis_and_mub_predicate():
         x1.matrix, np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     )
     z2, x2 = pauli_basis(2, "z"), pauli_basis(2, "x")
-    for l in range(4):
-        np.testing.assert_allclose(
-            overlap_distribution(z2, x2, l).weights, np.full(4, 0.25), atol=1e-14
-        )
+    np.testing.assert_allclose(
+        np.abs(z2.matrix.conj().T @ x2.matrix) ** 2, np.full((4, 4), 0.25), atol=1e-14
+    )
     assert is_mub(z2, x2)
     assert is_mub(computational_basis(3), fourier_basis(3))
     assert not is_mub(z1, z1)
@@ -460,7 +402,7 @@ def test_povm_channel_statistics():
             np.einsum("ij,ji->", rho.data, elements(povm)[j]).real
         )
         got = float(
-            (basis.column(j).conj() @ out.data @ basis.column(j)).real
+            (basis.matrix[:, j].conj() @ out.data @ basis.matrix[:, j]).real
         )
         assert got == pytest.approx(prob, abs=1e-10)
 
