@@ -266,7 +266,7 @@ def _trial_row(seed: int, ell: int, r: TrialResult) -> dict[str, Any]:
             "seed": seed,
             "ell": ell,
             "trial": r.trial,
-            "seed_stream": r.seed_stream,
+            "seed_stream": r.trial,
             "error": r.error,
             "error_type": r.error_type,
             "stage": r.stage,
@@ -276,7 +276,7 @@ def _trial_row(seed: int, ell: int, r: TrialResult) -> dict[str, Any]:
         "seed": seed,
         "ell": ell,
         "trial": r.trial,
-        "seed_stream": r.seed_stream,
+        "seed_stream": r.trial,
         "delta_cl_x": _num(r.delta_cl_x),
         "delta_cl_z": _num(r.delta_cl_z),
         "delta_q": _num(r.delta_q_ctoq),
@@ -338,8 +338,8 @@ def _t_critical(dof: int) -> float:
     return hi
 
 
-def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
-    if not values:
+def _mean_se(values: list[float] | np.ndarray) -> tuple[float | None, float | None]:
+    if not len(values):
         return None, None
     arr = np.asarray(values)
     mean = float(arr.mean())
@@ -455,6 +455,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"failures={result.failures} worst_slack={result.worst_slack:.3e} "
         f"(tolerance {SLACK_TOL:g})"
     )
+    if result.worst_label:
+        print(f"  worst {result.worst_label}")
     for note in result.notes:
         print(f"  violation {note}")
     print(f"elapsed {time.monotonic() - t0:.1f}s", file=sys.stderr)
@@ -515,9 +517,7 @@ def cmd_haar_mean(args: argparse.Namespace) -> int:
     for ell in spec.ells:
         cfg = spec.config_for(ell)
         closed = haar_mean_pairwise_overlap(cfg)
-        samples = pairwise_overlap_samples(cfg)
-        mean = float(samples.mean())
-        se = float(samples.std(ddof=1) / math.sqrt(samples.size))
+        mean, se = _mean_se(pairwise_overlap_samples(cfg))
         z = _z_score(mean, closed, se)
         worst_z = max(worst_z, abs(z))
         print(
@@ -578,6 +578,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a spectrum too large to allocate is that of a trial too large to run
+        print("config error: the run does not fit in memory", file=sys.stderr)
         return 2
 
 

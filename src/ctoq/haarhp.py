@@ -38,7 +38,6 @@ from .ppgm import support_bound, build_ppgm, pairwise_bound
 from .qcore import (
     Channel,
     channel,
-    collision_entropy,
     cross_overlap,
     off_diagonal_sum,
     output_span_channel,
@@ -166,7 +165,6 @@ class TrialResult:
     """Measured errors and bound ingredients of one Monte-Carlo trial."""
 
     trial: int
-    seed_stream: int
     delta_cl_x: float = math.nan
     delta_cl_z: float = math.nan
     delta_q_ctoq: float = math.nan
@@ -354,8 +352,6 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
         stage = "ppgm_x"
         bundle_x = build_ppgm(ch, basis_x, rank_tol=rank_tol)
         stage = "bounds"
-        taus_z = bundle_z.tau_states
-        purities_z = np.einsum("jab,jba->j", taus_z, taus_z).real
         dcl_z = delta_cl(bundle_z.povm, ch, basis_z)
         dcl_x = delta_cl(bundle_x.povm, ch, basis_x)
         sum_z, ent_z, lam_z = pairwise_bound(bundle_z)
@@ -368,7 +364,6 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
 
         return TrialResult(
             trial=trial,
-            seed_stream=trial,
             delta_cl_x=dcl_x,
             delta_cl_z=dcl_z,
             delta_q_ctoq=dq,
@@ -381,15 +376,14 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
             support_overlap_x=support_x,
             support_overlap_z=support_z,
             bound_two_term=bound,
-            pairwise_overlap=cross_overlap(taus_z, taus_z),
-            collision_entropy_avg=collision_entropy(bundle_z.tau_avg),
-            collision_entropies=tuple(-math.log2(p) for p in purities_z),
+            pairwise_overlap=bundle_z.pairwise_overlap,
+            collision_entropy_avg=bundle_z.collision_entropy_avg,
+            collision_entropies=tuple(-math.log2(p) for p in bundle_z.purities),
             ill_conditioned=bundle_z.ill_conditioned or bundle_x.ill_conditioned,
         )
     except (np.linalg.LinAlgError, ValueError) as exc:  # recorded, not fatal
         return TrialResult(
             trial=trial,
-            seed_stream=trial,
             error=str(exc),
             error_type=type(exc).__name__,
             stage=stage,
@@ -408,10 +402,10 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     """Complex entries alive at the peak of each stage of a trial, with
     ``d = 2^k``, ``n`` Kraus operators and ``s`` compressed output
     dimensions: the isometry with its Ginibre and QR copies; the Kraus
-    stack, its copy and their thin SVD; the outputs read off the
-    compressed channel; both bases' pPGMs (outputs, construction
-    temporaries, ``(d, s, m)`` support factors with ``m = min(s, n)``, and
-    their Gram matrix with its eigenvectors); and the decoder (both POVMs'
+    stack, its copy and their thin SVD; one basis's outputs, alive only in
+    :func:`ctoq.ppgm.build_ppgm`; both bases' pPGMs (temporaries,
+    ``(d, s, m)`` support factors with ``m = min(s, n)``, and their Gram
+    matrix with its eigenvectors); and the decoder (both POVMs'
     ``(d, s, m + 1)`` factors, the ``d^2 n s`` stack ``M_E,j B`` and one F
     outcome's ``d^2 n (m + 1)`` products with it, each with a copy, and
     three ``d^2 x d^2`` arrays: the state with a term being added, or
@@ -425,8 +419,8 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
         4 * iso,
         iso + 3 * kraus + (dc + n * d) * m + 3 * dc * s + 2 * n * s * d,
         2 * d * s * s + 2 * n * s * d,
-        (7 * d + 2) * s * s + 4 * dm * dm + 3 * n * s * d,
-        (2 * d + 2) * s * s + n * s * d + 4 * d * s * w
+        (5 * d + 2) * s * s + 4 * dm * dm + 3 * n * s * d,
+        2 * s * s + n * s * d + 4 * d * s * w
         + 2 * d * d * n * (s + w) + 3 * d**4,
     )
 

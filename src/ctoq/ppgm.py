@@ -14,18 +14,18 @@ eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linop import Operator, support_eigh
+from .linop import support_eigh
 from .qcore import (
     Channel,
     OrthoBasis,
     Povm,
     basis_outputs,
-    collision_entropy,
     cross_overlap,
     off_diagonal_sum,
     outcome_weights,
@@ -49,8 +49,10 @@ class PpgmBundle:
     ``U_j U_j^dag = Pi_j``, zero-padded to a common width ``m``.
     ``channel`` and ``basis`` are what the measurement discriminates; the
     bounds read their branch matrices ``B_j = [K_n|j>]_n`` from them rather
-    than holding a copy.  ``tau_states`` is the read-only ``(d, dC, dC)``
-    stack of the outputs ``B_j B_j^dag`` and ``tau_avg`` their mean.
+    than holding a copy.  Of the outputs ``tau_j = B_j B_j^dag`` it keeps
+    only what the pairwise bound reads: ``pairwise_overlap``, ``sum_{i !=
+    j} tr[tau_i tau_j]``; ``purities``, the read-only ``(d,)`` vector of
+    ``tr[tau_j^2]``; and ``collision_entropy_avg``, ``H2`` of their mean.
     ``lambda_min`` is the smallest nonzero eigenvalue over all outputs;
     instances where it sits within a decade of the support-detection cutoff
     are flagged ``ill_conditioned`` because the overlap bounds blow up
@@ -61,8 +63,9 @@ class PpgmBundle:
     supports: np.ndarray
     channel: Channel
     basis: OrthoBasis
-    tau_states: np.ndarray
-    tau_avg: Operator
+    pairwise_overlap: float
+    purities: np.ndarray
+    collision_entropy_avg: float
     lambda_min: float
     ill_conditioned: bool
 
@@ -91,11 +94,17 @@ def build_ppgm(
     the Hayden-Preskill trials, that is at most the pinned ``|0>``.
     """
     dc = chan.dim_out
-    cdims = chan.out_dims
     if rank_tol is None:
         rank_tol = DEFAULT_TOLS.rank_tol(dc)
 
+    # what the pairwise bound reads of the outputs; the stack goes before the SVDs
     taus = basis_outputs(chan, basis)
+    pairwise = cross_overlap(taus, taus)
+    purities = np.einsum("jab,jba->j", taus, taus).real
+    purities.setflags(write=False)
+    avg = taus.mean(axis=0)
+    h2_avg = -math.log2(float(np.einsum("ij,ji->", avg, avg).real))
+    del taus, avg
     branches = (chan.kraus @ basis.matrix).transpose(2, 1, 0)
     # singular values without vectors, as the dense construction kept in
     # the tests reads them, so lambda_min equals its value bit for bit; an
@@ -134,8 +143,9 @@ def build_ppgm(
         supports=u,
         channel=chan,
         basis=basis,
-        tau_states=taus,
-        tau_avg=Operator(taus.mean(axis=0), cdims, cdims),
+        pairwise_overlap=pairwise,
+        purities=purities,
+        collision_entropy_avg=h2_avg,
         lambda_min=lam_min,
         ill_conditioned=ill,
     )
@@ -172,14 +182,12 @@ def pairwise_bound(bundle: PpgmBundle) -> tuple[float, float, float]:
     ``tau_j``.  Values above 1 are vacuous; they occur when ``lambda_min``
     is small (the flagged ill-conditioned instances).
     """
-    taus = bundle.tau_states
-    d = len(taus)
+    d = bundle.basis.dim
     lam = bundle.lambda_min
-    sum_form = cross_overlap(taus, taus) / (d * lam)
+    sum_form = bundle.pairwise_overlap / (d * lam)
     # 2^{-H2(rho)} is the purity tr[rho^2]
-    purities = np.einsum("jab,jba->j", taus, taus).real
     entropy_form = (
-        d * 2.0 ** -collision_entropy(bundle.tau_avg) - purities.sum() / d
+        d * 2.0 ** -bundle.collision_entropy_avg - bundle.purities.sum() / d
     ) / lam
     return sum_form, entropy_form, lam
 

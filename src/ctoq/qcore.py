@@ -1,4 +1,4 @@
-"""Quantum objects: states, channels, measurements, bases, entropies.
+"""Quantum objects: states, channels, measurements, bases.
 
 Channels are kept in Kraus form throughout; isometries are converted to
 Kraus operators by slicing an environment basis.  All types validate their
@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linop import Operator
 
 __all__ = [
     "Channel",
@@ -26,7 +25,6 @@ __all__ = [
     "basis_outputs",
     "output_span_channel",
     "cross_overlap",
-    "collision_entropy",
     "pauli_basis",
     "fourier_basis",
     "computational_basis",
@@ -207,7 +205,7 @@ def max_entangled_vector(d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# channel outputs
+# channel outputs and basis overlaps
 
 
 def basis_outputs(ch: Channel, basis: OrthoBasis) -> np.ndarray:
@@ -231,16 +229,6 @@ def cross_overlap(a: np.ndarray, b: np.ndarray) -> float:
     """``sum_{i != j} tr[a_i b_j]`` over two equally long matrix stacks,
     summed by :func:`off_diagonal_sum`."""
     return off_diagonal_sum(np.einsum("iab,jba->ij", a, b).real)
-
-
-# ---------------------------------------------------------------------------
-# entropy and basis overlaps
-
-
-def collision_entropy(rho: Operator) -> float:
-    """Renyi-2 entropy -log2 tr(rho^2)."""
-    purity = float(np.einsum("ij,ji->", rho.data, rho.data).real)
-    return -math.log2(purity)
 
 
 def is_mub(e: OrthoBasis, f: OrthoBasis) -> bool:

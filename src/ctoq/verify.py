@@ -44,12 +44,13 @@ _DIMS = (2, 3, 4)
 
 @dataclass
 class SuiteResult:
-    """Outcome of one randomized suite."""
+    """Outcome of one randomized suite and the label of its worst check."""
 
     name: str
     instances: int
     failures: int
     worst_slack: float
+    worst_label: str
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -58,16 +59,18 @@ class SuiteResult:
 
 
 class _Recorder:
-    """Accumulates slacks; a slack below ``-SLACK_TOL`` is a failure."""
+    """Keeps the smallest slack and its label; one below ``-SLACK_TOL`` fails."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.failures = 0
         self.worst = math.inf
+        self.worst_label = ""
         self.notes: list[str] = []
 
     def check(self, slack: float, label: str) -> None:
-        self.worst = min(self.worst, slack)
+        if slack < self.worst:
+            self.worst, self.worst_label = slack, label
         if slack < -SLACK_TOL:
             self.failures += 1
             self.notes.append(f"{label}: slack {slack:.3e}")
@@ -75,7 +78,8 @@ class _Recorder:
     def done(self, instances: int) -> SuiteResult:
         worst = self.worst if self.worst is not math.inf else 0.0
         return SuiteResult(
-            self.name, instances, self.failures, worst, self.notes[:20]
+            self.name, instances, self.failures, worst, self.worst_label,
+            self.notes[:20],
         )
 
 

@@ -10,6 +10,9 @@ to the naming:
   they were before the Gram form replaced them, with one eigendecomposition
   per output and a ``(d, dC, dC)`` stack of support projectors, and they
   return and read a ``DensePpgmBundle``, the bundle of that time.
+  ``dense_pairwise_bound`` is ``ctoq.ppgm.pairwise_bound`` as it was before
+  the bundle kept the statistics of its outputs in place of the outputs: it
+  reads the ``(d, dC, dC)`` stack and its mean.
 * ``dense_povm`` is the element-based ``ctoq.qcore.Povm`` check, completeness
   and positivity of a ``(n, dim, dim)`` stack, before POVMs were held as
   factors; it returns the factored :class:`ctoq.qcore.Povm` of the checked
@@ -124,6 +127,12 @@ def func_on_support(
     if np.any(on):
         fw[on] = f(w[on])
     return Operator((v * fw) @ v.conj().T, a.row_dims, a.col_dims)
+
+
+def collision_entropy(rho: Operator) -> float:
+    """Renyi-2 entropy -log2 tr(rho^2)."""
+    purity = float(np.einsum("ij,ji->", rho.data, rho.data).real)
+    return -math.log2(purity)
 
 
 def identity_channel(dims: Sequence[int] | int) -> Channel:
@@ -253,6 +262,30 @@ def dense_support_bound(bundle: DensePpgmBundle) -> float:
     """
     taus = bundle.tau_states
     return cross_overlap(bundle.projectors, taus) / len(taus)
+
+
+def dense_pairwise_bound(bundle: DensePpgmBundle) -> tuple[float, float, float]:
+    """Pairwise-overlap bound on the decoding error, in two algebraic forms.
+
+    Returns ``(sum_form, entropy_form, lambda_min)`` where::
+
+        sum_form     = (1 / (d lambda_min)) sum_{i != j} tr[tau_i tau_j]
+        entropy_form = (1 / lambda_min) (d 2^{-H2(tau_avg)}
+                                         - (1/d) sum_j 2^{-H2(tau_j)})
+
+    The two agree identically because ``tau_avg`` is the mean of the
+    ``tau_j``.
+    """
+    taus = bundle.tau_states
+    d = len(taus)
+    lam = bundle.lambda_min
+    sum_form = cross_overlap(taus, taus) / (d * lam)
+    # 2^{-H2(rho)} is the purity tr[rho^2]
+    purities = np.einsum("jab,jba->j", taus, taus).real
+    entropy_form = (
+        d * 2.0 ** -collision_entropy(bundle.tau_avg) - purities.sum() / d
+    ) / lam
+    return sum_form, entropy_form, lam
 
 
 def dense_ppgm_error(bundle: DensePpgmBundle) -> float:

@@ -147,6 +147,22 @@ def test_run_that_cannot_fit_the_address_space_exits_two(tmp_path, command):
     assert proc.stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["hp-run", "haar-mean"])
+def test_spectrum_that_cannot_be_allocated_exits_two(tmp_path, command):
+    # the 2^27 maximally mixed spectrum is a 1 GiB list, built while the
+    # config loads and before the size check, so it is the allocation that
+    # fails; a trial would need far more
+    cfg = write_config(
+        tmp_path, "n_bh = 27\nn_msg = 1\nell = 1\ntrials = 2\nxi = maximally_mixed\n"
+    )
+    out = tmp_path / "o"
+    args = [command, "--config", cfg] + (["--out", str(out)] if command == "hp-run" else [])
+    proc = run_cli(*args, entry=("-c", LIMITED))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "config error: the run does not fit in memory\n"
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_haar_mean_is_sized_by_its_samples(tmp_path):
     # hp-run refuses (1,7,4) pure under a 1 GiB limit, but haar-mean builds
     # no decoder and its samples peak at about 10 MiB
@@ -199,6 +215,18 @@ def test_every_suite_token_runs_clean(capsys, suite):
     out = capsys.readouterr().out
     assert out.startswith(f"{suite}: PASS")
     assert "worst_slack" in out
+
+
+def test_verify_names_the_check_with_the_smallest_slack(capsys):
+    assert main(["verify", "ghz", "--instances", "6", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ghz: PASS instances=6 failures=0 worst_slack=")
+    assert lines[1].startswith("  worst i=") and " distance=" in lines[1]
+    rec = verify._Recorder("x")
+    for slack, label in [(0.5, "a"), (-0.1, "b"), (0.2, "c"), (-0.1, "d")]:
+        rec.check(slack, label)
+    result = rec.done(4)
+    assert (result.worst_slack, result.worst_label, result.failures) == (-0.1, "b", 2)
 
 
 def test_non_integer_seed_exits_two():
@@ -284,7 +312,8 @@ def test_blas_threads_default_to_one_unless_the_user_sets_them(entry, user):
     want = user or "1"
     assert lines[0] == "False", proc.stderr
     assert lines[1].startswith("thm1: PASS")
-    assert lines[2:] == ["0", f"{want} {want}"]
+    assert lines[2] == "  worst i=0 d=2"
+    assert lines[3:] == ["0", f"{want} {want}"]
 
 
 def test_seed_env_fallback(tmp_path):

@@ -52,7 +52,6 @@ from ctoq.qcore import (
     Povm,
     basis_outputs,
     channel,
-    collision_entropy,
     cross_overlap,
     max_entangled_vector,
     output_span_channel,
@@ -74,9 +73,11 @@ from ctoq.verify import SLACK_TOL
 from tests.helpers import (
     _trial_channel,
     apply_channel,
+    collision_entropy,
     compressed_pairwise_overlap_samples,
     dense_build_ppgm,
     dense_ctoq_state,
+    dense_pairwise_bound,
     dense_ppgm_error,
     dense_support_bound,
     elements,
@@ -347,7 +348,7 @@ def oracle_run_trial(cfg, trial):
         basis_z = pauli_basis(cfg.n_msg, "z")
         basis_x = pauli_basis(cfg.n_msg, "x")
         bundle_z = build_ppgm(ch, basis_z)
-        taus_z = bundle_z.tau_states
+        taus_z = basis_outputs(ch, basis_z)
         purities_z = np.einsum("jab,jba->j", taus_z, taus_z).real
         bundle_x = build_ppgm(ch, basis_x)
         dcl_z = delta_cl(bundle_z.povm, bundle_z.channel, bundle_z.basis)
@@ -360,7 +361,6 @@ def oracle_run_trial(cfg, trial):
         )
         return TrialResult(
             trial=trial,
-            seed_stream=trial,
             delta_cl_x=dcl_x,
             delta_cl_z=dcl_z,
             delta_q_ctoq=dq,
@@ -374,12 +374,14 @@ def oracle_run_trial(cfg, trial):
             support_overlap_z=support_bound(bundle_z),
             bound_two_term=bound,
             pairwise_overlap=cross_overlap(taus_z, taus_z),
-            collision_entropy_avg=collision_entropy(bundle_z.tau_avg),
+            collision_entropy_avg=collision_entropy(
+                Operator(taus_z.mean(axis=0), ch.out_dims, ch.out_dims)
+            ),
             collision_entropies=tuple(-math.log2(p) for p in purities_z),
             ill_conditioned=bundle_z.ill_conditioned or bundle_x.ill_conditioned,
         )
     except (np.linalg.LinAlgError, ValueError) as exc:
-        return TrialResult(trial=trial, seed_stream=trial, error=str(exc))
+        return TrialResult(trial=trial, error=str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +393,31 @@ def assert_close(got, want, what, rel_to=None):
     assert abs(got - want) <= TOL * scale, f"{what}: {got!r} vs {want!r}"
 
 
+def check_statistics(bundle, taus, exact=False):
+    """The output statistics the bundle kept against those of an output
+    stack: bit for bit with ``exact``, the expressions being those that
+    read the stack before the bundle dropped it; else to 1e-12."""
+    overlap = cross_overlap(taus, taus)
+    purities = np.einsum("jab,jba->j", taus, taus).real
+    avg = taus.mean(axis=0)
+    h2_avg = collision_entropy(Operator(avg, (len(avg),), (len(avg),)))
+    if exact:
+        assert bundle.pairwise_overlap == overlap
+        assert np.array_equal(bundle.purities, purities)
+        assert bundle.collision_entropy_avg == h2_avg
+    else:
+        assert_close(bundle.pairwise_overlap, overlap, "overlap", rel_to=max(overlap, 1.0))
+        np.testing.assert_allclose(bundle.purities, purities, rtol=0, atol=TOL)
+        assert_close(bundle.collision_entropy_avg, h2_avg, "H2 of the mean")
+    assert not bundle.purities.flags.writeable
+
+
 def check_basis(ch, oracle_ch, basis):
     """Every reported quantity of one basis against the oracles."""
     taus_o, projectors_o, elements_o, lam_o, ill_o = oracle_ppgm(oracle_ch, basis)
     bundle = build_ppgm(ch, basis)
     np.testing.assert_allclose(basis_outputs(ch, basis), taus_o, rtol=0, atol=TOL)
-    np.testing.assert_allclose(bundle.tau_states, taus_o, rtol=0, atol=TOL)
+    check_statistics(bundle, np.stack(taus_o))
     u = bundle.supports
     np.testing.assert_allclose(
         u @ u.conj().transpose(0, 2, 1), projectors_o, rtol=0, atol=TOL
@@ -580,10 +601,10 @@ def check_gram_form(ch, basis, rank_tol=None):
     elements, the support projectors and the other bounds to 1e-12."""
     got = build_ppgm(ch, basis, rank_tol)
     want = dense_build_ppgm(ch, basis, rank_tol)
-    assert np.array_equal(got.tau_states, want.tau_states)
+    check_statistics(got, want.tau_states, exact=True)
     assert got.lambda_min == want.lambda_min
     assert got.ill_conditioned == want.ill_conditioned
-    assert pairwise_bound(got) == pairwise_bound(want)
+    assert pairwise_bound(got) == dense_pairwise_bound(want)
     u = got.supports
     np.testing.assert_allclose(
         u @ u.conj().transpose(0, 2, 1), want.projectors, rtol=0, atol=TOL

@@ -563,6 +563,22 @@ def test_run_trial_memory_stays_small_at_ten_two_ten_pure():
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_run_trial_holds_no_output_stack_past_its_ppgm():
+    # at (4,4,4) maximally mixed each basis's (d, s, s) outputs are 16 MiB
+    # (d = 16, s = 257); read off in build_ppgm and dropped there, the
+    # trial peaks at 39 MiB, where keeping both in the bundles took 73 MiB
+    cfg = cfg_with(n=4, k=4, ell=4, xi=[2.0**-4] * 2**4, seed=1, trials=2)
+    run_trial(cfg, 0)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        r = run_trial(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.error is None
+    assert peak < 55 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize(
     "n_bh, n_msg, ell, rank",
     [

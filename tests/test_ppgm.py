@@ -8,7 +8,7 @@ from ctoq.ppgm import (
     build_ppgm,
     pairwise_bound,
 )
-from ctoq.qcore import Povm, computational_basis, pauli_basis
+from ctoq.qcore import Povm, basis_outputs, computational_basis, pauli_basis
 from ctoq.sampling import ginibre, random_basis, random_block_channel, random_channel
 from tests.helpers import (
     depolarizing_channel,
@@ -86,7 +86,7 @@ def test_residual_never_fires_on_outputs():
     u = bundle.supports
     pi_sum = Operator((u @ u.conj().transpose(0, 2, 1)).sum(axis=0), (4,), (4,))
     residual = np.eye(4) - support_projection(pi_sum).data
-    for tau in bundle.tau_states:
+    for tau in basis_outputs(chan, bundle.basis):
         fire = float(np.einsum("ij,ji->", residual, tau).real)
         assert fire <= 1e-9
 

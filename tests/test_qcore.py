@@ -10,7 +10,6 @@ from ctoq.qcore import (
     OrthoBasis,
     Povm,
     channel,
-    collision_entropy,
     computational_basis,
     dephasing_channel,
     fourier_basis,
@@ -20,6 +19,7 @@ from ctoq.qcore import (
 from ctoq.sampling import random_basis, random_channel, random_povm
 from tests.helpers import (
     apply_channel,
+    collision_entropy,
     dense_povm,
     depolarizing_channel,
     elements,
