@@ -41,7 +41,7 @@ from .haarhp import (
     derived_quantities,
     haar_mean_pairwise_overlap,
     pairwise_overlap_samples,
-    run_experiment,
+    run_sweep,
     average_error_bound,
     sample_peak_bytes,
     trial_peak_bytes,
@@ -465,22 +465,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_hp_run(args: argparse.Namespace) -> int:
     spec = load_config(args.config)
-    _check_memory(spec, min(args.threads, spec.trials), trial_peak_bytes)
+    total = spec.trials * len(spec.ells)
+    _check_memory(spec, min(args.threads, total), trial_peak_bytes)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from None
+    cfgs = [spec.config_for(ell) for ell in spec.ells]
     t0 = time.monotonic()
 
+    def progress(i: int, results: list[TrialResult]) -> None:
+        failed = sum(r.error is not None for r in results)
+        line = f"ell={spec.ells[i]}: {len(results)} trials, {failed} failed"
+        print(f"{line} ({(i + 1) * spec.trials}/{total})", file=sys.stderr)
+
+    per_ell = list(zip(spec.ells, run_sweep(cfgs, args.threads, progress)))
     rows: list[dict[str, Any]] = []
-    per_ell: list[tuple[int, list[TrialResult]]] = []
-    failed = 0
-    for ell in spec.ells:
-        cfg = spec.config_for(ell)
-        results = run_experiment(cfg, n_jobs=args.threads)
-        per_ell.append((ell, results))
-        failed += sum(1 for r in results if r.error is not None)
+    for ell, results in per_ell:
         rows.extend(_trial_row(spec.seed, ell, r) for r in results)
         rows.append(_summary_row(spec, ell, results))
 
@@ -489,8 +491,8 @@ def cmd_hp_run(args: argparse.Namespace) -> int:
         config=spec.snapshot(),
         seed=spec.seed,
         counts={
-            "trials": spec.trials * len(spec.ells),
-            "failed_trials": failed,
+            "trials": total,
+            "failed_trials": sum(r.error is not None for _, rs in per_ell for r in rs),
             "sweep_points": len(spec.ells),
         },
     )

@@ -26,9 +26,10 @@ correction term, which is vacuous at desk scale and reported as such.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +55,7 @@ __all__ = [
     "derived_quantities",
     "haar_mean_pairwise_overlap",
     "average_error_bound",
-    "run_experiment",
+    "run_sweep",
     "trial_peak_bytes",
     "sample_peak_bytes",
 ]
@@ -400,26 +401,26 @@ def _sizes(cfg: HpConfig) -> tuple[int, int, int, int, int]:
 
 def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     """Complex entries alive at the peak of each stage of a trial, with
-    ``d = 2^k``, ``n`` Kraus operators and ``s`` compressed output
-    dimensions: the isometry with its Ginibre and QR copies; the Kraus
-    stack, its copy and their thin SVD; one basis's outputs, alive only in
-    :func:`ctoq.ppgm.build_ppgm`; both bases' pPGMs (temporaries,
-    ``(d, s, m)`` support factors with ``m = min(s, n)``, and their Gram
-    matrix with its eigenvectors); and the decoder (both POVMs'
+    ``d = 2^k``, ``n`` Kraus operators and ``s`` compressed output dimensions,
+    at most ``min(rank(xi) 2^ell, n d) + 1``: the isometry with its Ginibre and
+    QR copies; the Kraus stack, its copy and their thin SVD; one basis's
+    outputs, alive only in :func:`ctoq.ppgm.build_ppgm`; both bases' pPGMs
+    (temporaries, ``(d, s, m)`` factors with ``m = min(s, n)``, and their
+    ``dm x dm`` Gram matrix with its eigenvectors); and the decoder (both POVMs'
     ``(d, s, m + 1)`` factors, the ``d^2 n s`` stack ``M_E,j B`` and one F
-    outcome's ``d^2 n (m + 1)`` products with it, each with a copy, and
-    three ``d^2 x d^2`` arrays: the state with a term being added, or
-    with its difference to ``Phi`` and that one's eigenvalue copy)."""
+    outcome's ``d^2 n (m + 1)`` products with it, each with a copy, and three
+    ``d^2 x d^2`` arrays: the state with a term being added, or with its
+    difference to ``Phi`` and that one's eigenvalue copy)."""
     d, n, iso, kraus, dc = _sizes(cfg)
     m = min(dc, n * d)
-    s = min(dc, m + 1)
+    s = min(min(cfg.rank * 2**cfg.n_rad, m) + 1, dc)
     w = min(s, n) + 1
     dm = d * min(s, n)
     return (
         4 * iso,
         iso + 3 * kraus + (dc + n * d) * m + 3 * dc * s + 2 * n * s * d,
         2 * d * s * s + 2 * n * s * d,
-        (5 * d + 2) * s * s + 4 * dm * dm + 3 * n * s * d,
+        (5 * dm + 2 * s) * s + 4 * dm * dm + 3 * n * s * d,
         2 * s * s + n * s * d + 4 * d * s * w
         + 2 * d * d * n * (s + w) + 3 * d**4,
     )
@@ -449,19 +450,26 @@ def sample_peak_bytes(cfg: HpConfig) -> int:
     return _peak_bytes((4 * iso, 2 * iso + 2 * kraus, 3 * kraus + side))
 
 
-def run_experiment(cfg: HpConfig, n_jobs: int = 1) -> list[TrialResult]:
-    """All trials of a config, in trial order; deterministic given the seed.
-
-    Trials are independent; with ``n_jobs > 1`` they fan out over a process
-    pool of at most one worker per trial without changing the results.
-    """
-    trials = range(cfg.trials)
-    workers = min(n_jobs, cfg.trials)
-    if workers <= 1:
-        return [run_trial(cfg, t) for t in trials]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_trial, cfg, t) for t in trials]
-        return [f.result() for f in futures]
+def run_sweep(
+    cfgs: list[HpConfig], n_jobs: int = 1, done: Callable = lambda i, rs: None
+) -> list[list[TrialResult]]:
+    """Each config's trials in trial order, the same for any ``n_jobs``:
+    above 1, one pool of at most one process per trial runs the whole sweep
+    in chunks.  ``done(i, results)`` gets config ``i``'s trials on arrival."""
+    tasks = [(cfg, t) for cfg in cfgs for t in range(cfg.trials)]
+    workers = min(n_jobs, len(tasks))
+    with contextlib.ExitStack() as stack:
+        results = map(run_trial, *zip(*tasks))
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            chunk = math.ceil(len(tasks) / (4 * workers))
+            results = pool.map(run_trial, *zip(*tasks), chunksize=chunk)
+        out = []
+        for i, cfg in enumerate(cfgs):
+            out.append([next(results) for _ in range(cfg.trials)])
+            done(i, out[-1])
+        return out
 
 
 def _gram_side(n: int, dc: int, d: int) -> bool:

@@ -19,7 +19,7 @@ from ctoq.haarhp import (
     HpConfig,
     haar_mean_pairwise_overlap,
     pairwise_overlap_samples,
-    run_experiment,
+    run_sweep,
     average_error_bound,
 )
 from ctoq.sampling import random_basis, random_channel, random_povm
@@ -187,7 +187,7 @@ def test_criterion_09_experiment_per_trial_bounds():
     failed = 0
     for ell in (2, 3, 4):
         cfg = HpConfig(3, 1, ell, PURE, seed=SEED + 9, trials=500)
-        results = run_experiment(cfg, n_jobs=N_JOBS)
+        results = run_sweep([cfg], n_jobs=N_JOBS)[0]
         failed += sum(1 for r in results if r.error is not None)
         for r in results:
             if r.error is not None:

@@ -417,6 +417,58 @@ def test_hp_run_byte_identical_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_hp_run_sizes_memory_by_the_workers_of_the_whole_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    # one trial at each of two sweep points: at --threads 2 the sweep's one
+    # pool runs both at once, so memory for one trial is not enough
+    cfg = write_config(tmp_path, "n_bh = 2\nn_msg = 1\nell = 1,2\ntrials = 1\n")
+    need = max(trial_peak_bytes(HpConfig(2, 1, ell, [1.0])) for ell in (1, 2)) // 2**20
+    fields = {"MemAvailable": need + need // 2, "VmSize": 0}
+    monkeypatch.setattr(cli, "_proc_mib", lambda path, key: fields[key])
+    out = tmp_path / "o"
+    assert main(["hp-run", "--config", cfg, "--out", str(out), "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: 2 trial(s) at once need about {2 * need} MiB")
+    assert not out.exists()
+    assert main(["hp-run", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+
+
+def test_hp_run_reports_each_sweep_point_on_stderr(tmp_path, capsys, monkeypatch):
+    import ctoq.haarhp as haarhp
+
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["hp-run", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[:3] == [
+        "ell=0: 5 trials, 0 failed (5/15)",
+        "ell=1: 5 trials, 0 failed (10/15)",
+        "ell=2: 5 trials, 0 failed (15/15)",
+    ]
+    assert captured.out == f"wrote {out / 'results.jsonl'} (18 rows)\n"
+
+    def broken_channel(*args, **kwargs):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(haarhp, "hp_channel", broken_channel)
+    cfg = write_config(tmp_path, CONFIG.replace("ell = 0..2", "ell = 1"))
+    assert main(["hp-run", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    assert capsys.readouterr().err.startswith("ell=1: 5 trials, 5 failed (5/5)\n")
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # hp-run imports concurrent.futures, and with it multiprocessing, only
+    # when it starts a pool, so no other command pays for the import
+    probe = (
+        "import sys, ctoq.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = run_cli(entry=("-c", probe))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # haar-mean
 

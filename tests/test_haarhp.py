@@ -15,7 +15,7 @@ from ctoq.haarhp import (
     haar_mean_pairwise_overlap,
     hp_channel,
     pairwise_overlap_samples,
-    run_experiment,
+    run_sweep,
     run_trial,
     average_error_bound,
     sample_peak_bytes,
@@ -325,7 +325,7 @@ def test_average_bound_epsilon_validation():
 
 def test_run_experiment_perfect_retrieval_at_full_radiation():
     cfg = cfg_with(n=2, k=1, ell=3, seed=13, trials=5)
-    for r in run_experiment(cfg):
+    for r in run_sweep([cfg])[0]:
         assert r.error is None
         assert r.delta_cl_x < 1e-8 and r.delta_cl_z < 1e-8
         assert r.delta_q_ctoq < 1e-6
@@ -333,22 +333,22 @@ def test_run_experiment_perfect_retrieval_at_full_radiation():
 
 def test_run_experiment_deterministic_and_parallel_consistent():
     cfg = cfg_with(n=2, k=1, ell=1, xi=flat_spectrum(2), seed=17, trials=6)
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
+    a = run_sweep([cfg])[0]
+    b = run_sweep([cfg])[0]
     assert a == b
-    c = run_experiment(cfg, n_jobs=2)
+    c = run_sweep([cfg], n_jobs=2)[0]
     assert a == c
 
 
 def test_run_trial_reproducible_in_isolation():
     cfg = cfg_with(n=2, k=1, ell=2, seed=19, trials=4)
-    full = run_experiment(cfg)
+    full = run_sweep([cfg])[0]
     assert run_trial(cfg, 2) == full[2]
 
 
 def test_run_experiment_per_trial_bounds():
     cfg = cfg_with(n=2, k=1, ell=2, xi=flat_spectrum(2), seed=23, trials=25)
-    for r in run_experiment(cfg):
+    for r in run_sweep([cfg])[0]:
         assert r.error is None
         assert r.delta_cl_z <= r.pairwise_entropy_z + 1e-9
         assert r.delta_cl_x <= r.pairwise_entropy_x + 1e-9
@@ -448,7 +448,7 @@ def test_reverse_basis_order_also_satisfies_bound():
     # the decoder with the X record as E and the Z record as F; run_trial
     # builds it the other way round
     cfg = cfg_with(n=2, k=1, ell=2, seed=29, trials=5)
-    fwd = run_experiment(cfg)
+    fwd = run_sweep([cfg])[0]
     z, x = pauli_basis(1, "z"), pauli_basis(1, "x")
     moved = False
     for t, r in enumerate(fwd):
@@ -486,18 +486,17 @@ def test_xi_spectrum_drops_zeros_and_keeps_order():
             cfg_with(n=2, xi=bad)
 
 
-def test_run_experiment_forks_at_most_one_worker_per_trial(monkeypatch):
-    # a stand-in executor that records its size and runs nothing in a
-    # child process
+def test_run_sweep_forks_one_pool_of_at_most_one_worker_per_trial(monkeypatch):
+    # a stand-in executor that records its size and chunk size and runs
+    # nothing in a child process; run_sweep imports the real one from
+    # concurrent.futures only when it starts a pool
     import concurrent.futures
 
-    import ctoq.haarhp as haarhp
-
-    sizes = []
+    pools = []
 
     class RecordingExecutor:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            pools.append([max_workers])
 
         def __enter__(self):
             return self
@@ -505,18 +504,26 @@ def test_run_experiment_forks_at_most_one_worker_per_trial(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, *iterables, chunksize=1):
+            pools[-1].append(chunksize)
+            return map(fn, *iterables)
 
-    monkeypatch.setattr(haarhp, "ProcessPoolExecutor", RecordingExecutor)
-    cfg = cfg_with(n=2, k=1, ell=2, seed=47, trials=2)
-    serial = run_experiment(cfg, n_jobs=1)
-    assert run_experiment(cfg, n_jobs=64) == serial
-    assert sizes == [2]
-    assert run_experiment(dataclasses.replace(cfg, trials=1), n_jobs=64) == serial[:1]
-    assert sizes == [2]  # one trial runs in process
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    cfg = cfg_with(n=2, k=1, ell=1, seed=47, trials=5)
+    cfgs = [cfg, dataclasses.replace(cfg, n_rad=2)]
+    serial = run_sweep(cfgs, n_jobs=1)
+    assert [len(rs) for rs in serial] == [5, 5]
+    assert pools == []
+    assert run_sweep(cfgs, n_jobs=64) == serial
+    assert pools == [[10, 1]]  # one pool for the sweep, one worker per trial
+    assert run_sweep(cfgs, n_jobs=2) == serial
+    assert pools[1:] == [[2, 2]]  # ten tasks in chunks of ceil(10 / 8)
+    one = dataclasses.replace(cfg, trials=1)
+    assert run_sweep([one], n_jobs=64) == [serial[0][:1]]
+    assert len(pools) == 2  # one trial runs in process
+    seen = []
+    run_sweep(cfgs, n_jobs=1, done=lambda i, rs: seen.append((i, rs)))
+    assert seen == list(enumerate(serial))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +542,7 @@ def test_scale_point_errors_sit_below_the_analytic_bound():
         cfg = cfg_with(n=10, k=2, ell=ell, seed=SCALE_SEED, trials=SCALE_TRIALS)
         bound = average_error_bound(cfg, 0.9)
         assert not bound.vacuous
-        results = run_experiment(cfg)
+        results = run_sweep([cfg])[0]
         assert all(r.error is None for r in results)
         for name, limit in (
             ("delta_cl_x", bound.cl_bound),
@@ -582,14 +589,17 @@ def test_run_trial_holds_no_output_stack_past_its_ppgm():
 @pytest.mark.parametrize(
     "n_bh, n_msg, ell, rank",
     [
-        (3, 1, 2, 1),
-        (5, 2, 3, 32),  # maximally mixed
-        (10, 2, 10, 1),
-        (14, 2, 10, 1),  # peak 65 MiB, half of it the two pPGMs
-        (6, 2, 2, 64),  # maximally mixed, 65 MiB, half of it the two pPGMs
-        (9, 1, 9, 512),  # maximally mixed, 104 MiB in the compression
-        (14, 2, 4, 1),  # 191 MiB in the decoder's M_F,l M_E,j B stack
-        (1, 5, 3, 1),  # d = 32: 51 MiB, three 16 MiB d^2 x d^2 arrays
+        # traced peaks at seed 1, trial 0, and the stage that reaches them
+        (3, 1, 2, 1),  # 1.0 MiB, the sample
+        (5, 2, 3, 32),  # maximally mixed, 1.6 MiB, the compression
+        (10, 2, 10, 1),  # 2.8 MiB, the compression
+        (14, 2, 10, 1),  # 46.1 MiB, the compression
+        (6, 2, 2, 64),  # maximally mixed, 13.0 MiB, the decoder
+        (9, 1, 9, 512),  # maximally mixed, 104.0 MiB, the compression
+        (14, 2, 4, 1),  # 57.3 MiB in the decoder's M_F,l M_E,j B stack
+        (1, 5, 3, 1),  # d = 32: 49.7 MiB, three 16 MiB d^2 x d^2 arrays
+        (13, 2, 7, 1),  # 30.4 MiB, the decoder; 24.4 MiB in the pPGMs
+        (4, 4, 4, 16),  # maximally mixed, 39.0 MiB, the decoder; 36.1 in a pPGM
     ],
 )
 def test_trial_peak_bytes_bounds_the_traced_peak(n_bh, n_msg, ell, rank):
