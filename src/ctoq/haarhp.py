@@ -405,8 +405,9 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     at most ``min(rank(xi) 2^ell, n d) + 1``: the isometry with its Ginibre and
     QR copies; the Kraus stack, its copy and their thin SVD; one basis's
     outputs, alive only in :func:`ctoq.ppgm.build_ppgm`; both bases' pPGMs
-    (temporaries, ``(d, s, m)`` factors with ``m = min(s, n)``, and their
-    ``dm x dm`` Gram matrix with its eigenvectors); and the decoder (both POVMs'
+    (temporaries, ``(d, s, m)`` factors with ``m = min(s, n)``, and the
+    ``s x s`` support sum ``Pi`` with its Hermitian part, its eigenvectors and
+    the eigensolver's work space); and the decoder (both POVMs'
     ``(d, s, m + 1)`` factors, the ``d^2 n s`` stack ``M_E,j B`` and one F
     outcome's ``d^2 n (m + 1)`` products with it, each with a copy, and three
     ``d^2 x d^2`` arrays: the state with a term being added, or with its
@@ -420,7 +421,7 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
         4 * iso,
         iso + 3 * kraus + (dc + n * d) * m + 3 * dc * s + 2 * n * s * d,
         2 * d * s * s + 2 * n * s * d,
-        (5 * dm + 2 * s) * s + 4 * dm * dm + 3 * n * s * d,
+        (5 * dm + 6 * s) * s + 3 * n * s * d,
         2 * s * s + n * s * d + 4 * d * s * w
         + 2 * d * d * n * (s + w) + 3 * d**4,
     )

@@ -3,10 +3,11 @@
 The measurement discriminates the channel outputs ``tau_j = T(|j><j|)`` using
 the *support projectors* ``Pi_j`` of the outputs rather than the outputs
 themselves: ``M_j = Pi^{-1/2} Pi_j Pi^{-1/2}`` with ``Pi = sum_j Pi_j``.  It
-is the square-root measurement of the projectors, built in its Gram form
-(Hausladen, Jozsa, Schumacher, Westmoreland and Wootters, PRA 54, 1869
-(1996); Eldar and Forney, IEEE TIT 47, 858 (2001)) from the branch
-matrices ``B_j = [K_n|j>]_n``, whose column spaces are the supports.  Its
+is the square-root measurement of the projectors (Hausladen, Jozsa,
+Schumacher, Westmoreland and Wootters, PRA 54, 1869 (1996); Eldar and
+Forney, IEEE TIT 47, 858 (2001)), built on the span of the outputs from the
+orthonormal factors ``U_j`` of the supports, the column spaces of the branch
+matrices ``B_j = [K_n|j>]_n``, and one eigendecomposition of ``Pi``.  Its
 decoding error is bounded by pairwise support/state overlaps, which in turn
 are fixed by collision entropies and the smallest nonzero output
 eigenvalue.
@@ -75,23 +76,23 @@ def build_ppgm(
 ) -> PpgmBundle:
     """Build the measurement for discriminating the channel's basis outputs.
 
-    The Gram form of the square-root measurement, on the branch matrices
-    ``B_j = [K_n|j>]_n``.  One batched thin SVD gives each output's support
-    factor ``U_j``, the left singular vectors at ``s^2 > rank_tol s_max^2``
-    (the singular values squared are the spectrum of ``tau_j = B_j
+    The square-root measurement of the support projectors, from the branch
+    matrices ``B_j = [K_n|j>]_n``.  One batched thin SVD gives each output's
+    support factor ``U_j``, the left singular vectors at ``s^2 > rank_tol
+    s_max^2`` (the singular values squared are the spectrum of ``tau_j = B_j
     B_j^dag``).  The singular values alone, from their own SVD, give the
     smallest nonzero eigenvalue of each output, to
     ``eps sqrt(lambda_max / lambda_min)`` relative where the eigenvalues of
     the output fix it only to ``eps lambda_max / lambda_min``.  With
-    ``Q = [U_1 ... U_d]`` and ``G = Q^dag Q``, whose nonzero spectrum is that
-    of ``Pi``, one eigendecomposition of ``G`` gives ``F = Q G^{-1/2}`` on
-    ``supp G``, and its column blocks ``F_j`` are the POVM's factors:
-    ``F_j F_j^dag = Pi^{-1/2} Pi_j Pi^{-1/2}``, with no ``dC x dC`` matrix
-    formed.  The deficiency ``I - F F^dag`` of ``supp(Pi)``, on which no
-    output has weight, goes to outcome 0, whose factor gets an orthonormal
-    basis of it appended (``dC - rank G`` columns, :func:`_deficiency`).  On
-    a channel compressed by :func:`ctoq.qcore.output_span_channel`, as in
-    the Hayden-Preskill trials, that is at most the pinned ``|0>``.
+    ``Q = [U_1 ... U_d]``, one eigendecomposition of ``Pi = Q Q^dag`` gives
+    ``F = Pi^{-1/2} Q`` on ``supp Pi``, and its column blocks ``F_j`` are the
+    POVM's factors: ``F_j F_j^dag = Pi^{-1/2} Pi_j Pi^{-1/2}``.  The null
+    eigenvectors of ``Pi`` span the deficiency ``I - F F^dag``, on which no
+    output has weight; they go to outcome 0, appended to its factor
+    (``dC - rank Pi`` columns).  On a channel compressed by
+    :func:`ctoq.qcore.output_span_channel`, as in the Hayden-Preskill
+    trials, ``Pi`` is ``s x s`` for an output span of dimension ``s``, and
+    the deficiency is at most the pinned ``|0>``.
     """
     dc = chan.dim_out
     if rank_tol is None:
@@ -125,17 +126,17 @@ def build_ppgm(
     u = np.linalg.svd(branches, full_matrices=False)[0]
     u *= np.arange(m) < ranks[:, None, None]  # drop the columns off the support
     q = u.transpose(1, 0, 2).reshape(dc, d * m)
-    w, v, on = support_eigh(q.conj().T @ q, rank_tol)
-    # G has rank at most dC: rounding can lift one of its null eigenvalues
-    # above the cutoff, and F F^dag would then miss being a projector
-    on[: max(len(w) - dc, 0)] = False
-    root_w = np.zeros_like(w)
-    root_w[on] = w[on] ** -0.5
-    f = q @ ((v * root_w) @ v.conj().T)
-    factors = np.zeros((d, dc, m + max(dc - int(on.sum()), 0)), dtype=np.complex128)
-    factors[:, :, :m] = f.reshape(dc, d, m).transpose(1, 0, 2)
-    # deficiency of supp(Pi): outputs never land there, fold into outcome 0
-    factors[0, :, m:] = _deficiency(f, factors.shape[2] - m)
+    w, v, on = support_eigh(q @ q.conj().T, rank_tol)
+    # Pi has rank at most sum_j r_j: rounding can lift one of its null
+    # eigenvalues above the cutoff, and F F^dag would then miss being a projector
+    on[: max(len(w) - int(ranks.sum()), 0)] = False
+    null = len(w) - int(on.sum())  # the eigenvalues ascend: the null ones lead
+    f = v[:, null:].conj().T @ q
+    f *= w[null:, None] ** -0.5
+    factors = np.zeros((d, dc, m + null), dtype=np.complex128)
+    factors[:, :, :m] = (v[:, null:] @ f).reshape(dc, d, m).transpose(1, 0, 2)
+    # null space of Pi: outputs never land there, fold into outcome 0
+    factors[0, :, m:] = v[:, :null]
     u.setflags(write=False)
 
     return PpgmBundle(
@@ -149,24 +150,6 @@ def build_ppgm(
         lambda_min=lam_min,
         ill_conditioned=ill,
     )
-
-
-def _deficiency(f: np.ndarray, k: int) -> np.ndarray:
-    """``k`` orthonormal columns spanning the range of the projector ``P = I
-    - F F^dag``: its pivoted Cholesky factor, without forming ``P``.  Each
-    column is ``P e_i`` at the largest remaining diagonal entry ``i``, less
-    its part on the columns before it."""
-    e = np.zeros((len(f), k), dtype=np.complex128)
-    diag = 1.0 - np.einsum("cr,cr->c", f, f.conj()).real
-    for s in range(k):
-        i = int(np.argmax(diag))
-        col = -(f @ f[i].conj())
-        col[i] += 1.0
-        col -= e[:, :s] @ e[i, :s].conj()
-        col /= np.linalg.norm(col)
-        e[:, s] = col
-        diag -= np.abs(col) ** 2
-    return e
 
 
 def pairwise_bound(bundle: PpgmBundle) -> tuple[float, float, float]:

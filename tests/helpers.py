@@ -7,9 +7,13 @@ to the naming:
 
 * ``dense_build_ppgm``, ``dense_support_bound`` and ``dense_ppgm_error``
   are ``ctoq.ppgm.build_ppgm``, ``support_bound`` and ``ppgm_error`` as
-  they were before the Gram form replaced them, with one eigendecomposition
-  per output and a ``(d, dC, dC)`` stack of support projectors, and they
-  return and read a ``DensePpgmBundle``, the bundle of that time.
+  they were before the support factors replaced them, with one
+  eigendecomposition per output and a ``(d, dC, dC)`` stack of support
+  projectors, and they return and read a ``DensePpgmBundle``, the bundle of
+  that time.  The library builds the same measurement from the orthonormal
+  factors ``U_j`` of the supports, as the blocks of ``Pi^{-1/2} [U_1 ...
+  U_d]``, with ``Pi`` and its null space from one eigendecomposition of
+  ``Pi = sum_j U_j U_j^dag``.
   ``dense_pairwise_bound`` is ``ctoq.ppgm.pairwise_bound`` as it was before
   the bundle kept the statistics of its outputs in place of the outputs: it
   reads the ``(d, dC, dC)`` stack and its mean.

@@ -592,13 +592,15 @@ def test_overlap_samples_match_the_compressed_outputs_at_wide_shapes(
 
 
 # ---------------------------------------------------------------------------
-# the pPGM in its Gram form
+# the pPGM from its support factors: the blocks of F = Pi^{-1/2} Q, with
+# Q = [U_1 ... U_d] and Pi = Q Q^dag on the output span
 
 
 def check_gram_form(ch, basis, rank_tol=None):
-    """The Gram-form pPGM against the dense construction it replaced: every
-    input of the pairwise bound, and so the bound, bit for bit; the
-    elements, the support projectors and the other bounds to 1e-12."""
+    """The pPGM built from the support factors against the dense
+    construction it replaced: every input of the pairwise bound, and so the
+    bound, bit for bit; the elements, the support projectors and the other
+    bounds to 1e-12."""
     got = build_ppgm(ch, basis, rank_tol)
     want = dense_build_ppgm(ch, basis, rank_tol)
     check_statistics(got, want.tau_states, exact=True)
@@ -633,6 +635,33 @@ def test_gram_form_ppgm_matches_the_dense_one_on_hp_channels(shape, xi):
         ch = _trial_channel(cfg, t)
         for which in "zx":
             check_gram_form(ch, pauli_basis(cfg.n_msg, which), hp_rank_tol(cfg))
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 3), (3, 5, 4)], ids=["2-5-3", "3-5-4"])
+def test_ppgm_matches_the_dense_one_at_five_message_qubits(shape):
+    # d = 32 inputs on an output span of 9 or 17 dimensions: Pi is over ten
+    # times smaller on a side than the Gram matrix of the support factors
+    cfg = hp_cfg(shape, "pure")
+    ch = _trial_channel(cfg, 0)
+    for which in "zx":
+        bundle = check_gram_form(ch, pauli_basis(5, which), hp_rank_tol(cfg))
+        assert 10 * ch.dim_out < 32 * bundle.supports.shape[2]
+
+
+@pytest.mark.parametrize("xi", ["pure", "rank2", "rank3"])
+@pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_pinned_zero_falls_to_outcome_0_on_hp_channels(shape, xi):
+    # with a rank-deficient initial state the outputs miss the pinned |0>,
+    # so <0|M_l|0>, the weight the decoder reads off it, is 1 at l = 0 only
+    cfg = hp_cfg(shape, xi)
+    for t in range(cfg.trials):
+        ch = _trial_channel(cfg, t)
+        for which in "zx":
+            bundle = build_ppgm(ch, pauli_basis(cfg.n_msg, which), hp_rank_tol(cfg))
+            row0 = bundle.povm.factors[:, 0, :]
+            weights = np.einsum("lw,lw->l", row0, row0.conj()).real
+            want = np.eye(len(weights))[0]
+            np.testing.assert_allclose(weights, want, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -323,7 +323,7 @@ def test_average_bound_epsilon_validation():
 # the experiment
 
 
-def test_run_experiment_perfect_retrieval_at_full_radiation():
+def test_run_sweep_perfect_retrieval_at_full_radiation():
     cfg = cfg_with(n=2, k=1, ell=3, seed=13, trials=5)
     for r in run_sweep([cfg])[0]:
         assert r.error is None
@@ -331,7 +331,7 @@ def test_run_experiment_perfect_retrieval_at_full_radiation():
         assert r.delta_q_ctoq < 1e-6
 
 
-def test_run_experiment_deterministic_and_parallel_consistent():
+def test_run_sweep_deterministic_and_parallel_consistent():
     cfg = cfg_with(n=2, k=1, ell=1, xi=flat_spectrum(2), seed=17, trials=6)
     a = run_sweep([cfg])[0]
     b = run_sweep([cfg])[0]
@@ -346,7 +346,7 @@ def test_run_trial_reproducible_in_isolation():
     assert run_trial(cfg, 2) == full[2]
 
 
-def test_run_experiment_per_trial_bounds():
+def test_run_sweep_per_trial_bounds():
     cfg = cfg_with(n=2, k=1, ell=2, xi=flat_spectrum(2), seed=23, trials=25)
     for r in run_sweep([cfg])[0]:
         assert r.error is None
@@ -598,7 +598,7 @@ def test_run_trial_holds_no_output_stack_past_its_ppgm():
         (9, 1, 9, 512),  # maximally mixed, 104.0 MiB, the compression
         (14, 2, 4, 1),  # 57.3 MiB in the decoder's M_F,l M_E,j B stack
         (1, 5, 3, 1),  # d = 32: 49.7 MiB, three 16 MiB d^2 x d^2 arrays
-        (13, 2, 7, 1),  # 30.4 MiB, the decoder; 24.4 MiB in the pPGMs
+        (13, 2, 7, 1),  # 30.4 MiB, the decoder; 12.7 MiB in the pPGMs
         (4, 4, 4, 16),  # maximally mixed, 39.0 MiB, the decoder; 36.1 in a pPGM
     ],
 )

@@ -91,6 +91,22 @@ def test_residual_never_fires_on_outputs():
         assert fire <= 1e-9
 
 
+def test_deficiency_of_pi_goes_to_outcome_0():
+    rng = np.random.default_rng(3)
+    chan = random_channel(rng, 2, 4, 1)  # rank-1 outputs, Pi of rank 2
+    bundle = build_ppgm(chan, random_basis(rng, 2))
+    u = bundle.supports
+    m = u.shape[2]
+    pi_rank = np.linalg.matrix_rank(
+        (u @ u.conj().transpose(0, 2, 1)).sum(axis=0), hermitian=True
+    )
+    extra = bundle.povm.factors[0, :, m:]
+    assert extra.shape[1] == 4 - pi_rank == 2
+    np.testing.assert_allclose(extra.conj().T @ extra, np.eye(2), atol=1e-12)
+    assert np.max(np.abs(u.conj().transpose(0, 2, 1) @ extra)) < 1e-12
+    assert not bundle.povm.factors[1:, :, m:].any()
+
+
 def test_pairwise_bound_forms_agree_randomized():
     rng = np.random.default_rng(4)
     for i in range(20):
