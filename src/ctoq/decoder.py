@@ -12,15 +12,15 @@ assembles a channel ``C -> A`` that decodes quantum information:
   outcome-dependent diagonal phase to the register, deleting the record of
   which E outcome occurred.
 
-The two stages fuse into a decoder fixed in closed form by Gram products
-of the two POVMs' factors.  :func:`ctoq_delta_q` evaluates its quantum
-decoding error from that form, on the ``d^2 x d^2`` image of a maximally
-entangled state under channel and decoder, without assembling a Kraus set.
-:func:`coherent_state` evaluates the coherent measurement alone in the same
-closed form, for the three-party diagnostic; no dilation is built for
-either.  The decoding error is controlled by the two classical errors
-plus a complementarity defect of the basis pair, evaluated here along with
-its computable upper bounds.
+The two stages fuse into a decoder fixed in closed form by products of
+the two POVMs' factors.  :func:`ctoq_delta_q` evaluates its quantum
+decoding error on the ``d^2 x d^2`` image of a maximally entangled state,
+one bilinear form in the channel's branches written in the E-POVM's
+factors, without assembling a Kraus set.  :func:`coherent_state` evaluates
+the coherent measurement alone in the same coordinates, for the three-party
+diagnostic; no dilation is built for either.  The decoding error is
+controlled by the two classical errors plus a complementarity defect of the
+basis pair, evaluated here along with its computable upper bounds.
 """
 
 from __future__ import annotations
@@ -124,30 +124,32 @@ def delta_cl(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
 # construction
 
 
-def _dilation_terms(ks: np.ndarray, a_e: np.ndarray) -> np.ndarray:
-    """The E-POVM's dilation on the branch matrix ``B = [K_n|a>]``, from the
-    POVM's factors ``A_j``: ``Y_j = M_E,j B = A_j (A_j^dag B)`` as
-    ``y[j, a, n, c]``."""
-    n_kraus, dc, d_in = ks.shape
-    # rows (a, n), columns c: the transpose of B
-    bt = ks.transpose(2, 0, 1).reshape(d_in * n_kraus, dc)
-    y = (bt @ a_e.conj()) @ a_e.transpose(0, 2, 1)
-    return y.reshape(len(a_e), d_in, n_kraus, dc)
+def _factor_coords(a_e: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
+    """Each ``(n, dim C, m)`` stack ``S`` in the E-POVM's factor coordinates,
+    ``[j, r, n, a] = (A_E,j^dag S_n)[r, a]``, by one product with the stacked
+    ``A_E^dag``: ``z_j = A_E,j^dag B`` for Kraus operators, ``B = [K_n|a>]``;
+    the blocks ``A_E,j^dag A_l`` for POVM factors."""
+    d, dc, w = a_e.shape
+    a_h = a_e.transpose(1, 0, 2).reshape(dc, -1).conj().T
+    return [
+        (a_h @ s.transpose(1, 0, 2).reshape(dc, -1)).reshape(d, w, *s.shape[::2])
+        for s in stacks
+    ]
 
 
-def _traced_out_term(y: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """``q[j, a, k, b] = delta_jk tr(M_E,j X) - tr(M_E,k M_E,j X)`` for ``X
-    = sum_n K_n|a><b|K_n^dag``, from the Gram products over ``(n, c)`` of
-    ``y`` of :func:`_dilation_terms`: what undoing the dilation leaves
-    outside its range, ``tr(V^dag P_k (I - V V^dag) P_j V X)`` with
-    ``V^dag P_k P_j V = delta_jk M_E,j``."""
-    d, d_in = y.shape[:2]
-    rows = y.reshape(d * d_in, -1)
-    q = rows @ rows.conj().T
-    q = np.negative(q, out=q).reshape(d, d_in, d, d_in)
-    diag = rows.reshape(d, d_in, -1) @ ks.reshape(-1, d_in).conj()
-    q[np.arange(d), :, np.arange(d), :] += diag
-    return q
+def _bilinear_form(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``h[j, a, k, b] = sum_n z_k[:, (n, b)]^dag g_kj z_j[:, (n, a)]`` for a
+    kernel ``g`` on rows ``(k, r)`` and columns ``(j, r')``, one E outcome
+    ``k`` at a time, so that one ``d^2 n w`` block ``g_k^T z_k^*`` is held."""
+    d, w, n_kraus, d_in = z.shape
+    zt = z.reshape(d, w * n_kraus, d_in).transpose(0, 2, 1)
+    h = np.empty((d, d_in, d, d_in), dtype=np.complex128)
+    u = np.empty((d * w, n_kraus * d_in), dtype=np.complex128)
+    for k in range(d):
+        # u[(j, r'), (n, b)] = sum_r g[(k, r), (j, r')] z[k, r, n, b]^*
+        np.matmul(g[k * w : (k + 1) * w].T, z[k].reshape(w, -1).conj(), out=u)
+        h[:, :, k] = zt @ u.reshape(d, w * n_kraus, d_in)
+    return h
 
 
 def _check_povms(d: int, dc: int, *povms: Povm) -> None:
@@ -185,19 +187,22 @@ def coherent_state(chan: Channel, povm_e: Povm, e_basis: OrthoBasis) -> Operator
         |j_E><j'_E|``.
 
     The first term is the measured branch, one Gram matrix of the rotated
-    ``Y_j = M_E,j B``; the second is the traced-out term of
+    ``Y_j = M_E,j B = A_E,j z_j``; the second is the form ``z^dag T z`` of
     :func:`ctoq_delta_q`, put on ``|0>``.  No dilation is built.
     """
     d, dc = e_basis.dim, chan.dim_out
     _check_povms(d, dc, povm_e)
-    ks = chan.kraus
-    n_kraus, _, d_in = ks.shape
-    y = _dilation_terms(ks, povm_e.factors)
-    q = _traced_out_term(y, ks)
+    a_e = povm_e.factors
+    n_kraus, _, d_in = chan.kraus.shape
+    dw = d * a_e.shape[2]
+    z, ee = _factor_coords(a_e, chan.kraus, a_e)
+    q = _bilinear_form(z, np.eye(dw) - ee.reshape(dw, dw))
     u = e_basis.matrix
-    # w[(c, x, a), n] = <c| sum_j u[x, j] M_E,j K_n |a>
-    w = (u @ y.reshape(d, -1)).reshape(d, d_in, n_kraus, dc)
-    w = w.transpose(3, 0, 1, 2).reshape(-1, n_kraus)
+    # w[(c, x, a), n] = <c| sum_j u[x, j] A_E,j z_j |(n, a)>
+    y = a_e @ z.reshape(*z.shape[:2], -1)
+    w = (u @ y.reshape(d, -1)).reshape(d, dc, n_kraus, d_in)
+    del y, z
+    w = w.transpose(1, 0, 3, 2).reshape(-1, n_kraus)
     rho = (w @ w.conj().T).reshape(dc, d, d_in, dc, d, d_in)
     rho[0, :, :, 0] += np.einsum(
         "xj,jakb,zk->xazb", u, q, u.conj(), optimize=True
@@ -223,34 +228,28 @@ def _ctoq_state(
     dc = chan.dim_out
     _check_povms(d, dc, povm_e, povm_f)
     d_in = chan.dim_in
-    a_f = povm_f.factors
-    y = _dilation_terms(chan.kraus, povm_e.factors)
+    a_e, a_f = povm_e.factors, povm_f.factors
+    w = a_e.shape[2]
     u = e_basis.matrix
     phases = np.exp(1j * np.angle(u.conj().T @ f_basis.matrix))  # [j, l]
-    # the measured branch: V_l[(j, a), (n, r)] = phi_jl (A_l^dag Y_j)[r, (n,
-    # a)] for one F outcome at a time, so only one V_l is held
-    h = np.zeros((d * d_in, d * d_in), dtype=np.complex128)
-    for l in range(d):
-        v = (y.reshape(-1, dc) @ a_f[l].conj()).reshape(d, -1)
-        v *= phases[:, l, None]
-        v = v.reshape(d * d_in, -1)
-        h += v @ v.conj().T
-        del v
-    h = h.reshape(d, d_in, d, d_in)
-    # the traced-out term, on e0' = |0>, weighted by c_l = <0|M_F,l|0>;
-    # formed only now and scaled in place, so that at most two d^2 dim_in^2
-    # arrays are held at a time here
+    z, ee, ef = _factor_coords(a_e, chan.kraus, a_e, a_f)
+    # the kernel G = R R^dag + (gamma^T (x) 1) o T of ctoq_delta_q
     c = np.sum(np.abs(a_f[:, 0, :]) ** 2, axis=1)
-    q = _traced_out_term(y, chan.kraus)
-    q *= ((phases * c) @ phases.conj().T)[:, None, :, None]
-    h += q
-    del y, q
+    gamma = (phases * c) @ phases.conj().T
+    g = (np.eye(d * w) - ee.reshape(d * w, -1)).reshape(d, w, d, w)
+    g *= gamma.T[:, None, :, None]
+    r = (ef * phases.conj()[:, None, :, None]).reshape(d * w, -1)
+    g = g.reshape(d * w, -1)
+    g += r @ r.conj().T
+    del ee, ef, r
+    h = _bilinear_form(z, g)
+    del z, g
     # rho = (U_E (x) I) h (U_E (x) I)^dag, one side at a time
     rho = (u @ h.reshape(d, -1)).reshape(d * d_in, d, d_in)
     del h
-    rho = rho.transpose(0, 2, 1) @ u.conj().T
+    rho = u.conj() @ rho
     rho /= d_in
-    rho = np.ascontiguousarray(rho.transpose(0, 2, 1)).reshape(d, d_in, d, d_in)
+    rho = rho.reshape(d, d_in, d, d_in)
     _check_r_marginal(rho, "decoder")
     return rho.reshape(d * d_in, d * d_in)
 
@@ -279,17 +278,17 @@ def ctoq_delta_q(
 
     ``X = K_n|a><a'|K_n^dag`` enters through the branch matrix ``B =
     [K_n|a>]`` and each element through its factor, ``M_l = A_l A_l^dag``.
-    With ``Y_j = A^E_j (A^E_j^dag B)`` and ``W_lj = A^F_l^dag Y_j``, the
-    state ``(D o T (x) id)(Phi)`` is ``(U_E (x) I) h (U_E (x) I)^dag / dim
-    R`` with
+    With ``z_j = A^E_j^dag B`` the state ``(D o T (x) id)(Phi)`` is ``(U_E
+    (x) I) h (U_E (x) I)^dag / dim R`` for the bilinear form
 
-        ``h[(j, a), (k, b)] = sum_l phi_jl phi_kl^* <W_lk[:, b], W_lj[:, a]>
-        + q[j, a, k, b] sum_l c_l phi_jl phi_kl^*``,
+        ``h[(j, a), (k, b)] = sum_n z_k[:, (n, b)]^dag G_kj z_j[:, (n, a)]``
 
-    one Gram product per F outcome ``l``, ``q`` the traced-out term of
-    :func:`coherent_state` and ``c_l = ||A^F_l[0, :]||^2``; no product of
-    two elements is formed.  The error is the state's trace distance to
-    ``Phi``.
+    with ``G = R R^dag + (gamma^T (x) 1) o T``.  The measured branch is ``R =
+    A_E^dag A_F`` with block ``(k, l)`` scaled by ``phi_kl^*``; the
+    traced-out kernel ``T = I - A_E^dag A_E``, blocks ``delta_kj I -
+    A^E_k^dag A^E_j``, is weighted by ``gamma_jk = sum_l c_l phi_jl
+    phi_kl^*`` with ``c_l = ||A^F_l[0, :]||^2``.  No product of two elements
+    is formed.  The error is the state's trace distance to ``Phi``.
     """
     d = e_basis.dim
     if chan.dim_in != d:

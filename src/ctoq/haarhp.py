@@ -407,11 +407,11 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     outputs, alive only in :func:`ctoq.ppgm.build_ppgm`; both bases' pPGMs
     (temporaries, ``(d, s, m)`` factors with ``m = min(s, n)``, and the
     ``s x s`` support sum ``Pi`` with its Hermitian part, its eigenvectors and
-    the eigensolver's work space); and the decoder (both POVMs'
-    ``(d, s, m + 1)`` factors, the ``d^2 n s`` stack ``M_E,j B`` and one F
-    outcome's ``d^2 n (m + 1)`` products with it, each with a copy, and three
-    ``d^2 x d^2`` arrays: the state with a term being added, or with its
-    difference to ``Phi`` and that one's eigenvalue copy)."""
+    the eigensolver's work space); and the decoder (both POVMs' ``(d, s, m +
+    1)`` factors with a copy, the branches in the E factors' coordinates and
+    one E outcome's block, ``d^2 n (m + 1)`` each, three ``d (m + 1)``-square
+    matrices, and three ``d^2 x d^2`` arrays: the state with a term being
+    added, or with its difference to ``Phi`` and that one's eigenvalue copy)."""
     d, n, iso, kraus, dc = _sizes(cfg)
     m = min(dc, n * d)
     s = min(min(cfg.rank * 2**cfg.n_rad, m) + 1, dc)
@@ -423,7 +423,7 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
         2 * d * s * s + 2 * n * s * d,
         (5 * dm + 6 * s) * s + 3 * n * s * d,
         2 * s * s + n * s * d + 4 * d * s * w
-        + 2 * d * d * n * (s + w) + 3 * d**4,
+        + 2 * d * d * n * w + 3 * (d * w) ** 2 + 3 * d**4,
     )
 
 

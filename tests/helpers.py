@@ -24,6 +24,10 @@ to the naming:
 * ``dense_ctoq_state`` is ``ctoq.decoder._ctoq_state`` as it was before the
   factored form: the ``d^2`` products ``M_F,l M_E,j B`` of the elements and
   the ``d^5`` tensor of their traces.
+* ``loop_ctoq_state`` is ``ctoq.decoder._ctoq_state`` as it was before the
+  bilinear form in the E factors' coordinates: the ``d^2 n dim S`` stack
+  ``Y_j = M_E,j B``, one Gram product of its projections onto ``A_F,l`` per
+  F outcome ``l``, and the traced-out term built from ``Y`` apart.
 * ``max_entangled``, ``max_correlated_classical``, ``povm_channel`` and
   ``delta_cl_tracenorm`` are the dense states and the trace-norm form of
   the classical error that criterion 03 compares ``delta_cl`` with; no
@@ -419,6 +423,67 @@ def dense_ctoq_state(
     phases = np.exp(1j * np.angle(u.conj().T @ f_basis.matrix))  # [j, l]
     h = np.einsum("jl,ljayb,yl->jayb", phases, g, phases.conj())
     rho = np.einsum("xj,jayb,zy->xazb", u, h, u.conj(), optimize=True) / d_in
+    _check_r_marginal(rho, "decoder")
+    return rho.reshape(d * d_in, d * d_in)
+
+
+def _loop_dilation_terms(ks: np.ndarray, a_e: np.ndarray) -> np.ndarray:
+    """The E-POVM's dilation on the branch matrix ``B = [K_n|a>]``, from the
+    POVM's factors ``A_j``: ``Y_j = M_E,j B = A_j (A_j^dag B)`` as
+    ``y[j, a, n, c]``."""
+    n_kraus, dc, d_in = ks.shape
+    # rows (a, n), columns c: the transpose of B
+    bt = ks.transpose(2, 0, 1).reshape(d_in * n_kraus, dc)
+    y = (bt @ a_e.conj()) @ a_e.transpose(0, 2, 1)
+    return y.reshape(len(a_e), d_in, n_kraus, dc)
+
+
+def _loop_traced_out_term(y: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """``q[j, a, k, b] = delta_jk tr(M_E,j X) - tr(M_E,k M_E,j X)`` for ``X
+    = sum_n K_n|a><b|K_n^dag``, from the Gram products over ``(n, c)`` of
+    ``y`` of :func:`_loop_dilation_terms`."""
+    d, d_in = y.shape[:2]
+    rows = y.reshape(d * d_in, -1)
+    q = rows @ rows.conj().T
+    q = np.negative(q, out=q).reshape(d, d_in, d, d_in)
+    diag = rows.reshape(d, d_in, -1) @ ks.reshape(-1, d_in).conj()
+    q[np.arange(d), :, np.arange(d), :] += diag
+    return q
+
+
+def loop_ctoq_state(
+    chan: Channel, povm_e: Povm, povm_f: Povm, e_basis: OrthoBasis, f_basis: OrthoBasis
+) -> np.ndarray:
+    """``(D o T (x) id_R)(Phi)`` for the decoder ``D`` of
+    :func:`ctoq.decoder.ctoq_delta_q`, from ``W_lj = A^F_l^dag Y_j``: one Gram
+    product ``V_l V_l^dag`` per F outcome ``l``, with ``V_l[(j, a), (n, r)] =
+    phi_jl W_lj[r, (n, a)]``, plus the traced-out term ``q`` weighted by
+    ``sum_l c_l phi_jl phi_kl^*``."""
+    d = e_basis.dim
+    if f_basis.dim != d:
+        raise ValueError("bases must share a dimension")
+    dc = chan.dim_out
+    _check_povms(d, dc, povm_e, povm_f)
+    d_in = chan.dim_in
+    a_f = povm_f.factors
+    y = _loop_dilation_terms(chan.kraus, povm_e.factors)
+    u = e_basis.matrix
+    phases = np.exp(1j * np.angle(u.conj().T @ f_basis.matrix))  # [j, l]
+    h = np.zeros((d * d_in, d * d_in), dtype=np.complex128)
+    for l in range(d):
+        v = (y.reshape(-1, dc) @ a_f[l].conj()).reshape(d, -1)
+        v *= phases[:, l, None]
+        v = v.reshape(d * d_in, -1)
+        h += v @ v.conj().T
+    h = h.reshape(d, d_in, d, d_in)
+    c = np.sum(np.abs(a_f[:, 0, :]) ** 2, axis=1)
+    q = _loop_traced_out_term(y, chan.kraus)
+    q *= ((phases * c) @ phases.conj().T)[:, None, :, None]
+    h += q
+    rho = (u @ h.reshape(d, -1)).reshape(d * d_in, d, d_in)
+    rho = rho.transpose(0, 2, 1) @ u.conj().T
+    rho /= d_in
+    rho = np.ascontiguousarray(rho.transpose(0, 2, 1)).reshape(d, d_in, d, d_in)
     _check_r_marginal(rho, "decoder")
     return rho.reshape(d * d_in, d * d_in)
 

@@ -81,6 +81,7 @@ from tests.helpers import (
     dense_ppgm_error,
     dense_support_bound,
     elements,
+    loop_ctoq_state,
     max_entangled,
     measure_prepare_channel,
     sqrtm_psd,
@@ -596,7 +597,7 @@ def test_overlap_samples_match_the_compressed_outputs_at_wide_shapes(
 # Q = [U_1 ... U_d] and Pi = Q Q^dag on the output span
 
 
-def check_gram_form(ch, basis, rank_tol=None):
+def check_support_sum_ppgm(ch, basis, rank_tol=None):
     """The pPGM built from the support factors against the dense
     construction it replaced: every input of the pairwise bound, and so the
     bound, bit for bit; the elements, the support projectors and the other
@@ -634,7 +635,7 @@ def test_gram_form_ppgm_matches_the_dense_one_on_hp_channels(shape, xi):
     for t in range(cfg.trials):
         ch = _trial_channel(cfg, t)
         for which in "zx":
-            check_gram_form(ch, pauli_basis(cfg.n_msg, which), hp_rank_tol(cfg))
+            check_support_sum_ppgm(ch, pauli_basis(cfg.n_msg, which), hp_rank_tol(cfg))
 
 
 @pytest.mark.parametrize("shape", [(2, 5, 3), (3, 5, 4)], ids=["2-5-3", "3-5-4"])
@@ -644,7 +645,7 @@ def test_ppgm_matches_the_dense_one_at_five_message_qubits(shape):
     cfg = hp_cfg(shape, "pure")
     ch = _trial_channel(cfg, 0)
     for which in "zx":
-        bundle = check_gram_form(ch, pauli_basis(5, which), hp_rank_tol(cfg))
+        bundle = check_support_sum_ppgm(ch, pauli_basis(5, which), hp_rank_tol(cfg))
         assert 10 * ch.dim_out < 32 * bundle.supports.shape[2]
 
 
@@ -670,29 +671,29 @@ def test_gram_form_ppgm_matches_the_dense_one_on_suite_sized_channels(seed):
     d = (2, 3, 4)[seed % 3]
     ch = random_channel(rng, d, d + seed % 3, 1 + int(rng.integers(4)))
     for basis in (random_basis(rng, d), random_basis(rng, d)):
-        check_gram_form(ch, basis)
+        check_support_sum_ppgm(ch, basis)
 
 
 @pytest.mark.parametrize("seed, trial", [(5017, 9), (3078, 1)])
-def test_gram_form_keeps_the_pairwise_forms_where_lambda_min_is_small(seed, trial):
+def test_ppgm_keeps_the_pairwise_forms_where_lambda_min_is_small(seed, trial):
     # (3,1,2) pure trials whose X-basis lambda_min is below 1e-7, so the two
     # pairwise forms are of order 1e6 and differ by a few of their ulps
     cfg = HpConfig(3, 1, 2, [1.0], seed=seed, trials=trial + 1)
     ch = _trial_channel(cfg, trial)
-    check_gram_form(ch, pauli_basis(1, "z"), hp_rank_tol(cfg))
-    bundle_x = check_gram_form(ch, pauli_basis(1, "x"), hp_rank_tol(cfg))
+    check_support_sum_ppgm(ch, pauli_basis(1, "z"), hp_rank_tol(cfg))
+    bundle_x = check_support_sum_ppgm(ch, pauli_basis(1, "x"), hp_rank_tol(cfg))
     assert bundle_x.lambda_min < 1e-7 and not bundle_x.ill_conditioned
 
 
 @pytest.mark.parametrize("d", [8, 16])
-def test_gram_form_ppgm_and_its_bounds_at_larger_input_dimensions(d):
+def test_ppgm_and_its_bounds_at_larger_input_dimensions(d):
     # the suites draw d <= 4; here the pPGMs of two random bases, their
     # bound chain (appx_b) and the decoder built from them (thm1)
     rng = np.random.default_rng(960 + d)
     for i in range(9):
         ch = random_channel(rng, d, d + i % 3, 1 + int(rng.integers(4)))
         e_basis, f_basis = random_basis(rng, d), random_basis(rng, d)
-        bundles = [check_gram_form(ch, b) for b in (e_basis, f_basis)]
+        bundles = [check_support_sum_ppgm(ch, b) for b in (e_basis, f_basis)]
         for bundle in bundles:
             if bundle.ill_conditioned:
                 continue
@@ -730,6 +731,20 @@ def test_factored_decoder_matches_the_dense_one_on_hp_channels(shape, xi):
         pz = build_ppgm(ch, z, hp_rank_tol(cfg)).povm
         px = build_ppgm(ch, x, hp_rank_tol(cfg)).povm
         check_factored_decoder(ch, pz, px, z, x)
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 3), (3, 5, 6)], ids=["2-5-3", "3-5-6"])
+def test_factored_decoder_matches_the_loop_at_five_message_qubits(shape):
+    # d = 32, where the dense oracle's d^5 tensor would take 537 MiB: the
+    # per-F-outcome loop the bilinear form replaced is the reference
+    cfg = hp_cfg(shape, "pure")
+    z, x = pauli_basis(5, "z"), pauli_basis(5, "x")
+    ch = _trial_channel(cfg, 0)
+    pz = build_ppgm(ch, z, hp_rank_tol(cfg)).povm
+    px = build_ppgm(ch, x, hp_rank_tol(cfg)).povm
+    for args in ((pz, px, z, x), (px, pz, x, z)):
+        want = loop_ctoq_state(ch, *args)
+        np.testing.assert_allclose(_ctoq_state(ch, *args), want, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("seed", range(6))

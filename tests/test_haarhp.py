@@ -594,12 +594,12 @@ def test_run_trial_holds_no_output_stack_past_its_ppgm():
         (5, 2, 3, 32),  # maximally mixed, 1.6 MiB, the compression
         (10, 2, 10, 1),  # 2.8 MiB, the compression
         (14, 2, 10, 1),  # 46.1 MiB, the compression
-        (6, 2, 2, 64),  # maximally mixed, 13.0 MiB, the decoder
+        (6, 2, 2, 64),  # maximally mixed, 12.1 MiB; the decoder peaks no higher
         (9, 1, 9, 512),  # maximally mixed, 104.0 MiB, the compression
-        (14, 2, 4, 1),  # 57.3 MiB in the decoder's M_F,l M_E,j B stack
+        (14, 2, 4, 1),  # 44.9 MiB, the decoder's two d^2 n w blocks of 18 MiB
         (1, 5, 3, 1),  # d = 32: 49.7 MiB, three 16 MiB d^2 x d^2 arrays
-        (13, 2, 7, 1),  # 30.4 MiB, the decoder; 12.7 MiB in the pPGMs
-        (4, 4, 4, 16),  # maximally mixed, 39.0 MiB, the decoder; 36.1 in a pPGM
+        (13, 2, 7, 1),  # 32.8 MiB, the decoder; 20.3 MiB before it
+        (4, 4, 4, 16),  # maximally mixed, 36.1 MiB in a pPGM; 12.0 in the decoder
     ],
 )
 def test_trial_peak_bytes_bounds_the_traced_peak(n_bh, n_msg, ell, rank):
