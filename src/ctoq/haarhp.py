@@ -34,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .decoder import ctoq_delta_q, delta_cl
-from .ppgm import support_bound, build_ppgm, pairwise_bound
+from .decoder import ctoq_delta_q
+from .ppgm import build_ppgm
 from .qcore import (
     Channel,
     channel,
@@ -331,11 +331,13 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
     dimensions, so every value is the one that space gives, at the cost of
     the span.
 
-    Numerical failures (``LinAlgError``, ``ValueError``) are recorded on
-    the result, with the exception's type and the stage that raised it
-    (``sample``, ``channel``, ``compress``, ``ppgm_z``, ``ppgm_x``,
-    ``bounds`` or ``delta_q``), rather than raised; anything else, such as
-    ``MemoryError``, propagates.
+    Each measurement comes with its error and bound chain (see
+    :func:`ctoq.ppgm.build_ppgm`); only the two-term bound, which combines
+    both bases, is formed here.  Numerical failures (``LinAlgError``,
+    ``ValueError``) are recorded on the result, with the exception's type
+    and the stage that raised it (``sample``, ``channel``, ``compress``,
+    ``ppgm_z``, ``ppgm_x`` or ``delta_q``), rather than raised; anything
+    else, such as ``MemoryError``, propagates.
     """
     stage = "sample"
     try:
@@ -349,38 +351,31 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
         basis_z = pauli_basis(cfg.n_msg, "z")
         basis_x = pauli_basis(cfg.n_msg, "x")
         stage = "ppgm_z"
-        bundle_z = build_ppgm(ch, basis_z, rank_tol=rank_tol)
+        z = build_ppgm(ch, basis_z, rank_tol=rank_tol)
         stage = "ppgm_x"
-        bundle_x = build_ppgm(ch, basis_x, rank_tol=rank_tol)
-        stage = "bounds"
-        dcl_z = delta_cl(bundle_z.povm, ch, basis_z)
-        dcl_x = delta_cl(bundle_x.povm, ch, basis_x)
-        sum_z, ent_z, lam_z = pairwise_bound(bundle_z)
-        sum_x, ent_x, lam_x = pairwise_bound(bundle_x)
-        bound = math.sqrt(max(dcl_z * (2.0 - dcl_z), 0.0)) + math.sqrt(max(dcl_x, 0.0))
-        support_x = support_bound(bundle_x)
-        support_z = support_bound(bundle_z)
+        x = build_ppgm(ch, basis_x, rank_tol=rank_tol)
         stage = "delta_q"
-        dq = ctoq_delta_q(ch, bundle_z.povm, bundle_x.povm, basis_z, basis_x)
+        dq = ctoq_delta_q(ch, z.povm, x.povm, basis_z, basis_x)
 
         return TrialResult(
             trial=trial,
-            delta_cl_x=dcl_x,
-            delta_cl_z=dcl_z,
+            delta_cl_x=x.delta_cl,
+            delta_cl_z=z.delta_cl,
             delta_q_ctoq=dq,
-            lambda_min_x=lam_x,
-            lambda_min_z=lam_z,
-            pairwise_sum_x=sum_x,
-            pairwise_sum_z=sum_z,
-            pairwise_entropy_x=ent_x,
-            pairwise_entropy_z=ent_z,
-            support_overlap_x=support_x,
-            support_overlap_z=support_z,
-            bound_two_term=bound,
-            pairwise_overlap=bundle_z.pairwise_overlap,
-            collision_entropy_avg=bundle_z.collision_entropy_avg,
-            collision_entropies=tuple(-math.log2(p) for p in bundle_z.purities),
-            ill_conditioned=bundle_z.ill_conditioned or bundle_x.ill_conditioned,
+            lambda_min_x=x.lambda_min,
+            lambda_min_z=z.lambda_min,
+            pairwise_sum_x=x.pairwise_sum,
+            pairwise_sum_z=z.pairwise_sum,
+            pairwise_entropy_x=x.pairwise_entropy,
+            pairwise_entropy_z=z.pairwise_entropy,
+            support_overlap_x=x.support_overlap,
+            support_overlap_z=z.support_overlap,
+            bound_two_term=math.sqrt(max(z.delta_cl * (2.0 - z.delta_cl), 0.0))
+            + math.sqrt(max(x.delta_cl, 0.0)),
+            pairwise_overlap=z.pairwise_overlap,
+            collision_entropy_avg=z.collision_entropy_avg,
+            collision_entropies=tuple(-math.log2(p) for p in z.purities),
+            ill_conditioned=z.ill_conditioned or x.ill_conditioned,
         )
     except (np.linalg.LinAlgError, ValueError) as exc:  # recorded, not fatal
         return TrialResult(

@@ -8,9 +8,10 @@ Schumacher, Westmoreland and Wootters, PRA 54, 1869 (1996); Eldar and
 Forney, IEEE TIT 47, 858 (2001)), built on the span of the outputs from the
 orthonormal factors ``U_j`` of the supports, the column spaces of the branch
 matrices ``B_j = [K_n|j>]_n``, and one eigendecomposition of ``Pi``.  Its
-decoding error is bounded by pairwise support/state overlaps, which in turn
-are fixed by collision entropies and the smallest nonzero output
-eigenvalue.
+decoding error is bounded by the support overlaps ``tr[Pi_i tau_j]``, and
+those, through ``lambda_min Pi_i <= tau_i`` for the smallest nonzero output
+eigenvalue, by the state overlaps ``tr[tau_i tau_j]``, which collision
+entropies fix; :func:`build_ppgm` returns the chain with the measurement.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
+from .decoder import delta_cl
 from .linop import support_eigh
 from .qcore import (
     Channel,
@@ -32,49 +34,53 @@ from .qcore import (
     outcome_weights,
 )
 
-__all__ = [
-    "PpgmBundle",
-    "build_ppgm",
-    "pairwise_bound",
-    "support_bound",
-]
+__all__ = ["PpgmBundle", "build_ppgm"]
 
 
 @dataclass(frozen=True, eq=False)
 class PpgmBundle:
-    """A built measurement together with everything its bounds read.
+    """A built measurement with its classical error and bound chain.
 
     ``povm`` holds the measurement's ``(d, dC, w)`` factor stack (see
-    :func:`build_ppgm`).  ``supports`` is the read-only ``(d, dC, m)`` stack of the
-    support factors ``U_j``, orthonormal columns with
-    ``U_j U_j^dag = Pi_j``, zero-padded to a common width ``m``.
-    ``channel`` and ``basis`` are what the measurement discriminates; the
-    bounds read their branch matrices ``B_j = [K_n|j>]_n`` from them rather
-    than holding a copy.  Of the outputs ``tau_j = B_j B_j^dag`` it keeps
-    only what the pairwise bound reads: ``pairwise_overlap``, ``sum_{i !=
-    j} tr[tau_i tau_j]``; ``purities``, the read-only ``(d,)`` vector of
-    ``tr[tau_j^2]``; and ``collision_entropy_avg``, ``H2`` of their mean.
-    ``lambda_min`` is the smallest nonzero eigenvalue over all outputs;
-    instances where it sits within a decade of the support-detection cutoff
-    are flagged ``ill_conditioned`` because the overlap bounds blow up
-    there.
+    :func:`build_ppgm`), ``delta_cl`` its decoding error on the channel and
+    basis it was built for.  ``support_overlap`` is ``(1/d) sum_{i != j}
+    tr[Pi_i tau_j]``, which sits between that error and the pairwise bound:
+    projectors dominate the error analysis, and ``lambda_min Pi_i <= tau_i``
+    turns each projector into a state overlap.  The pairwise bound comes in
+    two algebraic forms::
+
+        pairwise_sum     = (1 / (d lambda_min)) sum_{i != j} tr[tau_i tau_j]
+        pairwise_entropy = (1 / lambda_min) (d 2^{-H2(tau_avg)}
+                                             - (1/d) sum_j 2^{-H2(tau_j)})
+
+    which agree identically because ``tau_avg`` is the mean of the
+    ``tau_j``.  Values above 1 are vacuous; they occur when ``lambda_min``
+    is small.  Of the outputs it keeps what the forms read:
+    ``pairwise_overlap``, ``sum_{i != j} tr[tau_i tau_j]``; ``purities``,
+    the read-only ``(d,)`` vector of ``tr[tau_j^2]``; and
+    ``collision_entropy_avg``, ``H2`` of their mean.  ``lambda_min`` is the
+    smallest nonzero eigenvalue over all outputs; instances where it sits
+    within a decade of the support-detection cutoff are flagged
+    ``ill_conditioned`` because the overlap bounds blow up there.
     """
 
     povm: Povm
-    supports: np.ndarray
-    channel: Channel
-    basis: OrthoBasis
+    delta_cl: float
+    support_overlap: float
+    pairwise_sum: float
+    pairwise_entropy: float
+    lambda_min: float
+    ill_conditioned: bool
     pairwise_overlap: float
     purities: np.ndarray
     collision_entropy_avg: float
-    lambda_min: float
-    ill_conditioned: bool
 
 
 def build_ppgm(
     chan: Channel, basis: OrthoBasis, rank_tol: float | None = None
 ) -> PpgmBundle:
-    """Build the measurement for discriminating the channel's basis outputs.
+    """The measurement discriminating the channel's basis outputs, with its
+    error and bound chain.
 
     The square-root measurement of the support projectors, from the branch
     matrices ``B_j = [K_n|j>]_n``.  One batched thin SVD gives each output's
@@ -93,6 +99,9 @@ def build_ppgm(
     :func:`ctoq.qcore.output_span_channel`, as in the Hayden-Preskill
     trials, ``Pi`` is ``s x s`` for an output span of dimension ``s``, and
     the deficiency is at most the pinned ``|0>``.
+
+    The support overlaps ``tr[Pi_i tau_j] = ||U_i^dag B_j||_F^2`` come from
+    one product, as :func:`ctoq.decoder.delta_cl` reads the error.
     """
     dc = chan.dim_out
     if rank_tol is None:
@@ -125,6 +134,7 @@ def build_ppgm(
     d, m = sv.shape
     u = np.linalg.svd(branches, full_matrices=False)[0]
     u *= np.arange(m) < ranks[:, None, None]  # drop the columns off the support
+    support = off_diagonal_sum(outcome_weights(u, chan, basis)) / d
     q = u.transpose(1, 0, 2).reshape(dc, d * m)
     w, v, on = support_eigh(q @ q.conj().T, rank_tol)
     # Pi has rank at most sum_j r_j: rounding can lift one of its null
@@ -137,53 +147,18 @@ def build_ppgm(
     factors[:, :, :m] = (v[:, null:] @ f).reshape(dc, d, m).transpose(1, 0, 2)
     # null space of Pi: outputs never land there, fold into outcome 0
     factors[0, :, m:] = v[:, :null]
-    u.setflags(write=False)
+    povm = Povm(factors)
 
     return PpgmBundle(
-        povm=Povm(factors),
-        supports=u,
-        channel=chan,
-        basis=basis,
+        povm=povm,
+        delta_cl=delta_cl(povm, chan, basis),
+        support_overlap=support,
+        pairwise_sum=pairwise / (d * lam_min),
+        # 2^{-H2(rho)} is the purity tr[rho^2]
+        pairwise_entropy=(d * 2.0 ** -h2_avg - purities.sum() / d) / lam_min,
+        lambda_min=lam_min,
+        ill_conditioned=ill,
         pairwise_overlap=pairwise,
         purities=purities,
         collision_entropy_avg=h2_avg,
-        lambda_min=lam_min,
-        ill_conditioned=ill,
     )
-
-
-def pairwise_bound(bundle: PpgmBundle) -> tuple[float, float, float]:
-    """Pairwise-overlap bound on the decoding error, in two algebraic forms.
-
-    Returns ``(sum_form, entropy_form, lambda_min)`` where::
-
-        sum_form     = (1 / (d lambda_min)) sum_{i != j} tr[tau_i tau_j]
-        entropy_form = (1 / lambda_min) (d 2^{-H2(tau_avg)}
-                                         - (1/d) sum_j 2^{-H2(tau_j)})
-
-    The two agree identically because ``tau_avg`` is the mean of the
-    ``tau_j``.  Values above 1 are vacuous; they occur when ``lambda_min``
-    is small (the flagged ill-conditioned instances).
-    """
-    d = bundle.basis.dim
-    lam = bundle.lambda_min
-    sum_form = bundle.pairwise_overlap / (d * lam)
-    # 2^{-H2(rho)} is the purity tr[rho^2]
-    entropy_form = (
-        d * 2.0 ** -bundle.collision_entropy_avg - bundle.purities.sum() / d
-    ) / lam
-    return sum_form, entropy_form, lam
-
-
-def support_bound(bundle: PpgmBundle) -> float:
-    """Support-overlap bound ``(1/d) sum_{i != j} tr[Pi_i tau_j]``.
-
-    Sits between the decoding error and the pairwise bound: projectors
-    dominate the error analysis, and ``lambda_min Pi_i <= tau_i`` turns each
-    projector into a state overlap.  Each term is the Gram block
-    ``||U_i^dag B_j||_F^2`` of the support factors and the branch matrices,
-    all of them from one product.
-    """
-    d = bundle.basis.dim
-    gram = outcome_weights(bundle.supports, bundle.channel, bundle.basis)
-    return off_diagonal_sum(gram) / d

@@ -24,7 +24,7 @@ from .decoder import (
     xi_ef,
 )
 from .linop import permute, trace_distance
-from .ppgm import support_bound, build_ppgm, pairwise_bound
+from .ppgm import build_ppgm
 from .qcore import is_mub
 from .sampling import (
     mub_pair,
@@ -147,10 +147,8 @@ def suite_pairwise_forms(instances: int, seed: int) -> SuiteResult:
     rec = _Recorder("prop2")
     done = 0
     for done, d, bundle in _unflagged_bundles(np.random.default_rng(seed), instances):
-        err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
-        sum_form, entropy_form, lam = pairwise_bound(bundle)
-        rec.check(sum_form - err, f"i={done} d={d} bound")
-        gap = lam * abs(sum_form - entropy_form)
+        rec.check(bundle.pairwise_sum - bundle.delta_cl, f"i={done} d={d} bound")
+        gap = bundle.lambda_min * abs(bundle.pairwise_sum - bundle.pairwise_entropy)
         rec.check(1e-10 - gap, f"i={done} d={d} identity")
     return rec.done(done)
 
@@ -178,9 +176,7 @@ def suite_support_chain(instances: int, seed: int) -> SuiteResult:
     rec = _Recorder("appx_b")
     done = 0
     for done, d, bundle in _unflagged_bundles(np.random.default_rng(seed), instances):
-        err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
-        mid = support_bound(bundle)
-        top = pairwise_bound(bundle)[0]
+        err, mid, top = bundle.delta_cl, bundle.support_overlap, bundle.pairwise_sum
         rec.check(mid - err, f"i={done} d={d} error<=support")
         rec.check(top - mid, f"i={done} d={d} support<=pairwise")
         rec.check(4 * mid - err, f"i={done} d={d} factor-4")

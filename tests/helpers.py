@@ -16,7 +16,11 @@ to the naming:
   ``Pi = sum_j U_j U_j^dag``.
   ``dense_pairwise_bound`` is ``ctoq.ppgm.pairwise_bound`` as it was before
   the bundle kept the statistics of its outputs in place of the outputs: it
-  reads the ``(d, dC, dC)`` stack and its mean.
+  reads the ``(d, dC, dC)`` stack and its mean.  The library's bundle now
+  carries the chain as fields, and these are their oracles:
+  ``dense_ppgm_error`` of ``delta_cl``, ``dense_support_bound`` of
+  ``support_overlap``, and ``dense_pairwise_bound`` of ``(pairwise_sum,
+  pairwise_entropy, lambda_min)``.
 * ``dense_povm`` is the element-based ``ctoq.qcore.Povm`` check, completeness
   and positivity of a ``(n, dim, dim)`` stack, before POVMs were held as
   factors; it returns the factored :class:`ctoq.qcore.Povm` of the checked
@@ -34,6 +38,13 @@ to the naming:
   command ran them, and the decoder takes ``Phi`` as a ket.
   ``apply_channel``, the Kraus sum on chosen subsystems of a dense state,
   is the one they and the tests apply channels with.
+* ``naimark_extend``, ``build_coherent_measurement``, ``build_theta`` and
+  ``build_eraser`` are the Kraus forms of the coherent measurement (through
+  the canonical dilation of a POVM) and of the eraser that the decoder's
+  closed form replaced; ``compose`` is the composition of two channels by
+  all pairwise Kraus products, and ``projective_povm`` the measurement in a
+  basis.  They live here so that every test module reaches them without
+  importing another test module.
 * ``measure_prepare_channel`` is the channel ``rho -> sum_j tr[rho M_j]
   sigma_j`` from dense outputs ``sigma_j``, which
   ``ctoq.sampling.random_block_channel`` was built with before it took its
@@ -364,6 +375,114 @@ def dense_povm(stack: Sequence[np.ndarray] | np.ndarray) -> Povm:
             raise ValueError(f"POVM element not PSD (min eig {low:.3e})") from None
     w, v = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)
     return Povm(v * np.sqrt(np.clip(w, 0.0, None))[:, None, :])
+
+
+# ---------------------------------------------------------------------------
+# the coherent measurement, the eraser and composition in Kraus form
+
+
+def naimark_extend(povm: Povm) -> Operator:
+    """Canonical dilation ``V = sum_j sqrt(M_j) (x) |j>`` of a POVM.
+
+    ``V`` maps the measured space C into C (x) (outcome register), whose
+    last factor holds the outcome.  The projective measurement is
+    ``P_j = I (x) |j><j|``, so ``P_j V`` is the row slice ``V[j::m]``;
+    ``V^dag V = I`` and ``V^dag P_j V = M_j`` are checked.
+    """
+    m = povm.n_outcomes
+    dc = povm.dim
+    v = np.zeros((dc * m, dc), dtype=np.complex128)
+    for j, el in enumerate(elements(povm)):
+        v[j::m, :] = sqrtm_psd(el)
+    err = np.max(np.abs(v.conj().T @ v - np.eye(dc)))
+    if err > 1e-9:
+        raise ValueError(f"dilation map is not an isometry (error {err:.3e})")
+    for j, el in enumerate(elements(povm)):
+        err = np.max(np.abs(v[j::m].conj().T @ v[j::m] - el))
+        if err > 1e-8:
+            raise ValueError(f"dilation does not reproduce element {j} ({err:.3e})")
+    return Operator(v, (dc, m), (dc,))
+
+
+def build_coherent_measurement(v: Operator, e_basis: OrthoBasis) -> Channel:
+    """Channel C -> C (x) A that coherently measures C through the dilation
+    ``v`` and stores the outcome in A in the given basis.
+
+    The dilation is undone by ``V^dag (x) |e0> + |e0'> (x) (I - V V^dag)``
+    with ``e0`` in the range of ``V`` and ``e0' = |0>``.  Tracing out C' in
+    the orthonormal basis {e0} + basis(range(V)^perp) (the remaining
+    directions contribute zero) yields one Kraus operator
+    ``sum_j M_j (x) |j_E>`` plus, for each direction ``b`` orthogonal to the
+    isometry's range, a rank-one-in-C operator ``|e0'> (x) w_b`` with
+    ``w_b = sum_j |j_E><b| P_j V``.
+    """
+    vd = v.data
+    dc = vd.shape[1]
+    d = v.row_dims[-1]
+    if e_basis.dim != d:
+        raise ValueError(f"basis dim {e_basis.dim} != number of outcomes {d}")
+    u = e_basis.matrix
+    roots = [vd[j::d] for j in range(d)]  # nonzero rows of P_j V
+    comp = np.linalg.qr(vd, mode="complete")[0][:, dc:]  # range(V)^perp
+    nb = comp.shape[1]
+    ks = np.zeros((1 + nb, dc, d, dc), dtype=np.complex128)
+    # main operator: ks[0][c, a, c'] = sum_j M_j[c, c'] u[a, j]
+    ms = np.stack([r.conj().T @ r for r in roots])
+    ks[0] = np.einsum("jcp,aj->cap", ms, u)
+    # rank-one family |e0'> (x) w_b
+    t = np.stack([comp[j::d].conj().T @ r for j, r in enumerate(roots)])
+    ks[1:, 0] = np.einsum("aj,jbc->bac", u, t)
+    cdims = v.col_dims
+    return channel(ks.reshape(1 + nb, dc * d, dc), cdims, cdims + (d,))
+
+
+def build_theta(e_basis: OrthoBasis, f_basis: OrthoBasis, l: int) -> Operator:
+    """Eraser phase correction: diagonal in the e-basis, with the phase of
+    each overlap ``<j_e|l_f>`` (zero overlaps contribute phase 0)."""
+    if e_basis.dim != f_basis.dim:
+        raise ValueError("bases must share a dimension")
+    amps = e_basis.matrix.conj().T @ f_basis.matrix[:, l]
+    phases = np.exp(1j * np.angle(amps))
+    u = e_basis.matrix
+    return Operator(
+        (u * phases) @ u.conj().T, (e_basis.dim,), (e_basis.dim,)
+    )
+
+
+def build_eraser(povm_f: Povm, thetas) -> Channel:
+    """Channel C (x) A -> A: measure C with the POVM, apply the matching
+    phase correction to A, discard C."""
+    if len(thetas) != povm_f.n_outcomes:
+        raise ValueError("need one phase correction per POVM outcome")
+    d = len(thetas[0].data)
+    dc = povm_f.dim
+    ks = []
+    for m_el, th in zip(elements(povm_f), thetas):
+        root = sqrtm_psd(m_el)
+        # K_{l,m}[a, (c, b)] = Theta_l[a, b] root[m, c]
+        block = np.einsum("mc,ab->macb", root, th.data)
+        ks.extend(block.reshape(dc, d, dc * d))
+    return channel(ks, (dc, d), (d,))
+
+
+def compose(later: Channel, earlier: Channel) -> Channel:
+    """Oracle: ``later(earlier(.))`` with all pairwise Kraus products, trace
+    preserving within ``DEFAULT_TOLS.compose_tp``."""
+    if earlier.out_dims != later.in_dims:
+        raise ValueError(
+            f"cannot compose: earlier outputs {earlier.out_dims}, "
+            f"later expects {later.in_dims}"
+        )
+    products = np.array([b @ a for b in later.kraus for a in earlier.kraus])
+    flat = products.reshape(-1, earlier.dim_in)
+    err = np.max(np.abs(flat.conj().T @ flat - np.eye(earlier.dim_in)))
+    if err > DEFAULT_TOLS.compose_tp:
+        raise ValueError(f"Kraus set is not trace preserving (error {err:.3e})")
+    return Channel(products, earlier.in_dims, later.out_dims)
+
+
+def projective_povm(basis: OrthoBasis) -> Povm:
+    return Povm(basis.matrix.T[:, :, None])
 
 
 # ---------------------------------------------------------------------------

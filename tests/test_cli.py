@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -543,15 +544,16 @@ def test_prop2_compares_the_pairwise_numerators(capsys, monkeypatch):
     # 3.6e-9 gap one ulp of them
     assert main(["verify", "prop2", "--instances", "200", "--seed", "5006"]) == 0
     assert capsys.readouterr().out.startswith("prop2: PASS instances=200 failures=0")
-    exact = verify.pairwise_bound
+    build = verify.build_ppgm
     for shift, failures in ((1.0e-9, 0), (1.2e-9, 12)):
         # the entropy form's numerator moved by ``shift``: the check fails
         # beyond 1e-10 + SLACK_TOL = 1.1e-9
-        def shifted(bundle, shift=shift):
-            sum_form, entropy_form, lam = exact(bundle)
-            return sum_form, entropy_form + shift / lam, lam
+        def shifted(*args, shift=shift):
+            bundle = build(*args)
+            entropy = bundle.pairwise_entropy + shift / bundle.lambda_min
+            return dataclasses.replace(bundle, pairwise_entropy=entropy)
 
-        monkeypatch.setattr(verify, "pairwise_bound", shifted)
+        monkeypatch.setattr(verify, "build_ppgm", shifted)
         assert verify.run_suite("prop2", 12, 5006).failures == failures
 
 

@@ -36,6 +36,10 @@ from ctoq.sampling import (
 )
 from tests.helpers import (
     apply_channel,
+    build_coherent_measurement,
+    build_eraser,
+    build_theta,
+    compose,
     delta_cl_tracenorm,
     dense_povm,
     depolarizing_channel,
@@ -44,18 +48,13 @@ from tests.helpers import (
     identity,
     identity_channel,
     max_entangled,
+    naimark_extend,
     partial_trace,
+    projective_povm,
     random_density,
     sqrtm_psd,
     unitary_channel,
 )
-from tests.test_equivalence import (
-    build_coherent_measurement,
-    build_eraser,
-    build_theta,
-    naimark_extend,
-)
-from tests.test_qcore import compose, projective_povm
 
 
 # ---------------------------------------------------------------------------

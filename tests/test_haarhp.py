@@ -128,9 +128,8 @@ def test_hp_channel_isometric_when_nothing_kept():
     v = sample_isometry(cfg, rng)
     ch = hp_channel(v, cfg)
     assert len(ch.kraus) == 1
-    z = pauli_basis(1, "z")
-    bundle = build_ppgm(ch, z)
-    assert delta_cl(bundle.povm, bundle.channel, bundle.basis) < 1e-10
+    bundle = build_ppgm(ch, pauli_basis(1, "z"))
+    assert bundle.delta_cl < 1e-10
 
 
 def test_hp_channel_ell_zero_is_constant():
@@ -148,8 +147,7 @@ def test_hp_channel_ell_zero_is_constant():
         partial_trace(out0, [0]).data, want.data, atol=1e-12
     )
     bundle = build_ppgm(ch, pauli_basis(1, "z"))
-    err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
-    assert err == pytest.approx(1 - 0.5, abs=1e-10)
+    assert bundle.delta_cl == pytest.approx(1 - 0.5, abs=1e-10)
 
 
 def test_hp_channel_trace_preserving_randomized():
@@ -377,8 +375,7 @@ def test_run_trial_records_numerical_errors_only(monkeypatch):
         run_trial(cfg, 0)
     monkeypatch.undo()
 
-    # each later stage is named too: the X-basis pPGM, the bounds and the
-    # decoder's error
+    # each later stage is named too: the X-basis pPGM and the decoder's error
     build = haarhp.build_ppgm
 
     def build_z_only(ch, basis, rank_tol=None):
@@ -389,9 +386,6 @@ def test_run_trial_records_numerical_errors_only(monkeypatch):
     monkeypatch.setattr(haarhp, "build_ppgm", build_z_only)
     r = run_trial(cfg, 0)
     assert (r.stage, r.error_type) == ("ppgm_x", "LinAlgError")
-    monkeypatch.undo()
-    monkeypatch.setattr(haarhp, "pairwise_bound", raise_(ValueError("bounds")))
-    assert run_trial(cfg, 0).stage == "bounds"
     monkeypatch.undo()
     monkeypatch.setattr(haarhp, "ctoq_delta_q", raise_(ValueError("decoder")))
     assert run_trial(cfg, 0).stage == "delta_q"

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from ctoq.decoder import delta_cl
-from ctoq.linop import Operator
-from ctoq.ppgm import (
-    support_bound,
-    build_ppgm,
-    pairwise_bound,
-)
+from ctoq.ppgm import build_ppgm
 from ctoq.qcore import Povm, basis_outputs, computational_basis, pauli_basis
 from ctoq.sampling import ginibre, random_basis, random_block_channel, random_channel
 from tests.helpers import (
@@ -49,10 +43,9 @@ def test_ppgm_orthogonal_supports_decodes_perfectly():
     basis = random_basis(rng, 3)
     chan, _ = random_block_channel(rng, basis, block_size=2)
     bundle = build_ppgm(chan, basis)
-    assert delta_cl(bundle.povm, bundle.channel, bundle.basis) < 1e-10
-    assert support_bound(bundle) < 1e-10
-    sum_form, entropy_form, _ = pairwise_bound(bundle)
-    assert sum_form < 1e-9 and entropy_form < 1e-9
+    assert bundle.delta_cl < 1e-10
+    assert bundle.support_overlap < 1e-10
+    assert bundle.pairwise_sum < 1e-9 and bundle.pairwise_entropy < 1e-9
 
 
 def test_ppgm_depolarizing_qubit():
@@ -60,13 +53,11 @@ def test_ppgm_depolarizing_qubit():
     bundle = build_ppgm(depolarizing_channel(2), z)
     for el in elements(bundle.povm):
         np.testing.assert_allclose(el, np.eye(2) / 2, atol=1e-12)
-    err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
-    assert err == pytest.approx(0.5, abs=1e-12)
-    sum_form, entropy_form, lam = pairwise_bound(bundle)
-    assert lam == pytest.approx(0.5, abs=1e-12)
-    assert sum_form == pytest.approx(1.0, abs=1e-10)
-    assert entropy_form == pytest.approx(1.0, abs=1e-10)
-    assert support_bound(bundle) == pytest.approx(1.0, abs=1e-10)
+    assert bundle.delta_cl == pytest.approx(0.5, abs=1e-12)
+    assert bundle.lambda_min == pytest.approx(0.5, abs=1e-12)
+    assert bundle.pairwise_sum == pytest.approx(1.0, abs=1e-10)
+    assert bundle.pairwise_entropy == pytest.approx(1.0, abs=1e-10)
+    assert bundle.support_overlap == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ppgm_povm_complete_randomized():
@@ -79,14 +70,20 @@ def test_ppgm_povm_complete_randomized():
         assert np.max(np.abs(total - np.eye(chan.dim_out))) < 1e-9
 
 
+def support_width(chan):
+    """Width ``m`` of the support factors ``U_j``: the branch matrices
+    ``[K_n|j>]_n`` are ``dC x #Kraus``."""
+    return min(chan.dim_out, len(chan.kraus))
+
+
 def test_residual_never_fires_on_outputs():
     rng = np.random.default_rng(3)
     chan = random_channel(rng, 2, 4, 1)  # rank-1 outputs, real deficiency
-    bundle = build_ppgm(chan, random_basis(rng, 2))
-    u = bundle.supports
-    pi_sum = Operator((u @ u.conj().transpose(0, 2, 1)).sum(axis=0), (4,), (4,))
-    residual = np.eye(4) - support_projection(pi_sum).data
-    for tau in basis_outputs(chan, bundle.basis):
+    basis = random_basis(rng, 2)
+    bundle = build_ppgm(chan, basis)
+    extra = bundle.povm.factors[0, :, support_width(chan):]
+    residual = extra @ extra.conj().T  # I - supp(Pi), folded into outcome 0
+    for tau in basis_outputs(chan, basis):
         fire = float(np.einsum("ij,ji->", residual, tau).real)
         assert fire <= 1e-9
 
@@ -94,16 +91,17 @@ def test_residual_never_fires_on_outputs():
 def test_deficiency_of_pi_goes_to_outcome_0():
     rng = np.random.default_rng(3)
     chan = random_channel(rng, 2, 4, 1)  # rank-1 outputs, Pi of rank 2
-    bundle = build_ppgm(chan, random_basis(rng, 2))
-    u = bundle.supports
-    m = u.shape[2]
-    pi_rank = np.linalg.matrix_rank(
-        (u @ u.conj().transpose(0, 2, 1)).sum(axis=0), hermitian=True
-    )
+    basis = random_basis(rng, 2)
+    bundle = build_ppgm(chan, basis)
+    m = support_width(chan)
+    taus = basis_outputs(chan, basis)
+    projectors = [support_projection(operator(tau, 4)).data for tau in taus]
+    pi_rank = np.linalg.matrix_rank(sum(projectors), hermitian=True)
     extra = bundle.povm.factors[0, :, m:]
     assert extra.shape[1] == 4 - pi_rank == 2
     np.testing.assert_allclose(extra.conj().T @ extra, np.eye(2), atol=1e-12)
-    assert np.max(np.abs(u.conj().transpose(0, 2, 1) @ extra)) < 1e-12
+    for proj in projectors:
+        assert np.max(np.abs(proj @ extra)) < 1e-12
     assert not bundle.povm.factors[1:, :, m:].any()
 
 
@@ -115,8 +113,7 @@ def test_pairwise_bound_forms_agree_randomized():
         bundle = build_ppgm(chan, random_basis(rng, d))
         if bundle.ill_conditioned:
             continue
-        sum_form, entropy_form, _ = pairwise_bound(bundle)
-        assert sum_form == pytest.approx(entropy_form, abs=1e-10)
+        assert bundle.pairwise_sum == pytest.approx(bundle.pairwise_entropy, abs=1e-10)
 
 
 def test_error_chain_randomized():
@@ -127,9 +124,7 @@ def test_error_chain_randomized():
         bundle = build_ppgm(chan, random_basis(rng, d))
         if bundle.ill_conditioned:
             continue
-        err = delta_cl(bundle.povm, bundle.channel, bundle.basis)
-        mid = support_bound(bundle)
-        top = pairwise_bound(bundle)[0]
+        err, mid, top = bundle.delta_cl, bundle.support_overlap, bundle.pairwise_sum
         assert err <= mid + 1e-9
         assert mid <= top + 1e-9
         assert err <= 4 * mid + 1e-9
@@ -149,4 +144,4 @@ def test_ill_conditioned_flag():
     assert bundle.ill_conditioned
     assert bundle.lambda_min == pytest.approx(tiny, rel=0.5)
     # vacuous bound is reported raw, not clamped
-    assert pairwise_bound(bundle)[0] > 1.0
+    assert bundle.pairwise_sum > 1.0

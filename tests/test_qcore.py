@@ -20,6 +20,7 @@ from ctoq.sampling import random_basis, random_channel, random_povm
 from tests.helpers import (
     apply_channel,
     collision_entropy,
+    compose,
     dense_povm,
     depolarizing_channel,
     elements,
@@ -33,10 +34,6 @@ from tests.helpers import (
     random_density,
     unitary_channel,
 )
-
-
-def projective_povm(basis: OrthoBasis) -> Povm:
-    return Povm(basis.matrix.T[:, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +274,6 @@ def test_apply_channel_rejects_mismatch():
 
 # ---------------------------------------------------------------------------
 # composition
-
-
-def compose(later: Channel, earlier: Channel) -> Channel:
-    """Oracle: ``later(earlier(.))`` with all pairwise Kraus products, trace
-    preserving within ``DEFAULT_TOLS.compose_tp``."""
-    if earlier.out_dims != later.in_dims:
-        raise ValueError(
-            f"cannot compose: earlier outputs {earlier.out_dims}, "
-            f"later expects {later.in_dims}"
-        )
-    products = np.array([b @ a for b in later.kraus for a in earlier.kraus])
-    flat = products.reshape(-1, earlier.dim_in)
-    err = np.max(np.abs(flat.conj().T @ flat - np.eye(earlier.dim_in)))
-    if err > DEFAULT_TOLS.compose_tp:
-        raise ValueError(f"Kraus set is not trace preserving (error {err:.3e})")
-    return Channel(products, earlier.in_dims, later.out_dims)
 
 
 def spanning_states(d: int) -> list[Operator]:
