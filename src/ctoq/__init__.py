@@ -2,8 +2,8 @@
 
 Submodules:
 
-* :mod:`ctoq.linop`   dense linear algebra on dimension-tagged operators
-* :mod:`ctoq.qcore`   states, channels, measurements, bases, entropies
+* :mod:`ctoq.linop`   dimension-tagged operators and trace distances
+* :mod:`ctoq.qcore`   states, channels, measurements, bases, output overlaps
 * :mod:`ctoq.decoder` the decoder built from two classical measurements,
   its error functionals and bounds
 * :mod:`ctoq.ppgm`    projection-based pretty-good measurements

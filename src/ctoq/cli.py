@@ -369,9 +369,9 @@ def _summary_row(
         row[f"mean_{name}"] = _num(mean) if mean is not None else None
         row[f"se_{name}"] = _num(se) if se is not None else None
 
+    # the z-score reads the pairwise overlap's mean and se, the loop's last
     closed = haar_mean_pairwise_overlap(cfg)
     row["closed_form_overlap"] = _num(closed)
-    mean, se = _mean_se([r.pairwise_overlap for r in good])
     if mean is None:
         row["overlap_z_score"] = None
     else:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linop import Operator, trace_distance
+from .linop import Operator, pure_state_distance
 from .qcore import (
     Channel,
     OrthoBasis,
@@ -101,8 +101,7 @@ def delta_q(decoder: Channel, chan: Channel) -> float:
     y = np.einsum(
         "hac,kcb->khab", decoder.kraus, kx, optimize=True
     ).reshape(-1, d * d)
-    out = Operator(y.T @ y.conj(), (d, d), (d, d))
-    return trace_distance(Operator(phi[:, None], (d, d), (1,)), out)
+    return pure_state_distance(phi, y.T @ y.conj())
 
 
 def delta_cl(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
@@ -216,12 +215,13 @@ def coherent_state(chan: Channel, povm_e: Povm, e_basis: OrthoBasis) -> Operator
 def _ctoq_state(
     chan: Channel, povm_e: Povm, povm_f: Povm, e_basis: OrthoBasis, f_basis: OrthoBasis
 ) -> np.ndarray:
-    """``(D o T (x) id_R)(Phi)`` for the decoder ``D`` of :func:`ctoq_delta_q`,
-    a ``(d dim R) x (d dim R)`` matrix on ``A (x) R`` for ``Phi`` maximally
-    entangled on two copies of the channel's input space R.  With ``T`` the
-    identity on C it is the Choi matrix of ``D``.  Its R-marginal must be ``I
-    / dim R`` within ``DEFAULT_TOLS.compose_tp``: ``D`` preserves the trace
-    of the channel's outputs."""
+    """``(D o T (x) id_R)(Phi)`` for the decoder ``D`` of :func:`ctoq_delta_q`
+    in the E frame, ``h / dim R``, a ``(d dim R) x (d dim R)`` matrix on ``A
+    (x) R`` for ``Phi`` maximally entangled on two copies of the channel's
+    input space R.  Rotated by ``U_E (x) I`` into the lab frame, and with
+    ``T`` the identity on C, it is the Choi matrix of ``D``.  Its R-marginal
+    must be ``I / dim R`` within ``DEFAULT_TOLS.compose_tp``: ``D``
+    preserves the trace of the channel's outputs."""
     d = e_basis.dim
     if f_basis.dim != d:
         raise ValueError("bases must share a dimension")
@@ -230,8 +230,7 @@ def _ctoq_state(
     d_in = chan.dim_in
     a_e, a_f = povm_e.factors, povm_f.factors
     w = a_e.shape[2]
-    u = e_basis.matrix
-    phases = np.exp(1j * np.angle(u.conj().T @ f_basis.matrix))  # [j, l]
+    phases = np.exp(1j * np.angle(e_basis.matrix.conj().T @ f_basis.matrix))
     z, ee, ef = _factor_coords(a_e, chan.kraus, a_e, a_f)
     # the kernel G = R R^dag + (gamma^T (x) 1) o T of ctoq_delta_q
     c = np.sum(np.abs(a_f[:, 0, :]) ** 2, axis=1)
@@ -244,14 +243,9 @@ def _ctoq_state(
     del ee, ef, r
     h = _bilinear_form(z, g)
     del z, g
-    # rho = (U_E (x) I) h (U_E (x) I)^dag, one side at a time
-    rho = (u @ h.reshape(d, -1)).reshape(d * d_in, d, d_in)
-    del h
-    rho = u.conj() @ rho
-    rho /= d_in
-    rho = rho.reshape(d, d_in, d, d_in)
-    _check_r_marginal(rho, "decoder")
-    return rho.reshape(d * d_in, d * d_in)
+    h /= d_in
+    _check_r_marginal(h, "decoder")
+    return h.reshape(d * d_in, d * d_in)
 
 
 def ctoq_delta_q(
@@ -288,14 +282,16 @@ def ctoq_delta_q(
     traced-out kernel ``T = I - A_E^dag A_E``, blocks ``delta_kj I -
     A^E_k^dag A^E_j``, is weighted by ``gamma_jk = sum_l c_l phi_jl
     phi_kl^*`` with ``c_l = ||A^F_l[0, :]||^2``.  No product of two elements
-    is formed.  The error is the state's trace distance to ``Phi``.
+    is formed.  The error is the state's trace distance to ``Phi``, taken in
+    the E frame, where :func:`_ctoq_state` returns ``h / dim R``: ``Phi`` is
+    rotated to ``(U_E^dag (x) I) Phi`` in place of the state.
     """
     d = e_basis.dim
     if chan.dim_in != d:
         raise ValueError(f"basis dim {d} != channel input dim {chan.dim_in}")
     rho = _ctoq_state(chan, povm_e, povm_f, e_basis, f_basis)
-    phi = Operator(max_entangled_vector(d)[:, None], (d, d), (1,))
-    return trace_distance(phi, Operator(rho, (d, d), (d, d)))
+    phi = e_basis.matrix.conj().T @ max_entangled_vector(d).reshape(d, d)
+    return pure_state_distance(phi.reshape(-1), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +386,14 @@ def povm_from_decoder(decoder: Channel, basis: OrthoBasis) -> Povm:
 def noisy_ghz_state(chan: Channel, e_basis: OrthoBasis) -> Operator:
     """Three-party reference state for the coherent-measurement diagnostic.
 
-    ``d^{-1} sum_{j,i} |j*><i*|_R (x) T(|j><i|)_C (x) |j><i|_A`` in the given
-    basis; when the basis information survives the channel perfectly this is
-    exactly the coherent measurement's output on half of a maximally
-    entangled state (with subsystems reordered to (C, A, R))."""
+    ``d^{-1} sum_{j,i} T(|j><i|)_C (x) |j><i|_A (x) |j*><i*|_R`` in the given
+    basis, on ``(C, A, R)`` in that order, as :func:`coherent_state`
+    returns its output; when the basis information survives the channel
+    perfectly the two are the same state."""
     d = e_basis.dim
     u = e_basis.matrix
     ys = np.einsum("noi,ij->njo", chan.kraus, u)  # ys[n, j] = K_n |j_E>
-    # one pure branch per Kraus operator: d^{-1/2} sum_j |j*> K_n|j> |j>
-    psi = np.einsum("xj,njo,zj->nxoz", u.conj(), ys, u).reshape(len(ys), -1)
-    dims = (d,) + chan.out_dims + (d,)
+    # one pure branch per Kraus operator: d^{-1/2} sum_j K_n|j> |j> |j*>
+    psi = np.einsum("xj,njo,zj->nozx", u.conj(), ys, u).reshape(len(ys), -1)
+    dims = chan.out_dims + (d, d)
     return Operator(psi.T @ psi.conj() / d, dims, dims)

@@ -405,8 +405,9 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     the eigensolver's work space); and the decoder (both POVMs' ``(d, s, m +
     1)`` factors with a copy, the branches in the E factors' coordinates and
     one E outcome's block, ``d^2 n (m + 1)`` each, three ``d (m + 1)``-square
-    matrices, and three ``d^2 x d^2`` arrays: the state with a term being
-    added, or with its difference to ``Phi`` and that one's eigenvalue copy)."""
+    matrices, and three ``d^2 x d^2`` arrays: the state, left in the E frame,
+    with its difference to ``Phi`` and that one's Hermitian part, or that
+    part's eigenvalue copy in place of the difference)."""
     d, n, iso, kraus, dc = _sizes(cfg)
     m = min(dc, n * d)
     s = min(min(cfg.rank * 2**cfg.n_rad, m) + 1, dc)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .decoder import delta_cl
-from .linop import support_eigh
+from .linop import _hermitian_part
 from .qcore import (
     Channel,
     OrthoBasis,
@@ -95,7 +95,9 @@ def build_ppgm(
     POVM's factors: ``F_j F_j^dag = Pi^{-1/2} Pi_j Pi^{-1/2}``.  The null
     eigenvectors of ``Pi`` span the deficiency ``I - F F^dag``, on which no
     output has weight; they go to outcome 0, appended to its factor
-    (``dC - rank Pi`` columns).  On a channel compressed by
+    (``dC - rank Pi`` columns, ``rank Pi`` the number of eigenvalues above
+    ``rank_tol lambda_max``, at most ``sum_j r_j``; an eigenvalue below
+    ``-10 rank_tol lambda_max`` is an error).  On a channel compressed by
     :func:`ctoq.qcore.output_span_channel`, as in the Hayden-Preskill
     trials, ``Pi`` is ``s x s`` for an output span of dimension ``s``, and
     the deficiency is at most the pinned ``|0>``.
@@ -136,11 +138,13 @@ def build_ppgm(
     u *= np.arange(m) < ranks[:, None, None]  # drop the columns off the support
     support = off_diagonal_sum(outcome_weights(u, chan, basis)) / d
     q = u.transpose(1, 0, 2).reshape(dc, d * m)
-    w, v, on = support_eigh(q @ q.conj().T, rank_tol)
-    # Pi has rank at most sum_j r_j: rounding can lift one of its null
-    # eigenvalues above the cutoff, and F F^dag would then miss being a projector
-    on[: max(len(w) - int(ranks.sum()), 0)] = False
-    null = len(w) - int(on.sum())  # the eigenvalues ascend: the null ones lead
+    w, v = np.linalg.eigh(_hermitian_part(q @ q.conj().T))
+    lam_max = max(float(w[-1]), 0.0)
+    if w[0] < -10.0 * rank_tol * lam_max:
+        raise ValueError(f"Pi not PSD within tolerance (min eigenvalue {w[0]:.3e})")
+    # the null eigenvalues lead; Pi has rank at most sum_j r_j, and rounding can lift
+    # one above the cutoff, where F F^dag would then miss being a projector
+    null = int(max(np.count_nonzero(w <= rank_tol * lam_max), len(w) - ranks.sum()))
     f = v[:, null:].conj().T @ q
     f *= w[null:, None] ** -0.5
     factors = np.zeros((d, dc, m + null), dtype=np.complex128)

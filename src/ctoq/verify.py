@@ -23,7 +23,7 @@ from .decoder import (
     xi_bounds,
     xi_ef,
 )
-from .linop import permute, trace_distance
+from .linop import trace_distance
 from .ppgm import build_ppgm
 from .qcore import is_mub
 from .sampling import (
@@ -228,9 +228,8 @@ def suite_coherent_output(instances: int, seed: int) -> SuiteResult:
         else:
             chan, povm_e = random_block_channel(rng, eb, 1 + i % 2)
         assert delta_cl(povm_e, chan, eb) < 1e-12
-        out = coherent_state(chan, povm_e, eb)  # order (C, A, R)
-        ref = noisy_ghz_state(chan, eb)  # order (R, C, A)
-        dist = trace_distance(permute(out, [2, 0, 1]), ref)
+        out = coherent_state(chan, povm_e, eb)  # both on (C, A, R)
+        dist = trace_distance(out, noisy_ghz_state(chan, eb))
         rec.check(1e-9 - dist, f"i={i} d={d} distance={dist:.2e}")
     return rec.done(instances)
 

@@ -25,6 +25,15 @@ to the naming:
   and positivity of a ``(n, dim, dim)`` stack, before POVMs were held as
   factors; it returns the factored :class:`ctoq.qcore.Povm` of the checked
   elements.  ``elements`` multiplies a POVM's factors back out.
+* ``permute`` and ``support_eigh`` are ``ctoq.linop.permute`` and
+  ``support_eigh`` as they were before they left the library, unchanged.
+  The dense oracles reorder subsystems and mark supports with them; the
+  noisy GHZ state is built in the coherent measurement's (C, A, R) order,
+  and ``ctoq.ppgm.build_ppgm`` cuts the support of ``Pi`` itself.
+* ``lab_ctoq_state`` is ``ctoq.decoder._ctoq_state`` rotated back by ``U_E
+  (x) I`` from the E frame it is returned in to the lab frame of the
+  oracles below, as ``_ctoq_state`` itself did before ``ctoq_delta_q``
+  rotated ``Phi`` in its place.
 * ``dense_ctoq_state`` is ``ctoq.decoder._ctoq_state`` as it was before the
   factored form: the ``d^2`` products ``M_F,l M_E,j B`` of the elements and
   the ``d^5`` tensor of their traces.
@@ -66,9 +75,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ctoq.config import DEFAULT_TOLS
-from ctoq.decoder import _check_povms, _check_r_marginal
+from ctoq.decoder import _check_povms, _check_r_marginal, _ctoq_state
 from ctoq.haarhp import HpConfig, _trial_isometry, hp_channel
-from ctoq.linop import Operator, _hermitian_part, permute, support_eigh, trace_distance
+from ctoq.linop import Operator, _hermitian_part, trace_distance
 from ctoq.qcore import (
     Channel,
     OrthoBasis,
@@ -88,6 +97,46 @@ def operator(data: np.ndarray, dims: Sequence[int] | int) -> Operator:
     if isinstance(dims, int):
         dims = (dims,)
     return Operator(np.asarray(data), tuple(dims), tuple(dims))
+
+
+def permute(a: Operator, order: Sequence[int]) -> Operator:
+    """Reorder the subsystems of a square operator."""
+    if not a.is_square:
+        raise ValueError("permute needs matching row and column dims")
+    dims = a.row_dims
+    n = len(dims)
+    order = [int(i) for i in order]
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
+    tensor = a.data.reshape(dims + dims)
+    tensor = tensor.transpose(order + [n + i for i in order])
+    new_dims = tuple(dims[i] for i in order)
+    d = math.prod(new_dims)
+    return Operator(tensor.reshape(d, d), new_dims, new_dims)
+
+
+def support_eigh(
+    a: np.ndarray, rank_tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition of a PSD matrix with its numerical support marked.
+
+    Returns ``(w, v, on)``: ascending eigenvalues, eigenvectors as columns,
+    and the mask of eigenvalues strictly above ``rank_tol * lambda_max``.
+    ``rank_tol`` defaults to the numerical-rank convention
+    ``dim * machine_eps``.  A negative eigenvalue below
+    ``-10 * rank_tol * lambda_max`` is an error.
+    """
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("support_eigh needs a square matrix")
+    if rank_tol is None:
+        rank_tol = DEFAULT_TOLS.rank_tol(a.shape[0])
+    w, v = np.linalg.eigh(_hermitian_part(a))
+    lam_max = max(float(w[-1]), 0.0)
+    if w[0] < -10.0 * rank_tol * lam_max:
+        raise ValueError(
+            f"input not PSD within tolerance (min eigenvalue {w[0]:.3e})"
+        )
+    return w, v, w > rank_tol * lam_max
 
 
 def identity(dims: Sequence[int] | int) -> Operator:
@@ -508,6 +557,15 @@ def _dense_dilation_terms(
     diag = np.einsum("jcna,ncb->jab", y, ks.conj(), optimize=True)
     q[np.arange(d), :, np.arange(d), :] += diag
     return y, q
+
+
+def lab_ctoq_state(
+    chan: Channel, povm_e: Povm, povm_f: Povm, e_basis: OrthoBasis, f_basis: OrthoBasis
+) -> np.ndarray:
+    """``ctoq.decoder._ctoq_state`` rotated by ``U_E (x) I`` into the lab
+    frame."""
+    rot = np.kron(e_basis.matrix, np.eye(chan.dim_in))
+    return rot @ _ctoq_state(chan, povm_e, povm_f, e_basis, f_basis) @ rot.conj().T
 
 
 def dense_ctoq_state(

@@ -5,7 +5,6 @@ import pytest
 
 from ctoq.decoder import (
     _check_r_marginal,
-    _ctoq_state,
     coherent_state,
     ctoq_delta_q,
     delta_cl,
@@ -16,7 +15,7 @@ from ctoq.decoder import (
     xi_bounds,
     xi_ef,
 )
-from ctoq.linop import Operator, permute, trace_distance
+from ctoq.linop import Operator, trace_distance
 from ctoq.ppgm import build_ppgm
 from ctoq.qcore import (
     Channel,
@@ -47,6 +46,7 @@ from tests.helpers import (
     haar_unitary,
     identity,
     identity_channel,
+    lab_ctoq_state,
     max_entangled,
     naimark_extend,
     partial_trace,
@@ -468,7 +468,7 @@ def test_ctoq_total_equals_composition():
         pe = random_povm(rng, dc, d)
         pf = random_povm(rng, dc, d)
         e, f = random_basis(rng, d), random_basis(rng, d)
-        got = _ctoq_state(identity_channel(dc), pe, pf, e, f)
+        got = lab_ctoq_state(identity_channel(dc), pe, pf, e, f)
         want = composite_choi_state(pe, pf, e, f, (dc,))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -482,7 +482,7 @@ def test_ctoq_handles_multi_factor_measured_space():
     z, x = pauli_basis(1, "z"), pauli_basis(1, "x")
     coherent = coherent_state(identity_channel((2, 2)), pe, z)
     assert coherent.row_dims == (2, 2, 2, 2, 2)  # (C, A, R)
-    got = _ctoq_state(identity_channel((2, 2)), pe, pf, z, x)
+    got = lab_ctoq_state(identity_channel((2, 2)), pe, pf, z, x)
     want = composite_choi_state(pe, pf, z, x, (4,))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     chan = random_channel(rng, 2, 4, 2)
@@ -604,6 +604,7 @@ def test_noisy_ghz_matches_coherent_output_when_label_survives():
     e = random_basis(rng, 2)
     chan, povm_e = random_block_channel(rng, e, block_size=2)
     assert delta_cl(povm_e, chan, e) < 1e-12
-    out = coherent_state(chan, povm_e, e)  # (C, A, R)
-    ref = noisy_ghz_state(chan, e)  # (R, C, A)
-    assert trace_distance(permute(out, [2, 0, 1]), ref) < 1e-9
+    out = coherent_state(chan, povm_e, e)
+    ref = noisy_ghz_state(chan, e)
+    assert out.row_dims == ref.row_dims  # both (C, A, R)
+    assert trace_distance(out, ref) < 1e-9

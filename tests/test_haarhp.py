@@ -21,7 +21,7 @@ from ctoq.haarhp import (
     sample_peak_bytes,
     trial_peak_bytes,
 )
-from ctoq.linop import Operator, permute
+from ctoq.linop import Operator
 from ctoq.ppgm import build_ppgm
 from ctoq.qcore import basis_outputs, pauli_basis
 from ctoq.sampling import haar_isometry
@@ -31,6 +31,7 @@ from tests.helpers import (
     kron,
     max_entangled,
     partial_trace,
+    permute,
     random_density,
     unitary_channel,
 )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctoq.linop import Operator, permute, support_eigh, trace_distance
+from ctoq.linop import Operator, pure_state_distance, trace_distance
 from ctoq.sampling import ginibre
 from tests.helpers import (
     func_on_support,
@@ -11,8 +11,10 @@ from tests.helpers import (
     kron,
     operator,
     partial_trace,
+    permute,
     random_density,
     sqrtm_psd,
+    support_eigh,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -241,23 +243,23 @@ def test_trace_distance_eigen_vs_singular():
         assert td == pytest.approx(0.5 * s.sum(), abs=1e-10)
 
 
-def test_trace_distance_takes_a_pure_state_as_its_ket():
-    # the same distance, bit for bit, as from the dense projector, whether
-    # the ket has zero entries (the maximally entangled one) or none
+def test_pure_state_distance_matches_the_dense_projector():
+    # the same distance, bit for bit, as trace_distance from the dense
+    # projector, whether the ket has zero entries (the maximally entangled
+    # one) or none
     rng = np.random.default_rng(31)
     phi = np.zeros(9, dtype=complex)
     phi[::4] = 1 / math.sqrt(3)
     psi = ginibre(rng, 9, 1)[:, 0]
     for vec in (phi, psi / np.linalg.norm(psi)):
-        ket = Operator(vec[:, None], (3, 3), (1,))
         dense = Operator(np.outer(vec, vec.conj()), (3, 3), (3, 3))
         for sigma in (random_density(rng, 9), dense):
             sigma = Operator(sigma.data, (3, 3), (3, 3))
-            assert trace_distance(ket, sigma) == trace_distance(dense, sigma)
+            assert pure_state_distance(vec, sigma.data) == trace_distance(dense, sigma)
     with pytest.raises(ValueError, match="norm"):
-        trace_distance(Operator(2 * phi[:, None], (3, 3), (1,)), dense)
-    with pytest.raises(ValueError, match="mismatch"):
-        trace_distance(Operator(phi[:, None], (9,), (1,)), dense)
+        pure_state_distance(2 * phi, dense.data)
+    with pytest.raises(ValueError, match="trace"):
+        pure_state_distance(phi, 2 * dense.data)
 
 
 def test_trace_distance_rejects_mismatch():
