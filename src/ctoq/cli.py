@@ -25,7 +25,7 @@ import re
 import resource
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -48,29 +48,11 @@ from .haarhp import (
 )
 from .verify import SLACK_TOL, SUITES, run_suite
 
-__all__ = ["main", "RunManifest", "parse_config", "load_config"]
+__all__ = ["main", "parse_config", "load_config"]
 
 
 class ConfigError(ValueError):
     """Unusable run configuration; maps to exit status 2."""
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to the results.
-
-    Wall-clock time is deliberately not part of the file so identical seeds
-    produce identical bytes; it is reported on stderr instead.
-    """
-
-    command: str
-    config: dict[str, Any]
-    seed: int
-    counts: dict[str, int]
-    version: str = field(default=__version__, init=False)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +72,7 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_ell(spec: str, n_max: int) -> list[int]:
+def _parse_ell(spec: str) -> list[int]:
     spec = spec.strip()
     if ".." in spec:
         lo, hi = spec.split("..", 1)
@@ -101,9 +83,6 @@ def _parse_ell(spec: str, n_max: int) -> list[int]:
         raise ConfigError("ell list is empty")
     if len(set(values)) < len(values):
         raise ConfigError(f"ell list {spec!r} repeats a value")
-    for v in values:
-        if not 0 <= v <= n_max:
-            raise ConfigError(f"ell={v} outside [0, {n_max}]")
     return values
 
 
@@ -126,16 +105,15 @@ def _parse_xi(spec: str, n_bh: int) -> list[float]:
 
 def _resolve_seed(explicit: str | None) -> int:
     """The seed from the flag or config key, else ``CTOQ_SEED``, else 0; a
-    negative one is a config error, since numpy seeds only from integers >= 0."""
-    env = os.environ.get("CTOQ_SEED")
-    seed = 0
-    if explicit is not None:
-        seed = int(explicit)
-    elif env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"CTOQ_SEED={env!r} is not an integer") from None
+    non-integer or negative one is a config error, since numpy seeds only
+    from integers >= 0."""
+    name, text = "seed", explicit
+    if explicit is None:
+        name, text = "CTOQ_SEED", os.environ.get("CTOQ_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        raise ConfigError(f"{name}={text!r} is not an integer") from None
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
@@ -185,34 +163,30 @@ def load_config(path: str) -> RunSpec:
     unknown = set(kv) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    # one path: a malformed value or a sweep point HpConfig rejects is a config error
     try:
         n_bh = int(kv["n_bh"])
         n_msg = int(kv["n_msg"])
-        trials = int(kv.get("trials", "1"))
+        if n_bh < 1 or n_msg < 1:  # before _parse_xi sizes a spectrum by n_bh
+            raise ValueError(f"n_bh and n_msg must be >= 1, got {n_bh} and {n_msg}")
+        epsilon = float(kv["epsilon"]) if "epsilon" in kv else None
+        if epsilon is not None and not math.isfinite(epsilon):
+            raise ValueError(f"epsilon must be finite, got {epsilon}")
+        spec = RunSpec(
+            n_bh=n_bh,
+            n_msg=n_msg,
+            ells=_parse_ell(kv.get("ell", "0")),
+            trials=int(kv.get("trials", "1")),
+            seed=_resolve_seed(kv.get("seed")),
+            xi_label=kv.get("xi", "pure"),
+            epsilon=epsilon,
+        )
+        for ell in spec.ells:
+            spec.config_for(ell)
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if n_bh < 1 or n_msg < 1:
-        raise ConfigError(f"n_bh and n_msg must be >= 1, got {n_bh} and {n_msg}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    ells = _parse_ell(kv.get("ell", "0"), n_bh + n_msg)
-    seed = _resolve_seed(kv.get("seed"))
-    epsilon = float(kv["epsilon"]) if "epsilon" in kv else None
-    spec = RunSpec(
-        n_bh=n_bh,
-        n_msg=n_msg,
-        ells=ells,
-        trials=trials,
-        seed=seed,
-        xi_label=kv.get("xi", "pure"),
-        epsilon=epsilon,
-    )
-    try:
-        spec.config_for(ells[0])  # validate xi eagerly
-    except ValueError as exc:
-        raise ConfigError(f"bad xi {spec.xi_label!r}: {exc}") from None
     return spec
 
 
@@ -260,23 +234,11 @@ def _num(x: float) -> float | None:
 
 
 def _trial_row(seed: int, ell: int, r: TrialResult) -> dict[str, Any]:
+    head = dict(kind="trial", seed=seed, ell=ell, trial=r.trial, seed_stream=r.trial)
     if r.error is not None:
-        return {
-            "kind": "trial",
-            "seed": seed,
-            "ell": ell,
-            "trial": r.trial,
-            "seed_stream": r.trial,
-            "error": r.error,
-            "error_type": r.error_type,
-            "stage": r.stage,
-        }
+        return {**head, "error": r.error, "error_type": r.error_type, "stage": r.stage}
     return {
-        "kind": "trial",
-        "seed": seed,
-        "ell": ell,
-        "trial": r.trial,
-        "seed_stream": r.trial,
+        **head,
         "delta_cl_x": _num(r.delta_cl_x),
         "delta_cl_z": _num(r.delta_cl_z),
         "delta_q": _num(r.delta_q_ctoq),
@@ -486,18 +448,22 @@ def cmd_hp_run(args: argparse.Namespace) -> int:
         rows.extend(_trial_row(spec.seed, ell, r) for r in results)
         rows.append(_summary_row(spec, ell, results))
 
-    manifest = RunManifest(
-        command="hp-run",
-        config=spec.snapshot(),
-        seed=spec.seed,
-        counts={
+    # no wall-clock time, so identical seeds write identical bytes
+    manifest = {
+        "command": "hp-run",
+        "config": spec.snapshot(),
+        "seed": spec.seed,
+        "counts": {
             "trials": total,
             "failed_trials": sum(r.error is not None for _, rs in per_ell for r in rs),
             "sweep_points": len(spec.ells),
         },
-    )
+        "version": __version__,
+    }
     (out_dir / "results.jsonl").write_text(_dump_jsonl(rows))
-    (out_dir / "manifest.json").write_text(manifest.to_json())
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    )
     if args.csv:
         (out_dir / "results.csv").write_text(_dump_csv(per_ell))
 
@@ -581,8 +547,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
-        # a spectrum too large to allocate is that of a trial too large to run
+    except (MemoryError, OverflowError):
+        # a spectrum too large to allocate or index is that of a trial too large to run
         print("config error: the run does not fit in memory", file=sys.stderr)
         return 2
 

@@ -90,10 +90,10 @@ class HpConfig:
             raise ValueError("need at least one system and one message qubit")
         if not 0 <= self.n_rad <= self.n_bh + self.n_msg:
             raise ValueError(
-                f"n_rad must lie in [0, {self.n_bh + self.n_msg}]"
+                f"n_rad={self.n_rad} outside [0, {self.n_bh + self.n_msg}]"
             )
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         spec = np.asarray(self.xi_spectrum, dtype=np.float64)
         d = 2**self.n_bh
         if (

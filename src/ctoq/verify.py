@@ -1,8 +1,9 @@
 """Named randomized property suites behind the ``verify`` command.
 
 Each suite draws seeded random instances, evaluates an inequality chain,
-and reports the worst slack (bound minus value; negative means violated).
-The suite tokens are part of the CLI contract.
+and records every slack (bound minus value; negative means violated) in
+one :class:`SuiteResult`, which reports the worst.  The suite tokens are
+part of the CLI contract.
 """
 
 from __future__ import annotations
@@ -44,43 +45,38 @@ _DIMS = (2, 3, 4)
 
 @dataclass
 class SuiteResult:
-    """Outcome of one randomized suite and the label of its worst check."""
+    """Outcome of one randomized suite, filled in as its checks run.
+
+    ``check`` keeps the smallest slack and its label; a slack below
+    ``-SLACK_TOL`` is a failure, noted for the first 20 of them.  ``done``
+    sets the instance count and returns the result, with a worst slack of 0
+    where no check ran.
+    """
 
     name: str
-    instances: int
-    failures: int
-    worst_slack: float
-    worst_label: str
+    instances: int = 0
+    failures: int = 0
+    worst_slack: float = math.inf
+    worst_label: str = ""
     notes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
-
-class _Recorder:
-    """Keeps the smallest slack and its label; one below ``-SLACK_TOL`` fails."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.failures = 0
-        self.worst = math.inf
-        self.worst_label = ""
-        self.notes: list[str] = []
-
     def check(self, slack: float, label: str) -> None:
-        if slack < self.worst:
-            self.worst, self.worst_label = slack, label
+        if slack < self.worst_slack:
+            self.worst_slack, self.worst_label = slack, label
         if slack < -SLACK_TOL:
             self.failures += 1
-            self.notes.append(f"{label}: slack {slack:.3e}")
+            if len(self.notes) < 20:
+                self.notes.append(f"{label}: slack {slack:.3e}")
 
     def done(self, instances: int) -> SuiteResult:
-        worst = self.worst if self.worst is not math.inf else 0.0
-        return SuiteResult(
-            self.name, instances, self.failures, worst, self.worst_label,
-            self.notes[:20],
-        )
+        self.instances = instances
+        if self.worst_slack == math.inf:
+            self.worst_slack = 0.0
+        return self
 
 
 def _instance(rng: np.random.Generator, i: int):
@@ -99,7 +95,7 @@ def _instance(rng: np.random.Generator, i: int):
 def suite_decoder_bound(instances: int, seed: int) -> SuiteResult:
     """Quantum error of the built decoder against the three-term bound."""
     rng = np.random.default_rng(seed)
-    rec = _Recorder("thm1")
+    rec = SuiteResult("thm1")
     for i in range(instances):
         d, chan, pe, pf, eb, fb = _instance(rng, i)
         rep = error_report(chan, pe, pf, eb, fb)
@@ -110,7 +106,7 @@ def suite_decoder_bound(instances: int, seed: int) -> SuiteResult:
 def suite_mub_bound(instances: int, seed: int) -> SuiteResult:
     """Two-term and worst-basis bounds for mutually unbiased pairs."""
     rng = np.random.default_rng(seed)
-    rec = _Recorder("cor1")
+    rec = SuiteResult("cor1")
     for i in range(instances):
         d, chan, pe, pf, _, _ = _instance(rng, i)
         eb, fb = mub_pair(d)
@@ -144,7 +140,7 @@ def suite_pairwise_forms(instances: int, seed: int) -> SuiteResult:
 
     The forms are compared through their numerators, the forms times
     ``lambda_min``: one ulp of a form can exceed any fixed tolerance."""
-    rec = _Recorder("prop2")
+    rec = SuiteResult("prop2")
     done = 0
     for done, d, bundle in _unflagged_bundles(np.random.default_rng(seed), instances):
         rec.check(bundle.pairwise_sum - bundle.delta_cl, f"i={done} d={d} bound")
@@ -157,7 +153,7 @@ def suite_defect_bounds(instances: int, seed: int) -> SuiteResult:
     """Complementarity defect below both of its computable bounds; zero on
     mutually unbiased pairs."""
     rng = np.random.default_rng(seed)
-    rec = _Recorder("appx_a")
+    rec = SuiteResult("appx_a")
     for i in range(instances):
         d, chan, _, pf, eb, fb = _instance(rng, i)
         xi = xi_ef(chan, pf, eb, fb)
@@ -173,7 +169,7 @@ def suite_defect_bounds(instances: int, seed: int) -> SuiteResult:
 def suite_support_chain(instances: int, seed: int) -> SuiteResult:
     """Error <= support-overlap bound <= pairwise bound, plus the looser
     factor-4 variant."""
-    rec = _Recorder("appx_b")
+    rec = SuiteResult("appx_b")
     done = 0
     for done, d, bundle in _unflagged_bundles(np.random.default_rng(seed), instances):
         err, mid, top = bundle.delta_cl, bundle.support_overlap, bundle.pairwise_sum
@@ -187,7 +183,7 @@ def suite_sandwich(instances: int, seed: int) -> SuiteResult:
     """Sandwich via decoder-derived POVMs: the rebuilt decoder is at worst a
     square root away from the reference decoder's error."""
     rng = np.random.default_rng(seed)
-    rec = _Recorder("eq18")
+    rec = SuiteResult("eq18")
     for i in range(instances):
         d = _DIMS[i % len(_DIMS)]
         dc = d + i % 2
@@ -219,7 +215,7 @@ def suite_coherent_output(instances: int, seed: int) -> SuiteResult:
     exercise the reference state's off-diagonal blocks and conjugations.
     """
     rng = np.random.default_rng(seed)
-    rec = _Recorder("ghz")
+    rec = SuiteResult("ghz")
     for i in range(instances):
         d = _DIMS[i % len(_DIMS)]
         eb = random_basis(rng, d)

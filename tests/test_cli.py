@@ -107,10 +107,12 @@ def test_load_config_rejects_bad_xi_and_ell(tmp_path):
         load_config(
             write_config(tmp_path, "n_bh = 2\nn_msg = 1\nxi = thermal\n")
         )
-    with pytest.raises(ConfigError):
-        load_config(
-            write_config(tmp_path, "n_bh = 2\nn_msg = 1\nell = 9\n")
-        )
+    # 0,9 checks that a sweep point after the first is validated too
+    for ell in ("9", "0,9", "a..b"):
+        with pytest.raises(ConfigError):
+            load_config(
+                write_config(tmp_path, f"n_bh = 2\nn_msg = 1\nell = {ell}\n")
+            )
 
 
 @pytest.mark.parametrize("ell", ["2,2", "1,2,1"])
@@ -223,7 +225,7 @@ def test_verify_names_the_check_with_the_smallest_slack(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("ghz: PASS instances=6 failures=0 worst_slack=")
     assert lines[1].startswith("  worst i=") and " distance=" in lines[1]
-    rec = verify._Recorder("x")
+    rec = verify.SuiteResult("x")
     for slack, label in [(0.5, "a"), (-0.1, "b"), (0.2, "c"), (-0.1, "d")]:
         rec.check(slack, label)
     result = rec.done(4)
@@ -233,13 +235,27 @@ def test_verify_names_the_check_with_the_smallest_slack(capsys):
 def test_non_integer_seed_exits_two():
     proc = run_cli("verify", "thm1", "--instances", "1", "--seed", "abc")
     assert proc.returncode == 2
+    assert proc.stderr == "config error: seed='abc' is not an integer\n"
 
 
 def test_bad_config_exits_two(tmp_path):
-    path = write_config(tmp_path, "n_bh = 2\nn_msg = 1\ntrials = 0\n")
-    proc = run_cli("hp-run", "--config", path, "--out", str(tmp_path / "o"))
-    assert proc.returncode == 2
-    assert "config error" in proc.stderr
+    # malformed and out-of-range values alike, none with a traceback; a
+    # negative n_bh would size the maximally mixed spectrum by a fraction,
+    # a non-finite epsilon would reach the summary rows, and 2^70 labels
+    # cannot even be counted in a list
+    for extra in (
+        "trials = 0",
+        "seed = abc",
+        "epsilon = x",
+        "epsilon = nan",
+        "n_bh = -1\nxi = maximally_mixed",
+        "n_bh = 70\nxi = maximally_mixed",
+    ):
+        n_bh = "" if extra.startswith("n_bh") else "n_bh = 2\n"
+        path = write_config(tmp_path, f"{n_bh}n_msg = 1\nell = 1\n{extra}\n")
+        proc = run_cli("hp-run", "--config", path, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, (extra, proc.stderr)
+        assert proc.stderr.startswith("config error:"), (extra, proc.stderr)
 
 
 def test_zero_message_qubits_exit_two(tmp_path, capsys):
