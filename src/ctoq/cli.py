@@ -38,7 +38,6 @@ from . import __version__
 from .haarhp import (
     HpConfig,
     TrialResult,
-    derived_quantities,
     haar_mean_pairwise_overlap,
     pairwise_overlap_samples,
     run_sweep,
@@ -227,8 +226,10 @@ def _check_memory(
 # serialization
 
 
-def _num(x: float) -> float | None:
-    """JSON-safe float: non-finite values become null."""
+def _num(x: float | None) -> float | None:
+    """JSON-safe float: None and non-finite values become null."""
+    if x is None:
+        return None
     x = float(x)
     return x if math.isfinite(x) else None
 
@@ -309,6 +310,19 @@ def _mean_se(values: list[float] | np.ndarray) -> tuple[float | None, float | No
     return mean, se
 
 
+def _overlap_comparison(
+    cfg: HpConfig, samples: list[float] | np.ndarray
+) -> tuple[float, float | None, float | None, float | None]:
+    """``(closed form, mean, se, z)``: the exact Haar mean of the pairwise
+    overlap at ``cfg`` and the Monte-Carlo ``samples``' mean, standard error
+    and z-score against it, the last three ``None`` without samples."""
+    closed = haar_mean_pairwise_overlap(cfg)
+    mean, se = _mean_se(samples)
+    if mean is None:
+        return closed, None, None, None
+    return closed, mean, se, _z_score(mean, closed, se)
+
+
 def _summary_row(
     spec: RunSpec, ell: int, results: list[TrialResult]
 ) -> dict[str, Any]:
@@ -325,24 +339,17 @@ def _summary_row(
         ("delta_cl_x", "delta_cl_x"),
         ("delta_cl_z", "delta_cl_z"),
         ("delta_q", "delta_q_ctoq"),
-        ("pairwise_overlap", "pairwise_overlap"),
     ):
         mean, se = _mean_se([getattr(r, attr) for r in good])
-        row[f"mean_{name}"] = _num(mean) if mean is not None else None
-        row[f"se_{name}"] = _num(se) if se is not None else None
-
-    # the z-score reads the pairwise overlap's mean and se, the loop's last
-    closed = haar_mean_pairwise_overlap(cfg)
+        row[f"mean_{name}"], row[f"se_{name}"] = _num(mean), _num(se)
+    closed, mean, se, z = _overlap_comparison(cfg, [r.pairwise_overlap for r in good])
+    row["mean_pairwise_overlap"], row["se_pairwise_overlap"] = _num(mean), _num(se)
     row["closed_form_overlap"] = _num(closed)
-    if mean is None:
-        row["overlap_z_score"] = None
-    else:
-        row["overlap_z_score"] = _num(_z_score(mean, closed, se or 0.0))
+    row["overlap_z_score"] = _num(z)
 
-    derived = derived_quantities(cfg)
-    row["ell_th"] = _num(derived.ell_th)
-    row["lambda_xi"] = _num(derived.lambda_xi)
-    row["h2_initial"] = _num(derived.h2_bin)
+    row["ell_th"] = _num(cfg.ell_th)
+    row["lambda_xi"] = _num(cfg.lambda_xi)
+    row["h2_initial"] = _num(cfg.h2_bin)
 
     epsilon = spec.epsilon if spec.epsilon is not None else 0.9
     try:
@@ -365,40 +372,26 @@ def _dump_jsonl(rows: list[dict[str, Any]]) -> str:
     )
 
 
-_CSV_COLUMNS = [
-    "ell",
-    "trial",
-    "delta_cl_x",
-    "delta_cl_z",
-    "delta_q",
-    "lambda_min_x",
-    "lambda_min_z",
-    "bound_two_term",
-    "pairwise_sum_x",
-    "pairwise_sum_z",
-    "pairwise_overlap",
-    "error",
-]
+# the CSV's columns between ``ell`` and ``error``, each with its TrialResult field
+_CSV_FIELDS = (
+    ("trial", "trial"),
+    ("delta_cl_x", "delta_cl_x"),
+    ("delta_cl_z", "delta_cl_z"),
+    ("delta_q", "delta_q_ctoq"),
+    ("lambda_min_x", "lambda_min_x"),
+    ("lambda_min_z", "lambda_min_z"),
+    ("bound_two_term", "bound_two_term"),
+    ("pairwise_sum_x", "pairwise_sum_x"),
+    ("pairwise_sum_z", "pairwise_sum_z"),
+    ("pairwise_overlap", "pairwise_overlap"),
+)
 
 
 def _dump_csv(per_ell: list[tuple[int, list[TrialResult]]]) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
+    lines = [",".join(["ell", *(col for col, _ in _CSV_FIELDS), "error"])]
     for ell, results in per_ell:
         for r in results:
-            vals = [
-                ell,
-                r.trial,
-                r.delta_cl_x,
-                r.delta_cl_z,
-                r.delta_q_ctoq,
-                r.lambda_min_x,
-                r.lambda_min_z,
-                r.bound_two_term,
-                r.pairwise_sum_x,
-                r.pairwise_sum_z,
-                r.pairwise_overlap,
-                r.error or "",
-            ]
+            vals = [ell, *(getattr(r, attr) for _, attr in _CSV_FIELDS), r.error or ""]
             lines.append(",".join(str(v) for v in vals))
     return "\n".join(lines) + "\n"
 
@@ -484,9 +477,7 @@ def cmd_haar_mean(args: argparse.Namespace) -> int:
     worst_z = 0.0
     for ell in spec.ells:
         cfg = spec.config_for(ell)
-        closed = haar_mean_pairwise_overlap(cfg)
-        mean, se = _mean_se(pairwise_overlap_samples(cfg))
-        z = _z_score(mean, closed, se)
+        closed, mean, se, z = _overlap_comparison(cfg, pairwise_overlap_samples(cfg))
         worst_z = max(worst_z, abs(z))
         print(
             f"ell={ell}: closed_form={closed:.9g} mc_mean={mean:.9g} "

@@ -20,7 +20,9 @@ factors, without assembling a Kraus set.  :func:`coherent_state` evaluates
 the coherent measurement alone in the same coordinates, for the three-party
 diagnostic; no dilation is built for either.  The decoding error is
 controlled by the two classical errors plus a complementarity defect of the
-basis pair, evaluated here along with its computable upper bounds.
+basis pair, evaluated here along with its computable upper bounds;
+:func:`two_term_bound` and :func:`worst_basis_bound` are the bound's forms
+for mutually unbiased pairs.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = [
     "ctoq_delta_q",
     "xi_ef",
     "xi_bounds",
+    "two_term_bound",
+    "worst_basis_bound",
     "error_report",
     "povm_from_decoder",
     "noisy_ghz_state",
@@ -326,21 +330,30 @@ def xi_ef(
 
 
 def xi_bounds(
-    chan: Channel,
-    povm_f: Povm,
-    e_basis: OrthoBasis,
-    f_basis: OrthoBasis,
+    e_basis: OrthoBasis, f_basis: OrthoBasis, delta_cl_f: float
 ) -> tuple[float, float]:
     """Computable upper bounds on the complementarity defect.
 
-    Returns ``(1 - min_l F_l, 1 - mean_l F_l + delta_cl_f (max F - min F))``;
-    the second is tighter when the eraser POVM errs rarely.
+    Returns ``(1 - min_l F_l, 1 - mean_l F_l + delta_cl_f (max F - min F))``
+    from the basis overlaps and the eraser POVM's classical error
+    ``delta_cl_f``; the second is tighter when the eraser errs rarely.
     """
     fids = _overlap_fidelities(e_basis, f_basis)
     bound_min = float(1.0 - fids.min())
-    d_f = delta_cl(povm_f, chan, f_basis)
-    bound_avg = float(1.0 - fids.mean() + d_f * (fids.max() - fids.min()))
+    bound_avg = float(1.0 - fids.mean() + delta_cl_f * (fids.max() - fids.min()))
     return bound_min, bound_avg
+
+
+def two_term_bound(de: float, df: float) -> float:
+    """``sqrt(de (2 - de)) + sqrt(df)`` for the E- and F-POVMs' classical
+    errors: the three-term bound of a mutually unbiased pair, whose xi is 0."""
+    return math.sqrt(max(de * (2.0 - de), 0.0)) + math.sqrt(max(df, 0.0))
+
+
+def worst_basis_bound(delta: float) -> float:
+    """``(1 + sqrt 2) sqrt(delta)``: the two-term bound with both classical
+    errors raised to ``delta``."""
+    return (1.0 + math.sqrt(2.0)) * math.sqrt(max(delta, 0.0))
 
 
 def error_report(
@@ -357,12 +370,8 @@ def error_report(
     de = delta_cl(povm_e, chan, e_basis)
     df = delta_cl(povm_f, chan, f_basis)
     xi = xi_ef(chan, povm_f, e_basis, f_basis)
-    bound = (
-        math.sqrt(max(de * (2.0 - de), 0.0))
-        + math.sqrt(max(df, 0.0))
-        + math.sqrt(max(xi, 0.0))
-    )
-    b_min, b_avg = xi_bounds(chan, povm_f, e_basis, f_basis)
+    bound = two_term_bound(de, df) + math.sqrt(max(xi, 0.0))
+    b_min, b_avg = xi_bounds(e_basis, f_basis, df)
     return ErrorReport(dq, de, df, xi, bound, b_min, b_avg)
 
 

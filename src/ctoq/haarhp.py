@@ -21,7 +21,8 @@ radiation.
 Besides the Monte-Carlo experiment itself, this module evaluates the exact
 Haar average of the pairwise output overlaps (a two-design moment with a
 closed form) and the analytic average-error bound with its concentration
-correction term, which is vacuous at desk scale and reported as such.
+correction term, which is vacuous at desk scale and reported as such.  The
+initial state's closed forms (H2, ell_th, Lambda) are :class:`HpConfig`'s.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .decoder import ctoq_delta_q
+from .decoder import ctoq_delta_q, two_term_bound, worst_basis_bound
 from .ppgm import build_ppgm
 from .qcore import (
     Channel,
@@ -48,11 +49,9 @@ from .sampling import haar_isometry
 
 __all__ = [
     "HpConfig",
-    "HpDerived",
     "TrialResult",
     "AverageErrorBound",
     "hp_channel",
-    "derived_quantities",
     "haar_mean_pairwise_overlap",
     "average_error_bound",
     "run_sweep",
@@ -75,7 +74,8 @@ class HpConfig:
     order given and normalized.  Entry ``i`` is the weight of the ``i``-th
     support vector, which the purification pairs with a past label: label
     ``i`` when xi has full rank, label ``i + 1`` otherwise, where past label
-    0 stands for the kernel of xi.
+    0 stands for the kernel of xi.  The properties ``h2_bin``, ``ell_th``
+    and ``lambda_xi`` are the initial state's closed forms.
     """
 
     n_bh: int
@@ -133,14 +133,21 @@ class HpConfig:
     def dim_msg(self) -> int:
         return 2**self.n_msg
 
+    @property
+    def h2_bin(self) -> float:
+        """Collision entropy ``H2 = -log2 sum_i p_i^2``, in bits."""
+        p = self.xi_spectrum
+        return -math.log2(float(p @ p))
 
-@dataclass(frozen=True)
-class HpDerived:
-    """Threshold radiation count, spectral flatness, collision entropy."""
+    @property
+    def ell_th(self) -> float:
+        """Threshold radiation count ``k + (N - H2) / 2``."""
+        return self.n_msg + (self.n_bh - self.h2_bin) / 2.0
 
-    ell_th: float
-    lambda_xi: float
-    h2_bin: float
+    @property
+    def lambda_xi(self) -> float:
+        """Flatness ``Lambda = rank * min nonzero eigenvalue``."""
+        return float(self.xi_spectrum.min()) * self.rank
 
 
 @dataclass(frozen=True)
@@ -223,17 +230,7 @@ def hp_channel(v: np.ndarray, cfg: HpConfig) -> Channel:
 
 
 # ---------------------------------------------------------------------------
-# derived quantities and analytic formulas
-
-
-def derived_quantities(cfg: HpConfig) -> HpDerived:
-    """Threshold ``ell_th = k + (N - H2)/2`` and flatness
-    ``Lambda = rank * min nonzero eigenvalue`` of the initial state, with
-    ``H2 = -log2 sum_i p_i^2`` from its spectrum."""
-    p = cfg.xi_spectrum
-    h2 = -math.log2(float(p @ p))
-    ell_th = cfg.n_msg + (cfg.n_bh - h2) / 2.0
-    return HpDerived(ell_th=ell_th, lambda_xi=float(p.min()) * p.size, h2_bin=h2)
+# analytic formulas
 
 
 def haar_mean_pairwise_overlap(cfg: HpConfig) -> float:
@@ -247,24 +244,25 @@ def haar_mean_pairwise_overlap(cfg: HpConfig) -> float:
     """
     n, k, ell = cfg.n_bh, cfg.n_msg, cfg.n_rad
     dk = float(2**k)
-    h2 = derived_quantities(cfg).h2_bin
     num = 2.0 ** (2 * (n + k) - ell) - 2.0**ell
     den = 2.0 ** (2 * (n + k)) - 1.0
-    return dk * (dk - 1.0) * num / den * 2.0**-h2
+    return dk * (dk - 1.0) * num / den * 2.0**-cfg.h2_bin
 
 
 def average_error_bound(cfg: HpConfig, epsilon: float) -> AverageErrorBound:
     """Analytic bound on the Haar-average decoding errors.
 
     Requires ``Lambda > 1/2`` and ``epsilon`` in ``(2 (1 - Lambda), 1]``.
-    The correction term ``delta`` has
+    The classical bound is ``4^(ell_th - ell) / (1 - epsilon) + delta``;
+    the correction term ``delta`` has
     ``log2 delta = k + 2^{N+k-ell+1} (N+k-ell + log2(5/epsilon))
     - (c^2 log2(e) / 6) 2^{ell + H2}`` with
     ``c = 1 - (1 - epsilon/2) / Lambda``; it is astronomically large for
     small N, so the ``vacuous`` flag is the expected outcome at desk scale.
+    ``Lambda``, ``H2`` and ``ell_th`` are ``cfg``'s properties; the quantum
+    bound is :func:`ctoq.decoder.worst_basis_bound` of the classical one.
     """
-    derived = derived_quantities(cfg)
-    lam = derived.lambda_xi
+    lam = cfg.lambda_xi
     if lam <= 0.5:
         raise ValueError(
             f"bound needs rank * lambda_min > 1/2, got {lam:.6g}"
@@ -279,18 +277,17 @@ def average_error_bound(cfg: HpConfig, epsilon: float) -> AverageErrorBound:
     log2_delta = (
         k
         + 2.0 ** (n + k - ell + 1) * (n + k - ell + math.log2(5.0 / epsilon))
-        - (c**2 * LOG2_E / 6.0) * 2.0 ** (ell + derived.h2_bin)
+        - (c**2 * LOG2_E / 6.0) * 2.0 ** (ell + cfg.h2_bin)
     )
     delta = 2.0**log2_delta if log2_delta < 1000.0 else math.inf
     if epsilon < 1.0:
-        leading = 4.0 ** (derived.ell_th - ell) / (1.0 - epsilon)
+        leading = 4.0 ** (cfg.ell_th - ell) / (1.0 - epsilon)
     else:
         leading = math.inf
     cl_bound = leading + delta
-    q_bound = (1.0 + math.sqrt(2.0)) * math.sqrt(cl_bound)
     return AverageErrorBound(
         cl_bound=cl_bound,
-        q_bound=q_bound,
+        q_bound=worst_basis_bound(cl_bound),
         leading_term=leading,
         delta_term=delta,
         log2_delta=log2_delta,
@@ -370,8 +367,7 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
             pairwise_entropy_z=z.pairwise_entropy,
             support_overlap_x=x.support_overlap,
             support_overlap_z=z.support_overlap,
-            bound_two_term=math.sqrt(max(z.delta_cl * (2.0 - z.delta_cl), 0.0))
-            + math.sqrt(max(x.delta_cl, 0.0)),
+            bound_two_term=two_term_bound(z.delta_cl, x.delta_cl),
             pairwise_overlap=z.pairwise_overlap,
             collision_entropy_avg=z.collision_entropy_avg,
             collision_entropies=tuple(-math.log2(p) for p in z.purities),

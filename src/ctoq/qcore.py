@@ -211,8 +211,9 @@ def max_entangled_vector(d: int) -> np.ndarray:
 def basis_outputs(ch: Channel, basis: OrthoBasis) -> np.ndarray:
     """Outputs ``tau_j = T(|j><j|)`` for every basis vector ``|j>``.
 
-    Returns one read-only ``(d, dim_out, dim_out)`` array of Hermitian
-    matrices; every reader of the basis outputs goes through here.
+    Returns one read-only ``(d, dim_out, dim_out)`` array of matrices made
+    exactly Hermitian by symmetrization, which the pPGM reads; the output
+    side of :func:`ctoq.haarhp.pairwise_overlap_samples` forms its own.
     """
     if ch.dim_in != basis.dim:
         raise ValueError(f"channel input dim {ch.dim_in} != basis dim {basis.dim}")

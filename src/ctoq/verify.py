@@ -21,6 +21,8 @@ from .decoder import (
     noisy_ghz_state,
     povm_from_decoder,
     error_report,
+    two_term_bound,
+    worst_basis_bound,
     xi_bounds,
     xi_ef,
 )
@@ -114,10 +116,8 @@ def suite_mub_bound(instances: int, seed: int) -> SuiteResult:
         dq = ctoq_delta_q(chan, pe, pf, eb, fb)
         de = delta_cl(pe, chan, eb)
         df = delta_cl(pf, chan, fb)
-        two_term = math.sqrt(max(de * (2 - de), 0.0)) + math.sqrt(max(df, 0.0))
-        worst_basis = (1 + math.sqrt(2)) * math.sqrt(max(de, df, 0.0))
-        rec.check(two_term - dq, f"i={i} d={d} two-term")
-        rec.check(worst_basis - dq, f"i={i} d={d} worst-basis")
+        rec.check(two_term_bound(de, df) - dq, f"i={i} d={d} two-term")
+        rec.check(worst_basis_bound(max(de, df)) - dq, f"i={i} d={d} worst-basis")
     return rec.done(instances)
 
 
@@ -157,7 +157,7 @@ def suite_defect_bounds(instances: int, seed: int) -> SuiteResult:
     for i in range(instances):
         d, chan, _, pf, eb, fb = _instance(rng, i)
         xi = xi_ef(chan, pf, eb, fb)
-        b_min, b_avg = xi_bounds(chan, pf, eb, fb)
+        b_min, b_avg = xi_bounds(eb, fb, delta_cl(pf, chan, fb))
         rec.check(b_min - xi, f"i={i} d={d} min-bound")
         rec.check(b_avg - xi, f"i={i} d={d} avg-bound")
         meb, mfb = mub_pair(d)
@@ -200,7 +200,7 @@ def suite_sandwich(instances: int, seed: int) -> SuiteResult:
             dq_ref + 1e-10 - delta_cl(pf, chan, fb), f"i={i} d={d} derived-f"
         )
         dq = ctoq_delta_q(chan, pe, pf, eb, fb)
-        bound = (1 + math.sqrt(2)) * math.sqrt(dq_ref) + 1e-6
+        bound = worst_basis_bound(dq_ref) + 1e-6
         rec.check(bound - dq, f"i={i} d={d} sandwich")
     return rec.done(instances)
 

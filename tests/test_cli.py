@@ -19,7 +19,12 @@ from ctoq.cli import (
     main,
     parse_config,
 )
-from ctoq.haarhp import HpConfig, sample_peak_bytes, trial_peak_bytes
+from ctoq.haarhp import (
+    HpConfig,
+    haar_mean_pairwise_overlap,
+    sample_peak_bytes,
+    trial_peak_bytes,
+)
 
 CONFIG = """\
 # comment line
@@ -422,6 +427,11 @@ def test_hp_run_error_rows_name_the_exception_type(tmp_path, monkeypatch):
         assert r["stage"] == "channel"
     summary = [r for r in rows if r["kind"] == "summary"][0]
     assert "error_type" not in summary and summary["failed_trials"] == 5
+    for name in ("delta_cl_x", "delta_cl_z", "delta_q", "pairwise_overlap"):
+        assert summary[f"mean_{name}"] is None and summary[f"se_{name}"] is None
+    assert summary["overlap_z_score"] is None
+    closed = haar_mean_pairwise_overlap(load_config(cfg).config_for(1))
+    assert summary["closed_form_overlap"] == closed
 
 
 def test_hp_run_byte_identical_reruns(tmp_path):

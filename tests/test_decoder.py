@@ -523,7 +523,7 @@ def test_xi_zero_for_mub():
         chan = random_channel(rng, d, d, 2)
         povm = random_povm(rng, d, d)
         assert abs(xi_ef(chan, povm, e, f)) < 1e-12
-        b_min, b_avg = xi_bounds(chan, povm, e, f)
+        b_min, b_avg = xi_bounds(e, f, delta_cl(povm, chan, f))
         assert abs(b_min) < 1e-12 and abs(b_avg) < 1e-12
 
 
@@ -533,7 +533,7 @@ def test_xi_same_basis_projective():
         chan = identity_channel(d)
         povm = projective_povm(z)
         assert xi_ef(chan, povm, z, z) == pytest.approx(1 - 1 / d, abs=1e-12)
-        _, b_avg = xi_bounds(chan, povm, z, z)
+        _, b_avg = xi_bounds(z, z, delta_cl(povm, chan, z))
         assert b_avg == pytest.approx(1 - 1 / d, abs=1e-12)
 
 
@@ -545,7 +545,7 @@ def test_xi_below_bounds_randomized():
         povm = random_povm(rng, d + 1, d)
         e, f = random_basis(rng, d), random_basis(rng, d)
         xi = xi_ef(chan, povm, e, f)
-        b_min, b_avg = xi_bounds(chan, povm, e, f)
+        b_min, b_avg = xi_bounds(e, f, delta_cl(povm, chan, f))
         assert xi <= b_min + 1e-9
         assert xi <= b_avg + 1e-9
 

@@ -11,7 +11,6 @@ from ctoq.haarhp import (
     _gram_side,
     _sizes,
     _trial_rng,
-    derived_quantities,
     haar_mean_pairwise_overlap,
     hp_channel,
     pairwise_overlap_samples,
@@ -210,17 +209,17 @@ def test_basis_outputs_linearity_and_basis_independence():
 
 
 def test_derived_quantities_pure_and_mixed():
-    d = derived_quantities(cfg_with(n=4, k=1, ell=2, xi=PURE))
+    d = cfg_with(n=4, k=1, ell=2, xi=PURE)
     assert (d.ell_th, d.lambda_xi) == (3.0, 1.0)
     assert d.h2_bin == pytest.approx(0.0, abs=1e-12)
-    d = derived_quantities(cfg_with(n=4, k=1, ell=2, xi=flat_spectrum(4)))
+    d = cfg_with(n=4, k=1, ell=2, xi=flat_spectrum(4))
     assert (d.ell_th, d.lambda_xi) == (1.0, 1.0)
     assert d.h2_bin == pytest.approx(4.0, abs=1e-12)
 
 
 def test_derived_quantities_from_spectrum():
     xi = [0.5, 0.25, 0.125, 0.125]
-    d = derived_quantities(cfg_with(n=3, k=1, ell=2, xi=xi))
+    d = cfg_with(n=3, k=1, ell=2, xi=xi)
     # purity 11/32 by direct arithmetic on the spectrum
     assert d.h2_bin == pytest.approx(1.5405683813627027, abs=1e-12)
     assert d.lambda_xi == pytest.approx(4 * 0.125, abs=1e-12)
@@ -323,11 +322,17 @@ def test_average_bound_epsilon_validation():
 
 
 def test_run_sweep_perfect_retrieval_at_full_radiation():
-    cfg = cfg_with(n=2, k=1, ell=3, seed=13, trials=5)
-    for r in run_sweep([cfg])[0]:
-        assert r.error is None
-        assert r.delta_cl_x < 1e-8 and r.delta_cl_z < 1e-8
-        assert r.delta_q_ctoq < 1e-6
+    # the second is the (3,1,4) pure point of the benchmark's hp-pure-sweep,
+    # whose check rejects delta_q < 0
+    cfgs = [
+        cfg_with(n=2, k=1, ell=3, seed=13, trials=5),
+        cfg_with(n=3, k=1, ell=4, seed=1000, trials=20),
+    ]
+    for results in run_sweep(cfgs):
+        for r in results:
+            assert r.error is None
+            assert r.delta_cl_x < 1e-8 and r.delta_cl_z < 1e-8
+            assert 0.0 <= r.delta_q_ctoq < 1e-6
 
 
 def test_run_sweep_deterministic_and_parallel_consistent():
