@@ -120,7 +120,7 @@ def delta_cl(povm: Povm, chan: Channel, basis: OrthoBasis) -> float:
         raise ValueError(
             f"POVM has {povm.n_outcomes} outcomes, basis has {d} vectors"
         )
-    return off_diagonal_sum(outcome_weights(povm.factors, chan, basis)) / d
+    return off_diagonal_sum(outcome_weights(povm.factors, chan.kraus @ basis.matrix)) / d
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def xi_ef(
     """
     fids = _overlap_fidelities(e_basis, f_basis)
     # tr[T(pi) M_l] is the mean over any basis of tr[T(|i><i|) M_l]
-    q = outcome_weights(povm_f.factors, chan, e_basis).mean(axis=1)
+    q = outcome_weights(povm_f.factors, chan.kraus @ e_basis.matrix).mean(axis=1)
     return float(1.0 - np.dot(q, fids))
 
 

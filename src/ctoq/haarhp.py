@@ -5,8 +5,8 @@ N-qubit system whose state xi is purified by a "past radiation" register.  A
 Haar-random unitary scrambles message + system, after which ``ell`` qubits
 are radiated.  The retrieval channel maps the message space to past + new
 radiation; decoding uses projection-based pretty-good measurements for the
-Pauli-X and -Z classical records and the decoder built from them, whose
-quantum error is evaluated in closed form.
+Pauli-X and -Z classical records, built in one batched pass, and the decoder
+built from them, whose quantum error is evaluated in closed form.
 
 xi is held as its spectrum ``p``, the eigenvalues on its support.  The
 channel reads only the columns of the scrambling unitary for message (x)
@@ -333,8 +333,9 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
     both bases, is formed here.  Numerical failures (``LinAlgError``,
     ``ValueError``) are recorded on the result, with the exception's type
     and the stage that raised it (``sample``, ``channel``, ``compress``,
-    ``ppgm_z``, ``ppgm_x`` or ``delta_q``), rather than raised; anything
-    else, such as ``MemoryError``, propagates.
+    ``ppgm``, where both bases' measurements are built in one call, or
+    ``delta_q``), rather than raised; anything else, such as
+    ``MemoryError``, propagates.
     """
     stage = "sample"
     try:
@@ -345,14 +346,11 @@ def run_trial(cfg: HpConfig, trial: int) -> TrialResult:
         ch = output_span_channel(full)[0]
         del v, full  # the full-space arrays go before the pPGMs are built
         rank_tol = DEFAULT_TOLS.rank_tol(2**cfg.n_bh * 2**cfg.n_rad)
-        basis_z = pauli_basis(cfg.n_msg, "z")
-        basis_x = pauli_basis(cfg.n_msg, "x")
-        stage = "ppgm_z"
-        z = build_ppgm(ch, basis_z, rank_tol=rank_tol)
-        stage = "ppgm_x"
-        x = build_ppgm(ch, basis_x, rank_tol=rank_tol)
+        bases = pauli_basis(cfg.n_msg, "z"), pauli_basis(cfg.n_msg, "x")
+        stage = "ppgm"
+        z, x = build_ppgm(ch, bases, rank_tol=rank_tol)
         stage = "delta_q"
-        dq = ctoq_delta_q(ch, z.povm, x.povm, basis_z, basis_x)
+        dq = ctoq_delta_q(ch, z.povm, x.povm, *bases)
 
         return TrialResult(
             trial=trial,
@@ -394,16 +392,19 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     """Complex entries alive at the peak of each stage of a trial, with
     ``d = 2^k``, ``n`` Kraus operators and ``s`` compressed output dimensions,
     at most ``min(rank(xi) 2^ell, n d) + 1``: the isometry with its Ginibre and
-    QR copies; the Kraus stack, its copy and their thin SVD; one basis's
-    outputs, alive only in :func:`ctoq.ppgm.build_ppgm`; both bases' pPGMs
-    (temporaries, ``(d, s, m)`` factors with ``m = min(s, n)``, and the
-    ``s x s`` support sum ``Pi`` with its Hermitian part, its eigenvectors and
-    the eigensolver's work space); and the decoder (both POVMs' ``(d, s, m +
-    1)`` factors with a copy, the branches in the E factors' coordinates and
-    one E outcome's block, ``d^2 n (m + 1)`` each, three ``d (m + 1)``-square
-    matrices, and three ``d^2 x d^2`` arrays: the state, left in the E frame,
-    with its difference to ``Phi`` and that one's Hermitian part, or that
-    part's eigenvalue copy in place of the difference)."""
+    QR copies; the Kraus stack, its copy and their thin SVD; three points of
+    :func:`ctoq.ppgm.build_ppgm`, which holds both bases' arrays at once: one
+    basis's outputs beside the branch products ``K U`` and a copy, then the
+    ``(d, s, m)`` support factors and ``Q`` (``m = min(s, n)``) with the ``s x
+    s`` sums ``Pi``, their Hermitian parts, eigenvectors and eigensolver work
+    space, then the ``(d, s, m + 1)`` factors with two copies, the branch
+    products with a copy and their ``d (m + 1) x n d`` product with its
+    moduli; and the decoder (both POVMs' factors with a copy, the branches in
+    the E factors' coordinates and one E outcome's block, ``d^2 n (m + 1)``
+    each, three ``d (m + 1)``-square matrices, and three ``d^2 x d^2`` arrays:
+    the state, left in the E frame, with its difference to ``Phi`` and that
+    one's Hermitian part, or that part's eigenvalue copy in place of the
+    difference)."""
     d, n, iso, kraus, dc = _sizes(cfg)
     m = min(dc, n * d)
     s = min(min(cfg.rank * 2**cfg.n_rad, m) + 1, dc)
@@ -412,8 +413,9 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     return (
         4 * iso,
         iso + 3 * kraus + (dc + n * d) * m + 3 * dc * s + 2 * n * s * d,
-        2 * d * s * s + 2 * n * s * d,
-        (5 * dm + 6 * s) * s + 3 * n * s * d,
+        2 * d * s * s + 3 * n * s * d,
+        2 * n * s * d + (6 * dm + 7 * s) * s,
+        4 * n * s * d + (4 * dm + 2 * s + 6 * d * w) * s + 3 * d * d * w * n,
         2 * s * s + n * s * d + 4 * d * s * w
         + 2 * d * d * n * w + 3 * (d * w) ** 2 + 3 * d**4,
     )

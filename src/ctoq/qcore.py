@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "outcome_weights",
     "off_diagonal_sum",
     "OrthoBasis",
-    "basis_outputs",
     "output_span_channel",
     "cross_overlap",
     "pauli_basis",
@@ -177,15 +176,18 @@ class Povm:
         return self.factors.shape[1]
 
 
-def outcome_weights(factors: np.ndarray, ch: Channel, basis: OrthoBasis) -> np.ndarray:
-    """``[j, i] = ||A_j^dag B_i||_F^2 = tr(A_j A_j^dag tau_i)`` for a factor
-    stack ``A`` and the branch matrices ``B_i = [K_n|i>]_n``, from one Gram
-    product; no output ``tau_i = B_i B_i^dag`` is formed."""
-    m, dc, w = factors.shape
-    # b[c, (n, i)] = <c|K_n|i>
-    b = (ch.kraus @ basis.matrix).transpose(1, 0, 2)
-    prod = factors.transpose(1, 0, 2).reshape(dc, m * w).conj().T @ b.reshape(dc, -1)
-    return (np.abs(prod) ** 2).reshape(m, w, -1, basis.dim).sum(axis=(1, 2))
+def outcome_weights(factors: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    """``[..., j, i] = ||A_j^dag B_i||_F^2 = tr(A_j A_j^dag tau_i)`` for a factor
+    stack ``A`` and the branch product ``K U`` of a Kraus stack and a basis,
+    ``branches[..., n, :, i] = K_n|i>``, from one Gram product; both may carry
+    the same leading axes.  No output ``tau_i = B_i B_i^dag`` is formed."""
+    *lead, m, dc, w = factors.shape
+    a = factors.swapaxes(-3, -2).reshape(*lead, dc, m * w).conj().swapaxes(-1, -2)
+    # b[..., c, (n, i)] = <c|K_n|i>
+    weights = np.abs(a @ branches.swapaxes(-3, -2).reshape(*lead, dc, -1))
+    weights *= weights
+    d = branches.shape[-1]
+    return weights.reshape(*lead, m, w, -1, d).sum(axis=(-3, -2))
 
 
 def off_diagonal_sum(a: np.ndarray) -> float:
@@ -205,25 +207,7 @@ def max_entangled_vector(d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# channel outputs and basis overlaps
-
-
-def basis_outputs(ch: Channel, basis: OrthoBasis) -> np.ndarray:
-    """Outputs ``tau_j = T(|j><j|)`` for every basis vector ``|j>``.
-
-    Returns one read-only ``(d, dim_out, dim_out)`` array of matrices made
-    exactly Hermitian by symmetrization, which the pPGM reads; the output
-    side of :func:`ctoq.haarhp.pairwise_overlap_samples` forms its own.
-    """
-    if ch.dim_in != basis.dim:
-        raise ValueError(f"channel input dim {ch.dim_in} != basis dim {basis.dim}")
-    # cols[j, :, n] = K_n |j>
-    cols = (ch.kraus @ basis.matrix).transpose(2, 1, 0)
-    taus = cols @ cols.conj().transpose(0, 2, 1)
-    taus += taus.conj().transpose(0, 2, 1)  # in place: outputs can be large
-    taus /= 2
-    taus.setflags(write=False)
-    return taus
+# output and basis overlaps
 
 
 def cross_overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -257,9 +241,11 @@ def fourier_basis(d: int) -> OrthoBasis:
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
+@cache
 def pauli_basis(n_qubits: int, which: str) -> OrthoBasis:
     """Multi-qubit Pauli basis: Z is computational, X is the n-fold
-    tensor product of (|0> +/- |1>)/sqrt(2)."""
+    tensor product of (|0> +/- |1>)/sqrt(2); built once per argument pair,
+    the basis being immutable."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     w = which.lower()

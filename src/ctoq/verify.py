@@ -129,7 +129,7 @@ def _unflagged_bundles(rng: np.random.Generator, instances: int):
         attempts += 1
         d = _DIMS[done % len(_DIMS)]
         chan = random_channel(rng, d, d + attempts % 3, 1 + int(rng.integers(4)))
-        bundle = build_ppgm(chan, random_basis(rng, d))
+        (bundle,) = build_ppgm(chan, [random_basis(rng, d)])
         if not bundle.ill_conditioned:
             done += 1
             yield done, d, bundle

@@ -25,6 +25,11 @@ to the naming:
   and positivity of a ``(n, dim, dim)`` stack, before POVMs were held as
   factors; it returns the factored :class:`ctoq.qcore.Povm` of the checked
   elements.  ``elements`` multiplies a POVM's factors back out.
+* ``basis_outputs`` is ``ctoq.qcore.basis_outputs`` as it was before
+  ``ctoq.ppgm.build_ppgm`` formed each basis's output stack from the branch
+  product it shares with the rest of the measurement, unchanged: the
+  ``(d, dC, dC)`` stack of outputs, the oracle of the statistics the bundle
+  keeps.
 * ``permute`` and ``support_eigh`` are ``ctoq.linop.permute`` and
   ``support_eigh`` as they were before they left the library, unchanged.
   The dense oracles reorder subsystems and mark supports with them; the
@@ -82,7 +87,6 @@ from ctoq.qcore import (
     Channel,
     OrthoBasis,
     Povm,
-    basis_outputs,
     channel,
     computational_basis,
     cross_overlap,
@@ -113,6 +117,23 @@ def permute(a: Operator, order: Sequence[int]) -> Operator:
     new_dims = tuple(dims[i] for i in order)
     d = math.prod(new_dims)
     return Operator(tensor.reshape(d, d), new_dims, new_dims)
+
+
+def basis_outputs(ch: Channel, basis: OrthoBasis) -> np.ndarray:
+    """Outputs ``tau_j = T(|j><j|)`` for every basis vector ``|j>``.
+
+    Returns one read-only ``(d, dim_out, dim_out)`` array of matrices made
+    exactly Hermitian by symmetrization.
+    """
+    if ch.dim_in != basis.dim:
+        raise ValueError(f"channel input dim {ch.dim_in} != basis dim {basis.dim}")
+    # cols[j, :, n] = K_n |j>
+    cols = (ch.kraus @ basis.matrix).transpose(2, 1, 0)
+    taus = cols @ cols.conj().transpose(0, 2, 1)
+    taus += taus.conj().transpose(0, 2, 1)  # in place: outputs can be large
+    taus /= 2
+    taus.setflags(write=False)
+    return taus
 
 
 def support_eigh(

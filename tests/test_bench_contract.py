@@ -22,6 +22,11 @@ import tracing  # noqa: E402
 
 from ctoq import cli, decoder, haarhp, linop, ppgm, qcore, sampling, verify  # noqa: E402
 
+MODULES = {
+    "linop": linop, "qcore": qcore, "decoder": decoder, "ppgm": ppgm,
+    "haarhp": haarhp, "sampling": sampling, "verify": verify, "cli": cli,
+}
+
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
 def test_benchmark_warm_up_runs_in_process(tmp_path, name):
@@ -35,11 +40,7 @@ def test_benchmark_warm_up_runs_in_process(tmp_path, name):
 
 
 def test_benchmark_tracer_wraps_the_library():
-    modules = {
-        "linop": linop, "qcore": qcore, "decoder": decoder, "ppgm": ppgm,
-        "haarhp": haarhp, "sampling": sampling, "verify": verify, "cli": cli,
-    }
-    tracer = tracing.Tracer(modules)
+    tracer = tracing.Tracer(MODULES)
     tracer.install()
     try:
         main = tracer.span("cli", cli.main)
@@ -54,3 +55,23 @@ def test_benchmark_tracer_wraps_the_library():
     assert verify.SUITES["thm1"] is verify.suite_decoder_bound  # uninstalled
     metrics = tracing.per_layer_metrics(tracer, 2, 0.0, 1.0)
     assert metrics["verify.thm1.self_s"] > 0
+
+
+def test_benchmark_tracer_times_the_ppgm_stage(tmp_path):
+    # ppgm.build_ppgm.self_s and .total_s are read off the spans of
+    # build_ppgm: a trial that stopped calling it by that name would leave
+    # both metrics at 0 on every tree
+    wl = replace(run.WORKLOADS["hp-pure-sweep"], config=run.HP_WARMUP)
+    (cmd,) = run.commands(wl, tmp_path, 1, 1)
+    tracer = tracing.Tracer(MODULES)
+    tracer.install()
+    try:
+        result = run.run_in_process(tracer.span("cli", cli.main), cmd.args)
+    finally:
+        tracer.uninstall()
+    assert result.returncode == 0 and not cmd.check(result)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("ppgm.build_ppgm") == cmd.units
+    metrics = tracing.per_layer_metrics(tracer, cmd.units, 0.0, 1.0)
+    assert metrics["ppgm.build_ppgm.self_s"] > 0
+    assert metrics["ppgm.build_ppgm.total_s"] > 0

@@ -575,9 +575,13 @@ def test_prop2_compares_the_pairwise_numerators(capsys, monkeypatch):
         # the entropy form's numerator moved by ``shift``: the check fails
         # beyond 1e-10 + SLACK_TOL = 1.1e-9
         def shifted(*args, shift=shift):
-            bundle = build(*args)
-            entropy = bundle.pairwise_entropy + shift / bundle.lambda_min
-            return dataclasses.replace(bundle, pairwise_entropy=entropy)
+            return [
+                dataclasses.replace(
+                    bundle,
+                    pairwise_entropy=bundle.pairwise_entropy + shift / bundle.lambda_min,
+                )
+                for bundle in build(*args)
+            ]
 
         monkeypatch.setattr(verify, "build_ppgm", shifted)
         assert verify.run_suite("prop2", 12, 5006).failures == failures

@@ -506,8 +506,7 @@ def test_ctoq_with_ppgms_satisfies_bound():
     rng = np.random.default_rng(16)
     chan = random_channel(rng, 2, 3, 2)
     z, x = pauli_basis(1, "z"), pauli_basis(1, "x")
-    pz = build_ppgm(chan, z).povm
-    px = build_ppgm(chan, x).povm
+    pz, px = (bundle.povm for bundle in build_ppgm(chan, [z, x]))
     rep = error_report(chan, pz, px, z, x)
     assert rep.delta_q <= rep.delta_q_bound + 1e-9
 

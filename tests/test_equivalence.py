@@ -44,11 +44,10 @@ from ctoq.haarhp import (
     run_trial,
 )
 from ctoq.linop import Operator, trace_distance
-from ctoq.ppgm import build_ppgm
+from ctoq.ppgm import PpgmBundle, build_ppgm
 from ctoq.qcore import (
     Channel,
     Povm,
-    basis_outputs,
     channel,
     cross_overlap,
     max_entangled_vector,
@@ -70,6 +69,7 @@ import ctoq.verify as verify
 from ctoq.verify import SLACK_TOL
 from tests.helpers import (
     apply_channel,
+    basis_outputs,
     build_coherent_measurement,
     build_eraser,
     build_theta,
@@ -267,10 +267,10 @@ def oracle_run_trial(cfg, trial):
         ch = channel(kraus, (2**k,), (2**n, 2**ell))
         basis_z = pauli_basis(cfg.n_msg, "z")
         basis_x = pauli_basis(cfg.n_msg, "x")
-        bundle_z = build_ppgm(ch, basis_z)
+        bundle_z = build_ppgm(ch, [basis_z])[0]
         taus_z = basis_outputs(ch, basis_z)
         purities_z = np.einsum("jab,jba->j", taus_z, taus_z).real
-        bundle_x = build_ppgm(ch, basis_x)
+        bundle_x = build_ppgm(ch, [basis_x])[0]
         dcl_z, dcl_x = bundle_z.delta_cl, bundle_x.delta_cl
         dq = ctoq_delta_q(ch, bundle_z.povm, bundle_x.povm, basis_z, basis_x)
         bound = math.sqrt(max(dcl_z * (2.0 - dcl_z), 0.0)) + math.sqrt(
@@ -332,7 +332,7 @@ def check_statistics(bundle, taus, exact=False):
 def check_basis(ch, oracle_ch, basis):
     """Every reported quantity of one basis against the oracles."""
     taus_o, projectors_o, elements_o, lam_o, ill_o = oracle_ppgm(oracle_ch, basis)
-    bundle = build_ppgm(ch, basis)
+    bundle = build_ppgm(ch, [basis])[0]
     np.testing.assert_allclose(basis_outputs(ch, basis), taus_o, rtol=0, atol=TOL)
     check_statistics(bundle, np.stack(taus_o))
     got_elements = elements(bundle.povm)
@@ -514,7 +514,7 @@ def check_support_sum_ppgm(ch, basis, rank_tol=None):
     construction it replaced: every input of the pairwise bound, and so the
     bound, bit for bit; the elements, the support projectors and the other
     bounds to 1e-12."""
-    got = build_ppgm(ch, basis, rank_tol)
+    got = build_ppgm(ch, [basis], rank_tol)[0]
     want = dense_build_ppgm(ch, basis, rank_tol)
     check_statistics(got, want.tau_states, exact=True)
     assert got.lambda_min == want.lambda_min
@@ -566,7 +566,7 @@ def test_pinned_zero_falls_to_outcome_0_on_hp_channels(shape, xi):
     for t in range(cfg.trials):
         ch = _trial_channel(cfg, t)
         for which in "zx":
-            bundle = build_ppgm(ch, pauli_basis(cfg.n_msg, which), hp_rank_tol(cfg))
+            bundle = build_ppgm(ch, [pauli_basis(cfg.n_msg, which)], hp_rank_tol(cfg))[0]
             row0 = bundle.povm.factors[:, 0, :]
             weights = np.einsum("lw,lw->l", row0, row0.conj()).real
             want = np.eye(len(weights))[0]
@@ -580,6 +580,38 @@ def test_gram_form_ppgm_matches_the_dense_one_on_suite_sized_channels(seed):
     ch = random_channel(rng, d, d + seed % 3, 1 + int(rng.integers(4)))
     for basis in (random_basis(rng, d), random_basis(rng, d)):
         check_support_sum_ppgm(ch, basis)
+
+
+def check_batched_ppgm(ch, bases, rank_tol=None):
+    """Bundles built for several bases in one call against those built one
+    basis at a time: every field to the last bit."""
+    batched = build_ppgm(ch, bases, rank_tol)
+    assert len(batched) == len(bases)
+    for got, basis in zip(batched, bases):
+        (want,) = build_ppgm(ch, [basis], rank_tol)
+        assert np.array_equal(got.povm.factors, want.povm.factors)
+        assert np.array_equal(got.purities, want.purities)
+        for field in dataclasses.fields(PpgmBundle):
+            if field.name not in ("povm", "purities"):
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(shape, xi) for shape in HP_SHAPES for xi in HP_XI] + list(range(6)),
+    ids=lambda c: f"seed{900 + c}" if isinstance(c, int) else "-".join(map(str, c[0] + (c[1],))),
+)
+def test_ppgm_of_several_bases_equals_each_basis_alone(case):
+    if isinstance(case, int):  # a suite-sized channel and two random bases
+        rng = np.random.default_rng(900 + case)
+        d = (2, 3, 4)[case % 3]
+        ch = random_channel(rng, d, d + case % 3, 1 + int(rng.integers(4)))
+        check_batched_ppgm(ch, [random_basis(rng, d), random_basis(rng, d)])
+        return
+    cfg = hp_cfg(*case)
+    for t in range(cfg.trials):
+        bases = [pauli_basis(cfg.n_msg, which) for which in "zx"]
+        check_batched_ppgm(_trial_channel(cfg, t), bases, hp_rank_tol(cfg))
 
 
 @pytest.mark.parametrize("seed, trial", [(5017, 9), (3078, 1)])
@@ -638,8 +670,8 @@ def test_factored_decoder_matches_the_dense_one_on_hp_channels(shape, xi):
     z, x = pauli_basis(cfg.n_msg, "z"), pauli_basis(cfg.n_msg, "x")
     for t in range(cfg.trials):
         ch = _trial_channel(cfg, t)
-        pz = build_ppgm(ch, z, hp_rank_tol(cfg)).povm
-        px = build_ppgm(ch, x, hp_rank_tol(cfg)).povm
+        pz = build_ppgm(ch, [z], hp_rank_tol(cfg))[0].povm
+        px = build_ppgm(ch, [x], hp_rank_tol(cfg))[0].povm
         check_factored_decoder(ch, pz, px, z, x)
 
 
@@ -650,8 +682,8 @@ def test_factored_decoder_matches_the_loop_at_five_message_qubits(shape):
     cfg = hp_cfg(shape, "pure")
     z, x = pauli_basis(5, "z"), pauli_basis(5, "x")
     ch = _trial_channel(cfg, 0)
-    pz = build_ppgm(ch, z, hp_rank_tol(cfg)).povm
-    px = build_ppgm(ch, x, hp_rank_tol(cfg)).povm
+    pz = build_ppgm(ch, [z], hp_rank_tol(cfg))[0].povm
+    px = build_ppgm(ch, [x], hp_rank_tol(cfg))[0].povm
     for args in ((pz, px, z, x), (px, pz, x, z)):
         want = loop_ctoq_state(ch, *args)
         np.testing.assert_allclose(lab_ctoq_state(ch, *args), want, rtol=0, atol=TOL)
@@ -664,7 +696,7 @@ def test_factored_decoder_matches_the_dense_one_on_suite_sized_channels(seed):
     d = (2, 3, 4)[seed % 3]
     ch = random_channel(rng, d, d + seed % 3, 1 + int(rng.integers(4)))
     e_basis, f_basis = random_basis(rng, d), random_basis(rng, d)
-    povms = [build_ppgm(ch, b).povm for b in (e_basis, f_basis)]
+    povms = [build_ppgm(ch, [b])[0].povm for b in (e_basis, f_basis)]
     check_factored_decoder(ch, *povms, e_basis, f_basis)
     povms = [random_povm(rng, ch.dim_out, d) for _ in range(2)]
     check_factored_decoder(ch, *povms, e_basis, f_basis)
@@ -825,8 +857,8 @@ def test_eraser_after_coherent_state_is_the_decoder_state(seed):
     d = (2, 3, 4)[seed % 3]
     ch = random_channel(rng, d, d + seed % 3, 1 + int(rng.integers(4)))
     e_basis, f_basis = random_basis(rng, d), random_basis(rng, d)
-    povm_e = build_ppgm(ch, e_basis).povm
-    povm_f = build_ppgm(ch, f_basis).povm
+    povm_e = build_ppgm(ch, [e_basis])[0].povm
+    povm_f = build_ppgm(ch, [f_basis])[0].povm
     check_eraser_after_coherent_state(ch, povm_e, povm_f, e_basis, f_basis)
 
 

@@ -22,10 +22,11 @@ from ctoq.haarhp import (
 )
 from ctoq.linop import Operator
 from ctoq.ppgm import build_ppgm
-from ctoq.qcore import basis_outputs, pauli_basis
+from ctoq.qcore import pauli_basis
 from ctoq.sampling import haar_isometry
 from tests.helpers import (
     apply_channel,
+    basis_outputs,
     haar_unitary,
     kron,
     max_entangled,
@@ -128,7 +129,7 @@ def test_hp_channel_isometric_when_nothing_kept():
     v = sample_isometry(cfg, rng)
     ch = hp_channel(v, cfg)
     assert len(ch.kraus) == 1
-    bundle = build_ppgm(ch, pauli_basis(1, "z"))
+    bundle = build_ppgm(ch, [pauli_basis(1, "z")])[0]
     assert bundle.delta_cl < 1e-10
 
 
@@ -146,7 +147,7 @@ def test_hp_channel_ell_zero_is_constant():
     np.testing.assert_allclose(
         partial_trace(out0, [0]).data, want.data, atol=1e-12
     )
-    bundle = build_ppgm(ch, pauli_basis(1, "z"))
+    bundle = build_ppgm(ch, [pauli_basis(1, "z")])[0]
     assert bundle.delta_cl == pytest.approx(1 - 0.5, abs=1e-10)
 
 
@@ -381,17 +382,18 @@ def test_run_trial_records_numerical_errors_only(monkeypatch):
         run_trial(cfg, 0)
     monkeypatch.undo()
 
-    # each later stage is named too: the X-basis pPGM and the decoder's error
+    # each later stage is named too: both bases' pPGMs, built in one call
+    # that fails on the X basis, and the decoder's error
     build = haarhp.build_ppgm
 
-    def build_z_only(ch, basis, rank_tol=None):
-        if basis.matrix[0, 0] != 1.0:  # not the computational basis
+    def build_z_only(ch, bases, rank_tol=None):
+        if any(basis.matrix[0, 0] != 1.0 for basis in bases):  # not computational
             raise np.linalg.LinAlgError("eigh did not converge")
-        return build(ch, basis, rank_tol)
+        return build(ch, bases, rank_tol)
 
     monkeypatch.setattr(haarhp, "build_ppgm", build_z_only)
     r = run_trial(cfg, 0)
-    assert (r.stage, r.error_type) == ("ppgm_x", "LinAlgError")
+    assert (r.stage, r.error_type) == ("ppgm", "LinAlgError")
     monkeypatch.undo()
     monkeypatch.setattr(haarhp, "ctoq_delta_q", raise_(ValueError("decoder")))
     assert run_trial(cfg, 0).stage == "delta_q"
@@ -454,7 +456,7 @@ def test_reverse_basis_order_also_satisfies_bound():
     for t, r in enumerate(fwd):
         v = sample_isometry(cfg, _trial_rng(cfg, t))
         ch = hp_channel(v, cfg)
-        bundle_z, bundle_x = build_ppgm(ch, z), build_ppgm(ch, x)
+        bundle_z, bundle_x = build_ppgm(ch, [z, x])
         de, df = delta_cl(bundle_x.povm, ch, x), delta_cl(bundle_z.povm, ch, z)
         dq = ctoq_delta_q(ch, bundle_x.povm, bundle_z.povm, x, z)
         assert dq <= math.sqrt(de * (2 - de)) + math.sqrt(df) + 1e-9
@@ -594,12 +596,12 @@ def test_run_trial_holds_no_output_stack_past_its_ppgm():
         (5, 2, 3, 32),  # maximally mixed, 1.6 MiB, the compression
         (10, 2, 10, 1),  # 2.8 MiB, the compression
         (14, 2, 10, 1),  # 46.1 MiB, the compression
-        (6, 2, 2, 64),  # maximally mixed, 12.1 MiB; the decoder peaks no higher
+        (6, 2, 2, 64),  # maximally mixed, 18.0 MiB, the pPGMs' error weights
         (9, 1, 9, 512),  # maximally mixed, 104.0 MiB, the compression
-        (14, 2, 4, 1),  # 44.9 MiB, the decoder's two d^2 n w blocks of 18 MiB
+        (14, 2, 4, 1),  # 66.9 MiB, the pPGMs' (d w) x (n d) error weights
         (1, 5, 3, 1),  # d = 32: 49.7 MiB, three 16 MiB d^2 x d^2 arrays
-        (13, 2, 7, 1),  # 32.8 MiB, the decoder; 20.3 MiB before it
-        (4, 4, 4, 16),  # maximally mixed, 36.1 MiB in a pPGM; 12.0 in the decoder
+        (13, 2, 7, 1),  # 40.1 MiB, the pPGMs' error weights
+        (4, 4, 4, 16),  # maximally mixed, 35.1 MiB, one basis's pPGM outputs
     ],
 )
 def test_trial_peak_bytes_bounds_the_traced_peak(n_bh, n_msg, ell, rank):

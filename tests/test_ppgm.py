@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ctoq.ppgm import build_ppgm
-from ctoq.qcore import Povm, basis_outputs, computational_basis, pauli_basis
+from ctoq.qcore import Povm, computational_basis, pauli_basis
 from ctoq.sampling import ginibre, random_basis, random_block_channel, random_channel
 from tests.helpers import (
+    basis_outputs,
     depolarizing_channel,
     elements,
     func_on_support,
@@ -42,7 +43,7 @@ def test_ppgm_orthogonal_supports_decodes_perfectly():
     rng = np.random.default_rng(1)
     basis = random_basis(rng, 3)
     chan, _ = random_block_channel(rng, basis, block_size=2)
-    bundle = build_ppgm(chan, basis)
+    bundle = build_ppgm(chan, [basis])[0]
     assert bundle.delta_cl < 1e-10
     assert bundle.support_overlap < 1e-10
     assert bundle.pairwise_sum < 1e-9 and bundle.pairwise_entropy < 1e-9
@@ -50,7 +51,7 @@ def test_ppgm_orthogonal_supports_decodes_perfectly():
 
 def test_ppgm_depolarizing_qubit():
     z = pauli_basis(1, "z")
-    bundle = build_ppgm(depolarizing_channel(2), z)
+    bundle = build_ppgm(depolarizing_channel(2), [z])[0]
     for el in elements(bundle.povm):
         np.testing.assert_allclose(el, np.eye(2) / 2, atol=1e-12)
     assert bundle.delta_cl == pytest.approx(0.5, abs=1e-12)
@@ -65,7 +66,7 @@ def test_ppgm_povm_complete_randomized():
     for i in range(10):
         d = (2, 3)[i % 2]
         chan = random_channel(rng, d, d + 1 + i % 2, int(rng.integers(1, 4)))
-        bundle = build_ppgm(chan, random_basis(rng, d))  # Povm validates
+        bundle = build_ppgm(chan, [random_basis(rng, d)])[0]  # Povm validates
         total = elements(bundle.povm).sum(axis=0)
         assert np.max(np.abs(total - np.eye(chan.dim_out))) < 1e-9
 
@@ -80,7 +81,7 @@ def test_residual_never_fires_on_outputs():
     rng = np.random.default_rng(3)
     chan = random_channel(rng, 2, 4, 1)  # rank-1 outputs, real deficiency
     basis = random_basis(rng, 2)
-    bundle = build_ppgm(chan, basis)
+    bundle = build_ppgm(chan, [basis])[0]
     extra = bundle.povm.factors[0, :, support_width(chan):]
     residual = extra @ extra.conj().T  # I - supp(Pi), folded into outcome 0
     for tau in basis_outputs(chan, basis):
@@ -92,7 +93,7 @@ def test_deficiency_of_pi_goes_to_outcome_0():
     rng = np.random.default_rng(3)
     chan = random_channel(rng, 2, 4, 1)  # rank-1 outputs, Pi of rank 2
     basis = random_basis(rng, 2)
-    bundle = build_ppgm(chan, basis)
+    bundle = build_ppgm(chan, [basis])[0]
     m = support_width(chan)
     taus = basis_outputs(chan, basis)
     projectors = [support_projection(operator(tau, 4)).data for tau in taus]
@@ -110,7 +111,7 @@ def test_pairwise_bound_forms_agree_randomized():
     for i in range(20):
         d = (2, 3, 4)[i % 3]
         chan = random_channel(rng, d, d + i % 3, int(rng.integers(1, 4)))
-        bundle = build_ppgm(chan, random_basis(rng, d))
+        bundle = build_ppgm(chan, [random_basis(rng, d)])[0]
         if bundle.ill_conditioned:
             continue
         assert bundle.pairwise_sum == pytest.approx(bundle.pairwise_entropy, abs=1e-10)
@@ -121,7 +122,7 @@ def test_error_chain_randomized():
     for i in range(20):
         d = (2, 3)[i % 2]
         chan = random_channel(rng, d, d + 1, int(rng.integers(1, 4)))
-        bundle = build_ppgm(chan, random_basis(rng, d))
+        bundle = build_ppgm(chan, [random_basis(rng, d)])[0]
         if bundle.ill_conditioned:
             continue
         err, mid, top = bundle.delta_cl, bundle.support_overlap, bundle.pairwise_sum
@@ -140,7 +141,7 @@ def test_ill_conditioned_flag():
         operator(np.diag([0.5, 0.5]), 2),
     ]
     chan = measure_prepare_channel(povm, outputs)
-    bundle = build_ppgm(chan, z)
+    bundle = build_ppgm(chan, [z])[0]
     assert bundle.ill_conditioned
     assert bundle.lambda_min == pytest.approx(tiny, rel=0.5)
     # vacuous bound is reported raw, not clamped
