@@ -60,6 +60,7 @@ class ConfigError(ValueError):
 
 def parse_config(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}  # the line that set each key
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -67,7 +68,11 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in seen:
+            raise ConfigError(f"lines {seen[key]} and {ln} both set {key!r}")
+        seen[key] = ln
+        out[key] = value.strip()
     return out
 
 

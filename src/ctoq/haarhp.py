@@ -392,19 +392,20 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     """Complex entries alive at the peak of each stage of a trial, with
     ``d = 2^k``, ``n`` Kraus operators and ``s`` compressed output dimensions,
     at most ``min(rank(xi) 2^ell, n d) + 1``: the isometry with its Ginibre and
-    QR copies; the Kraus stack, its copy and their thin SVD; three points of
+    QR copies; the Kraus stack, its copy and their thin SVD; four points of
     :func:`ctoq.ppgm.build_ppgm`, which holds both bases' arrays at once: one
     basis's outputs beside the branch products ``K U`` and a copy, then the
-    ``(d, s, m)`` support factors and ``Q`` (``m = min(s, n)``) with the ``s x
-    s`` sums ``Pi``, their Hermitian parts, eigenvectors and eigensolver work
-    space, then the ``(d, s, m + 1)`` factors with two copies, the branch
-    products with a copy and their ``d (m + 1) x n d`` product with its
-    moduli; and the decoder (both POVMs' factors with a copy, the branches in
-    the E factors' coordinates and one E outcome's block, ``d^2 n (m + 1)``
-    each, three ``d (m + 1)``-square matrices, and three ``d^2 x d^2`` arrays:
-    the state, left in the E frame, with its difference to ``Phi`` and that
-    one's Hermitian part, or that part's eigenvalue copy in place of the
-    difference)."""
+    ``(d, s, m)`` support factors (``m = min(s, n)``) with the right singular
+    vectors of the branch matrices, then the factors with ``Q`` and its SVD
+    ``X S Y^dag``, ``X`` up to ``s x s``, then, a basis at a time, the ``(d,
+    s, m + 1)`` POVM factors with the last basis's and a copy, the branch
+    product with a copy and their ``d (m + 1) x n d`` product with its moduli,
+    or the completeness check's ``s x s`` arrays; and the decoder (both POVMs'
+    factors with a copy, the branches in the E factors' coordinates and one E
+    outcome's block, ``d^2 n (m + 1)`` each, three ``d (m + 1)``-square
+    matrices, and three ``d^2 x d^2`` arrays: the state, left in the E frame,
+    with its difference to ``Phi`` and that one's Hermitian part, or that
+    part's eigenvalue copy in place of the difference)."""
     d, n, iso, kraus, dc = _sizes(cfg)
     m = min(dc, n * d)
     s = min(min(cfg.rank * 2**cfg.n_rad, m) + 1, dc)
@@ -414,8 +415,9 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
         4 * iso,
         iso + 3 * kraus + (dc + n * d) * m + 3 * dc * s + 2 * n * s * d,
         2 * d * s * s + 3 * n * s * d,
-        2 * n * s * d + (6 * dm + 7 * s) * s,
-        4 * n * s * d + (4 * dm + 2 * s + 6 * d * w) * s + 3 * d * d * w * n,
+        3 * n * s * d + 2 * dm * (n + s),
+        3 * n * s * d + (6 * dm + 2 * s) * s,
+        4 * n * s * d + (4 * dm + 5 * s + 3 * d * w) * s + 3 * d * d * w * n // 2,
         2 * s * s + n * s * d + 4 * d * s * w
         + 2 * d * d * n * w + 3 * (d * w) ** 2 + 3 * d**4,
     )

@@ -68,16 +68,14 @@ class Operator:
 
 
 def _hermitian_part(data: np.ndarray, what: str = "operator") -> np.ndarray:
-    """``(data + data^dag) / 2`` of a matrix, or of each in a stack, Hermitian
-    within ``DEFAULT_TOLS.hermiticity``, checked over blocks of rows so that
-    the result is the one full-size array made."""
-    herm = np.conjugate(data, dtype=np.result_type(data, 0.5)).swapaxes(-1, -2)
-    rows = data.shape[-2]
-    step = max(1, 2**16 * rows // max(data.size, 1))
+    """``(data + data^dag) / 2`` of a matrix, Hermitian within
+    ``DEFAULT_TOLS.hermiticity``, checked over blocks of rows so that the
+    result is the one full-size array made."""
+    herm = np.conjugate(data, dtype=np.result_type(data, 0.5)).T
+    step = max(1, 2**16 * len(data) // max(data.size, 1))
     asym = 0.0
-    for i in range(0, rows, step):
-        block = np.s_[..., i : i + step, :]
-        asym = np.maximum(asym, np.abs(data[block] - herm[block]).max())
+    for i in range(0, len(data), step):
+        asym = np.maximum(asym, np.abs(data[i : i + step] - herm[i : i + step]).max())
     if not asym <= DEFAULT_TOLS.hermiticity:
         raise ValueError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
     herm += data

@@ -7,12 +7,13 @@ is the square-root measurement of the projectors (Hausladen, Jozsa,
 Schumacher, Westmoreland and Wootters, PRA 54, 1869 (1996); Eldar and
 Forney, IEEE TIT 47, 858 (2001)), built on the span of the outputs from the
 orthonormal factors ``U_j`` of the supports, the column spaces of the branch
-matrices ``B_j = [K_n|j>]_n``, and one eigendecomposition of ``Pi``.  Its
-decoding error is bounded by the support overlaps ``tr[Pi_i tau_j]``, and
-those, through ``lambda_min Pi_i <= tau_i`` for the smallest nonzero output
-eigenvalue, by the state overlaps ``tr[tau_i tau_j]``, which collision
-entropies fix; :func:`build_ppgm` returns the chain with the measurement,
-for each of several bases in one batched pass.
+matrices ``B_j = [K_n|j>]_n``: its factors are the blocks of the polar factor
+of ``Q = [U_1 ... U_d]``, the isometry closest to ``Q``, and ``Pi`` is never
+formed.  Its decoding error is bounded by the support overlaps ``tr[Pi_i
+tau_j]``, and those, through ``lambda_min Pi_i <= tau_i`` for the smallest
+nonzero output eigenvalue, by the state overlaps ``tr[tau_i tau_j]``, which
+collision entropies fix; :func:`build_ppgm` returns the chain with the
+measurement, for each of several bases in one batched pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linop import _hermitian_part
 from .qcore import (
     Channel,
     OrthoBasis,
@@ -90,23 +90,25 @@ def build_ppgm(
     values alone, from their own SVD, give the smallest nonzero eigenvalue
     of each output, to ``eps sqrt(lambda_max / lambda_min)`` relative where
     the eigenvalues of the output fix it only to ``eps lambda_max /
-    lambda_min``.  With ``Q = [U_1 ... U_d]``, one eigendecomposition of
-    ``Pi = Q Q^dag`` per basis, all in one call, gives ``F = Pi^{-1/2} Q``
-    on ``supp Pi``, and its column blocks ``F_j`` are the POVM's factors:
-    ``F_j F_j^dag = Pi^{-1/2} Pi_j Pi^{-1/2}``.  The null eigenvectors of
-    ``Pi`` span the deficiency ``I - F F^dag``, on which no output has
-    weight; they go to outcome 0, appended to its factor (``dC - rank Pi``
-    columns, ``rank Pi`` the number of eigenvalues above ``rank_tol
-    lambda_max``, at most ``sum_j r_j``; an eigenvalue below ``-10 rank_tol
-    lambda_max`` is an error).  On a channel compressed by
+    lambda_min``.  One more SVD, ``Q = X S Y^dag`` of ``Q = [U_1 ... U_d]``
+    for each basis in one call, gives the polar factor ``F = X_r Y_r^dag``,
+    which is ``Pi^{-1/2} Q`` on ``supp Pi`` for ``Pi = Q Q^dag``, with ``r =
+    rank Pi`` the count of ``s^2 > rank_tol s_max^2``, at most ``sum_j r_j``.
+    Its column blocks ``F_j`` are the POVM's factors: ``F_j F_j^dag =
+    Pi^{-1/2} Pi_j Pi^{-1/2}``.  No ``Pi`` is formed, so the rounding follows
+    the condition number of ``Q``, not its square.  The columns of ``X`` past
+    ``r`` span the deficiency ``I - F F^dag``, on which no output has weight;
+    they go to outcome 0, appended to its factor.  Where ``Q`` has more rows
+    than columns, ``dC > d m``, as the pinned ``|0>`` can make it, only the
+    full ``dC x dC`` factor ``X`` holds them all.  On a channel compressed by
     :func:`ctoq.qcore.output_span_channel`, as in the Hayden-Preskill
-    trials, ``Pi`` is ``s x s`` for an output span of dimension ``s``, and
+    trials, ``Q`` has ``s`` rows for an output span of dimension ``s``, and
     the deficiency is at most the pinned ``|0>``.
 
     The support overlaps ``tr[Pi_i tau_j] = ||U_i^dag B_j||_F^2`` and the
     error, as :func:`ctoq.decoder.delta_cl` reads it, come from one product
-    for all bases.  Only the ``(d, dC, dC)`` output stack is made a basis at
-    a time; each basis's bundle is bit for bit that of a call for it alone.
+    per basis, made like the outputs a basis at a time; each basis's bundle
+    is bit for bit that of a call for it alone.
     """
     dc = chan.dim_out
     if rank_tol is None:
@@ -137,35 +139,27 @@ def build_ppgm(
 
     u = np.linalg.svd(branches, full_matrices=False)[0]
     u *= np.arange(m) < ranks[..., None, None]  # drop the columns off the support
-    support = outcome_weights(u, kb)
     q = u.transpose(0, 2, 1, 3).reshape(nb, dc, d * m)
-    w, v = np.linalg.eigh(_hermitian_part(q @ q.conj().swapaxes(-1, -2)))
-    lam_max = np.maximum(w[:, -1], 0.0)
-    low = w[:, 0] < -10.0 * rank_tol * lam_max
-    if low.any():
-        raise ValueError(f"Pi not PSD within tolerance (min eigenvalue {w[low][0, 0]:.3e})")
-    # the null eigenvalues lead; Pi has rank at most sum_j r_j, and rounding can lift
-    # one above the cutoff, where F F^dag would then miss being a projector
-    nulls = np.count_nonzero(w <= rank_tol * lam_max[:, None], axis=1)
-    nulls = np.maximum(nulls, dc - ranks.sum(axis=1))
-    factors = np.zeros((nb, d, dc, m + nulls.max()), dtype=np.complex128)
-    for a, q_b, w_b, v_b, null in zip(factors, q, w, v, nulls):
-        f = v_b[:, null:].conj().T @ q_b
-        f *= w_b[null:, None] ** -0.5
-        a[:, :, :m] = (v_b[:, null:] @ f).reshape(dc, d, m).transpose(1, 0, 2)
-        # null space of Pi: outputs never land there, fold into outcome 0
-        a[0, :, m : m + null] = v_b[:, :null]
-    errors = outcome_weights(factors, kb)  # zero-padded to one width
+    x, sq, yh = np.linalg.svd(q, full_matrices=dc > d * m)  # X holds the null vectors
+    del q
+    # Q has rank at most sum_j r_j, and rounding can lift one singular value
+    # above the cutoff, where F F^dag would then miss being a projector
+    r_pi = np.count_nonzero(sq**2 > rank_tol * sq[:, :1] ** 2, axis=1)
+    r_pi = np.minimum(r_pi, ranks.sum(axis=1))
 
     bundles = []
     for b, (pairwise, purities, h2_avg) in enumerate(stats):
+        rank = r_pi[b]  # the polar factor X_r Y_r^dag, then the null space of Pi
+        factors = np.zeros((d, dc, m + dc - rank), dtype=np.complex128)
+        factors[:, :, :m] = (x[b, :, :rank] @ yh[b, :rank]).reshape(dc, d, m).swapaxes(0, 1)
+        factors[0, :, m:] = x[b, :, rank:]  # outputs never land there
         lam = [float(s[r - 1]) ** 2 for s, r in zip(sv[b], ranks[b])]
         lam_min = min(lam)
         ill = any(lj < 10.0 * (rank_tol * float(s[0]) ** 2) for lj, s in zip(lam, sv[b]))
         bundles.append(PpgmBundle(
-            povm=Povm(factors[b, :, :, : m + nulls[b]]),
-            delta_cl=off_diagonal_sum(errors[b]) / d,
-            support_overlap=off_diagonal_sum(support[b]) / d,
+            povm=Povm(factors),
+            delta_cl=off_diagonal_sum(outcome_weights(factors, kb[b])) / d,
+            support_overlap=off_diagonal_sum(outcome_weights(u[b], kb[b])) / d,
             pairwise_sum=pairwise / (d * lam_min),
             # 2^{-H2(rho)} is the purity tr[rho^2]
             pairwise_entropy=(d * 2.0 ** -h2_avg - purities.sum() / d) / lam_min,

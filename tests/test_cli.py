@@ -255,12 +255,14 @@ def test_bad_config_exits_two(tmp_path):
         "epsilon = nan",
         "n_bh = -1\nxi = maximally_mixed",
         "n_bh = 70\nxi = maximally_mixed",
+        "ell = 2",  # a second ell line, which ran alone
     ):
         n_bh = "" if extra.startswith("n_bh") else "n_bh = 2\n"
         path = write_config(tmp_path, f"{n_bh}n_msg = 1\nell = 1\n{extra}\n")
         proc = run_cli("hp-run", "--config", path, "--out", str(tmp_path / "o"))
         assert proc.returncode == 2, (extra, proc.stderr)
         assert proc.stderr.startswith("config error:"), (extra, proc.stderr)
+        assert proc.stderr.count("\n") == 1, (extra, proc.stderr)
 
 
 def test_zero_message_qubits_exit_two(tmp_path, capsys):

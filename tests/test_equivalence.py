@@ -629,6 +629,28 @@ def test_ppgm_keeps_the_pairwise_forms_where_lambda_min_is_small(seed, trial):
     assert bundle_x.lambda_min * gap <= 1e-10
 
 
+def test_ppgm_is_complete_where_pi_is_badly_conditioned():
+    # (4,2,4) pure, seed 196, trial 27: the outputs are well conditioned
+    # (lambda_min near 0.092), but Pi's smallest nonzero eigenvalue is 1.2e-6
+    # against 2.8, and Pi^{-1/2} taken from Pi's eigenvalues left the POVM
+    # 1.9e-9 from complete, so the trial was an error row
+    cfg = HpConfig(4, 2, 4, [1.0], seed=196, trials=28)
+    result = run_trial(cfg, 27)
+    assert result.stage is None and not result.ill_conditioned
+    ch = _trial_channel(cfg, 27)
+    bases = [pauli_basis(cfg.n_msg, which) for which in "zx"]
+    eye = np.eye(ch.dim_out)
+    for bundle, basis in zip(build_ppgm(ch, bases, hp_rank_tol(cfg)), bases):
+        a = bundle.povm.factors
+        flat = a.transpose(1, 0, 2).reshape(ch.dim_out, -1)
+        np.testing.assert_allclose(flat @ flat.conj().T, eye, rtol=0, atol=1e-12)
+        # Pi^{1/2} M_j Pi^{1/2} = Pi_j holds with no inverse taken
+        projectors = dense_build_ppgm(ch, basis, hp_rank_tol(cfg)).projectors
+        root = sqrtm_psd(projectors.sum(axis=0))
+        sandwiched = root @ elements(bundle.povm) @ root
+        np.testing.assert_allclose(sandwiched, projectors, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("d", [8, 16])
 def test_ppgm_and_its_bounds_at_larger_input_dimensions(d):
     # the suites draw d <= 4; here the pPGMs of two random bases, their
