@@ -403,9 +403,9 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
     or the completeness check's ``s x s`` arrays; and the decoder (both POVMs'
     factors with a copy, the branches in the E factors' coordinates and one E
     outcome's block, ``d^2 n (m + 1)`` each, three ``d (m + 1)``-square
-    matrices, and three ``d^2 x d^2`` arrays: the state, left in the E frame,
-    with its difference to ``Phi`` and that one's Hermitian part, or that
-    part's eigenvalue copy in place of the difference)."""
+    matrices, and two ``d^2 x d^2`` arrays: the state, left in the E frame
+    and overwritten by its difference to ``Phi``, beside ``Phi Phi^dag``
+    while it is subtracted or beside ``eigvalsh``'s copy)."""
     d, n, iso, kraus, dc = _sizes(cfg)
     m = min(dc, n * d)
     s = min(min(cfg.rank * 2**cfg.n_rad, m) + 1, dc)
@@ -419,7 +419,7 @@ def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
         3 * n * s * d + (6 * dm + 2 * s) * s,
         4 * n * s * d + (4 * dm + 5 * s + 3 * d * w) * s + 3 * d * d * w * n // 2,
         2 * s * s + n * s * d + 4 * d * s * w
-        + 2 * d * d * n * w + 3 * (d * w) ** 2 + 3 * d**4,
+        + 2 * d * d * n * w + 3 * (d * w) ** 2 + 2 * d**4,
     )
 
 

@@ -4,9 +4,11 @@
 dimensions of its row and column spaces; states whose tensor structure
 matters are carried in it.  The functions here take trace distances: between
 two density operators, and from a pure state given by its ket to a density
-matrix.  They are not the only spectral code: :mod:`ctoq.qcore`,
-:mod:`ctoq.ppgm` and :mod:`ctoq.sampling` call ``numpy.linalg`` directly on
-the arrays they hold.
+matrix, whose buffer then holds the difference.  Each checks that the
+difference is Hermitian and hands it to ``eigvalsh``, which reads one
+triangle, with no symmetrized copy.  They are not the only spectral code:
+:mod:`ctoq.qcore`, :mod:`ctoq.ppgm` and :mod:`ctoq.sampling` call
+``numpy.linalg`` directly on the arrays they hold.
 """
 
 from __future__ import annotations
@@ -67,20 +69,16 @@ class Operator:
         return complex(np.trace(self.data))
 
 
-def _hermitian_part(data: np.ndarray, what: str = "operator") -> np.ndarray:
-    """``(data + data^dag) / 2`` of a matrix, Hermitian within
-    ``DEFAULT_TOLS.hermiticity``, checked over blocks of rows so that the
-    result is the one full-size array made."""
-    herm = np.conjugate(data, dtype=np.result_type(data, 0.5)).T
+def _check_hermitian(data: np.ndarray, what: str) -> None:
+    """Raise unless ``data`` is Hermitian within ``DEFAULT_TOLS.hermiticity``,
+    checked over blocks of rows so that no full-size copy is made."""
     step = max(1, 2**16 * len(data) // max(data.size, 1))
     asym = 0.0
     for i in range(0, len(data), step):
-        asym = np.maximum(asym, np.abs(data[i : i + step] - herm[i : i + step]).max())
+        block = data[i : i + step] - data[:, i : i + step].conj().T
+        asym = np.maximum(asym, np.abs(block).max())
     if not asym <= DEFAULT_TOLS.hermiticity:
         raise ValueError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
-    herm += data
-    herm /= 2.0
-    return herm
 
 
 def _check_density(rho: Operator, name: str) -> None:
@@ -102,7 +100,8 @@ def trace_distance(rho: Operator, sigma: Operator) -> float:
         )
     _check_density(sigma, "sigma")
     _check_density(rho, "rho")
-    diff = _hermitian_part(rho.data - sigma.data, "difference")
+    diff = rho.data - sigma.data
+    _check_hermitian(diff, "difference")
     w = np.linalg.eigvalsh(diff)
     return float(0.5 * np.sum(np.abs(w)))
 
@@ -111,13 +110,13 @@ def pure_state_distance(psi: np.ndarray, rho: np.ndarray) -> float:
     """Half the trace norm of ``|psi><psi| - rho`` for a unit vector ``psi``
     and a unit-trace matrix ``rho`` on the same space: :func:`trace_distance`
     of the dense projector ``|psi><psi|``, bit for bit, with no
-    :class:`Operator` built."""
+    :class:`Operator` built.  ``rho`` is consumed: after the checks the
+    difference is written into its buffer."""
     if abs(np.vdot(psi, psi) - 1.0) > DEFAULT_TOLS.state_trace:
         raise ValueError(f"psi has norm {np.linalg.norm(psi):.6g}, expected 1")
     if abs(np.trace(rho) - 1.0) > DEFAULT_TOLS.state_trace:
         raise ValueError(f"rho has trace {np.trace(rho):.6g}, expected 1")
-    diff = np.outer(psi, psi.conj())
-    diff -= rho
-    diff = _hermitian_part(diff, "difference")
+    diff = np.subtract(np.outer(psi, psi.conj()), rho, out=rho)
+    _check_hermitian(diff, "difference")
     w = np.linalg.eigvalsh(diff)
     return float(0.5 * np.sum(np.abs(w)))

@@ -177,17 +177,16 @@ class Povm:
 
 
 def outcome_weights(factors: np.ndarray, branches: np.ndarray) -> np.ndarray:
-    """``[..., j, i] = ||A_j^dag B_i||_F^2 = tr(A_j A_j^dag tau_i)`` for a factor
+    """``[j, i] = ||A_j^dag B_i||_F^2 = tr(A_j A_j^dag tau_i)`` for a factor
     stack ``A`` and the branch product ``K U`` of a Kraus stack and a basis,
-    ``branches[..., n, :, i] = K_n|i>``, from one Gram product; both may carry
-    the same leading axes.  No output ``tau_i = B_i B_i^dag`` is formed."""
-    *lead, m, dc, w = factors.shape
-    a = factors.swapaxes(-3, -2).reshape(*lead, dc, m * w).conj().swapaxes(-1, -2)
-    # b[..., c, (n, i)] = <c|K_n|i>
-    weights = np.abs(a @ branches.swapaxes(-3, -2).reshape(*lead, dc, -1))
+    ``branches[n, :, i] = K_n|i>``, from one Gram product.  No output ``tau_i
+    = B_i B_i^dag`` is formed."""
+    m, dc, w = factors.shape
+    a = factors.swapaxes(0, 1).reshape(dc, m * w).conj().T
+    # b[c, (n, i)] = <c|K_n|i>
+    weights = np.abs(a @ branches.swapaxes(0, 1).reshape(dc, -1))
     weights *= weights
-    d = branches.shape[-1]
-    return weights.reshape(*lead, m, w, -1, d).sum(axis=(-3, -2))
+    return weights.reshape(m, w, -1, branches.shape[-1]).sum(axis=(1, 2))
 
 
 def off_diagonal_sum(a: np.ndarray) -> float:

@@ -82,7 +82,7 @@ import numpy as np
 from ctoq.config import DEFAULT_TOLS
 from ctoq.decoder import _check_povms, _check_r_marginal, _ctoq_state
 from ctoq.haarhp import HpConfig, _trial_isometry, hp_channel
-from ctoq.linop import Operator, _hermitian_part, trace_distance
+from ctoq.linop import Operator, _check_hermitian, trace_distance
 from ctoq.qcore import (
     Channel,
     OrthoBasis,
@@ -94,6 +94,16 @@ from ctoq.qcore import (
     output_span_channel,
 )
 from ctoq.sampling import ginibre, haar_isometry
+
+
+def hermitian_part(data: np.ndarray, what: str = "operator") -> np.ndarray:
+    """``(data + data^dag) / 2`` of a matrix that is Hermitian within
+    ``DEFAULT_TOLS.hermiticity``."""
+    _check_hermitian(data, what)
+    herm = np.conjugate(data, dtype=np.result_type(data, 0.5)).T
+    herm += data
+    herm /= 2.0
+    return herm
 
 
 def operator(data: np.ndarray, dims: Sequence[int] | int) -> Operator:
@@ -151,7 +161,7 @@ def support_eigh(
         raise ValueError("support_eigh needs a square matrix")
     if rank_tol is None:
         rank_tol = DEFAULT_TOLS.rank_tol(a.shape[0])
-    w, v = np.linalg.eigh(_hermitian_part(a))
+    w, v = np.linalg.eigh(hermitian_part(a))
     lam_max = max(float(w[-1]), 0.0)
     if w[0] < -10.0 * rank_tol * lam_max:
         raise ValueError(
@@ -395,7 +405,7 @@ PSD_TOL = 1e-9  # relative negative-eigenvalue slack for PSD inputs
 
 
 def _psd_eigh(data: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    herm = _hermitian_part(data, name)
+    herm = hermitian_part(data, name)
     w, v = np.linalg.eigh(herm)
     floor = -PSD_TOL * max(1.0, float(w[-1]) if w.size else 1.0)
     if w.size and w[0] < floor:

@@ -127,7 +127,7 @@ def test_load_config_rejects_repeated_ell(tmp_path, ell):
         load_config(write_config(tmp_path, f"n_bh = 2\nn_msg = 1\nell = {ell}\n"))
 
 
-# (1,7,4) pure needs about 15 GiB, mostly the decoder's d^2 x d^2 arrays
+# (1,7,4) pure needs about 10.4 GiB, mostly the decoder's d^2 x d^2 arrays
 # at d = 128, while its samples stay small; (10,4,4) maximally mixed samples
 # a 4 GiB isometry
 TOO_BIG = {
@@ -461,6 +461,49 @@ def test_hp_run_sizes_memory_by_the_workers_of_the_whole_sweep(
     assert err.startswith(f"config error: 2 trial(s) at once need about {2 * need} MiB")
     assert not out.exists()
     assert main(["hp-run", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+
+
+# hp-run in a process that runs one small trial, so that numpy and LAPACK
+# are loaded, and whose memory check first caps the address space at what
+# is mapped plus the trial's estimate: the least room the check accepts
+FITTED = """\
+import resource, sys
+import ctoq.cli as cli
+from ctoq.haarhp import HpConfig, run_trial
+run_trial(HpConfig(3, 1, 2, [1.0]), 0)
+check = cli._check_memory
+
+def fitted(spec, workers, peak_bytes):
+    limit = cli._proc_mib("/proc/self/status", "VmSize") * 2**20
+    limit += max(peak_bytes(spec.config_for(ell)) for ell in spec.ells)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    check(spec, workers, peak_bytes)
+
+cli._check_memory = fitted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "n_bh, n_msg, ell, xi",
+    [
+        # d = 32: the decoder, whose eigvalsh copy tracemalloc does not see
+        (1, 5, 3, "pure"),
+        (13, 2, 7, "pure"),  # d = 4: the decoder's factor-coordinate arrays
+        (6, 2, 2, "maximally_mixed"),  # the second pPGM's error weights
+    ],
+)
+def test_hp_run_trial_fits_the_address_space_its_estimate_asks_for(
+    tmp_path, n_bh, n_msg, ell, xi
+):
+    cfg = write_config(
+        tmp_path, f"n_bh = {n_bh}\nn_msg = {n_msg}\nell = {ell}\ntrials = 1\nseed = 1\nxi = {xi}\n"
+    )
+    out = tmp_path / "o"
+    proc = run_cli("hp-run", "--config", cfg, "--out", str(out), entry=("-c", FITTED))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["counts"]["failed_trials"] == 0
 
 
 def test_hp_run_reports_each_sweep_point_on_stderr(tmp_path, capsys, monkeypatch):

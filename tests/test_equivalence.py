@@ -537,7 +537,7 @@ def hp_rank_tol(cfg):
 
 @pytest.mark.parametrize("xi", list(HP_XI))
 @pytest.mark.parametrize("shape", HP_SHAPES, ids=lambda s: "-".join(map(str, s)))
-def test_gram_form_ppgm_matches_the_dense_one_on_hp_channels(shape, xi):
+def test_ppgm_matches_the_dense_one_on_hp_channels(shape, xi):
     cfg = hp_cfg(shape, xi)
     for t in range(cfg.trials):
         ch = _trial_channel(cfg, t)
@@ -574,7 +574,7 @@ def test_pinned_zero_falls_to_outcome_0_on_hp_channels(shape, xi):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_gram_form_ppgm_matches_the_dense_one_on_suite_sized_channels(seed):
+def test_ppgm_matches_the_dense_one_on_suite_sized_channels(seed):
     rng = np.random.default_rng(900 + seed)
     d = (2, 3, 4)[seed % 3]
     ch = random_channel(rng, d, d + seed % 3, 1 + int(rng.integers(4)))

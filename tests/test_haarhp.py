@@ -599,7 +599,7 @@ def test_run_trial_holds_no_output_stack_past_its_ppgm():
         (6, 2, 2, 64),  # maximally mixed, 14.0 MiB, the second pPGM's error weights
         (9, 1, 9, 512),  # maximally mixed, 104.0 MiB, the compression
         (14, 2, 4, 1),  # 44.9 MiB, the decoder; the pPGMs' error weights 39.9 MiB
-        (1, 5, 3, 1),  # d = 32: 49.7 MiB, three 16 MiB d^2 x d^2 arrays
+        (1, 5, 3, 1),  # d = 32: 32.4 MiB, two 16 MiB d^2 x d^2 arrays
         (13, 2, 7, 1),  # 36.9 MiB, the decoder
         (4, 4, 4, 16),  # maximally mixed, 35.1 MiB, one basis's pPGM outputs
     ],

@@ -246,7 +246,9 @@ def test_trace_distance_eigen_vs_singular():
 def test_pure_state_distance_matches_the_dense_projector():
     # the same distance, bit for bit, as trace_distance from the dense
     # projector, whether the ket has zero entries (the maximally entangled
-    # one) or none
+    # one) or none: both give eigvalsh the same unsymmetrized difference.
+    # The state is copied because pure_state_distance writes the difference
+    # into it and Operator data is read-only
     rng = np.random.default_rng(31)
     phi = np.zeros(9, dtype=complex)
     phi[::4] = 1 / math.sqrt(3)
@@ -255,7 +257,7 @@ def test_pure_state_distance_matches_the_dense_projector():
         dense = Operator(np.outer(vec, vec.conj()), (3, 3), (3, 3))
         for sigma in (random_density(rng, 9), dense):
             sigma = Operator(sigma.data, (3, 3), (3, 3))
-            assert pure_state_distance(vec, sigma.data) == trace_distance(dense, sigma)
+            assert pure_state_distance(vec, sigma.data.copy()) == trace_distance(dense, sigma)
     with pytest.raises(ValueError, match="norm"):
         pure_state_distance(2 * phi, dense.data)
     with pytest.raises(ValueError, match="trace"):
