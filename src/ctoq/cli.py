@@ -7,8 +7,12 @@ Commands::
     ctoq haar-mean --config PATH
 
 Exit status: 0 pass, 1 property violation, 2 usage or config error, or a
-run whose trials would not fit in memory.  Output files are byte-identical
-across reruns with the same seed; wall-clock timing goes to stderr only.
+run whose trials would not fit in memory.  ``python -m ctoq`` and the
+``ctoq`` script enter through :func:`run`, which flushes both streams once
+:func:`main` returns and ends the process with ``os._exit``, skipping the
+interpreter's teardown; :func:`main` called in process returns its status
+as before.  Output files are byte-identical across reruns with the same
+seed; wall-clock timing goes to stderr only.
 The env var ``CTOQ_SEED`` supplies the seed when neither the flag nor the
 config file does.  ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` default
 to 1, set before numpy loads, so pool workers do not oversubscribe the
@@ -27,7 +31,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -47,7 +51,7 @@ from .haarhp import (
 )
 from .verify import SLACK_TOL, SUITES, run_suite
 
-__all__ = ["main", "parse_config", "load_config"]
+__all__ = ["main", "run", "parse_config", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -549,5 +553,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry of ``python -m ctoq`` and the ``ctoq`` script: run
+    :func:`main`, flush both streams, and end the process with its status.
+
+    ``os._exit`` skips the interpreter's teardown of modules and objects,
+    tens of milliseconds in which a BLAS worker thread can spin on a second
+    core.  Nothing is left to finish by then: each output file is written
+    and closed, and a sweep's pool has joined its workers.  An exception,
+    and the ``SystemExit`` of ``--help`` or a usage error, take the normal
+    exit.
+    """
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

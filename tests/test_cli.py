@@ -44,24 +44,23 @@ def write_config(tmp_path, text=CONFIG, name="run.cfg"):
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-# Runs ``ctoq verify`` through one entry point, then prints whether importing
-# the package loaded numpy, the exit status and the two BLAS variables.
+# Prints whether importing the package loaded numpy and the two BLAS
+# variables once the CLI module is imported, then runs ``ctoq verify``
+# through one entry point, which ends the process with the command's status.
 BLAS_PROBE = """\
 import os, sys
 import ctoq
 print("numpy" in sys.modules)
-sys.argv = ["ctoq", "verify", "thm1", "--instances", "1"]
-try:
-    {start}
-except SystemExit as exc:
-    print(exc.code)
+import ctoq.cli
 print(os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+sys.argv = ["ctoq", "verify", "thm1", "--instances", "1"]
+{start}
 """
 ENTRY_POINTS = {
     # what ``python -m ctoq`` runs
     "module": "import runpy; runpy.run_module('ctoq', run_name='__main__')",
-    # what the console script made from pyproject's ``ctoq = "ctoq.cli:main"`` runs
-    "script": "from ctoq.cli import main; sys.exit(main())",
+    # what the console script made from pyproject's ``ctoq = "ctoq.cli:run"`` runs
+    "script": "from ctoq.cli import run; sys.exit(run())",
 }
 # the CLI in a process that first caps its own address space at 1 GiB
 LIMITED = (
@@ -335,9 +334,60 @@ def test_blas_threads_default_to_one_unless_the_user_sets_them(entry, user):
     lines = proc.stdout.splitlines()
     want = user or "1"
     assert lines[0] == "False", proc.stderr
-    assert lines[1].startswith("thm1: PASS")
-    assert lines[2] == "  worst i=0 d=2"
-    assert lines[3:] == ["0", f"{want} {want}"]
+    assert lines[1] == f"{want} {want}"
+    assert lines[2].startswith("thm1: PASS")
+    assert lines[3:] == ["  worst i=0 d=2"]
+    assert proc.returncode == 0
+
+
+def run_to_files(tmp_path, *args):
+    """``python -m ctoq`` with ``PYTHONUNBUFFERED`` removed and both streams
+    sent to files: stdout is then block-buffered (stderr line-buffered), so
+    what the process does not flush before ``os._exit`` never arrives."""
+    env = dict(os.environ)
+    for name in ("CTOQ_SEED", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with out.open("w") as fout, err.open("w") as ferr:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctoq", *args], stdout=fout, stderr=ferr, env=env
+        )
+    return proc.returncode, out.read_text(), err.read_text()
+
+
+def test_hp_run_output_is_complete_when_the_process_ends(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    assert main(["hp-run", "--config", cfg, "--out", str(ref), "--threads", "1"]) == 0
+    capsys.readouterr()
+    code, stdout, stderr = run_to_files(
+        tmp_path, "hp-run", "--config", cfg, "--out", str(out), "--threads", "2"
+    )
+    assert code == 0, stderr
+    for name in ("results.jsonl", "manifest.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    assert stdout == f"wrote {out / 'results.jsonl'} (18 rows)\n"
+    lines = stderr.splitlines()
+    assert lines[:3] == [
+        f"ell={ell}: 5 trials, 0 failed ({5 * (ell + 1)}/15)" for ell in range(3)
+    ]
+    assert len(lines) == 4 and lines[3].startswith("elapsed ")
+
+
+@pytest.mark.parametrize(
+    "args, code, stream, start",
+    [
+        (["verify", "thm1", "--instances", "2", "--seed", "1"], 0, "out", "thm1: PASS"),
+        (["hp-run", "--config", "{bad}", "--out", "{out}"], 2, "err", "config error:"),
+        (["hp-run", "--help"], 0, "out", "usage: ctoq hp-run"),
+    ],
+)
+def test_each_exit_path_writes_its_output(tmp_path, args, code, stream, start):
+    bad = write_config(tmp_path, "n_bh = 2\nn_msg = 1\nseed = abc\n")
+    args = [a.format(bad=bad, out=tmp_path / "out") for a in args]
+    got, stdout, stderr = run_to_files(tmp_path, *args)
+    assert got == code, stderr
+    assert {"out": stdout, "err": stderr}[stream].startswith(start)
 
 
 def test_seed_env_fallback(tmp_path):

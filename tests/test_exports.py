@@ -60,6 +60,8 @@ def test_every_tolerance_is_read_outside_config():
 # Functions no command runs, each with the caller that keeps it.
 NOT_RUN_BY_A_COMMAND = {
     ("qcore.py", "dephasing_channel"): "the README quick start (tests/test_readme.py)",
+    # it ends the process, so it runs only in the subprocesses of tests/test_cli.py
+    ("cli.py", "run"): "python -m ctoq and the ctoq script",
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -526,6 +527,19 @@ def test_run_sweep_forks_one_pool_of_at_most_one_worker_per_trial(monkeypatch):
     seen = []
     run_sweep(cfgs, n_jobs=1, done=lambda i, rs: seen.append((i, rs)))
     assert seen == list(enumerate(serial))
+
+
+def test_run_sweep_leaves_no_worker_alive():
+    # the CLI ends its process with os._exit once main returns, which would
+    # leave running any worker that outlived the sweep
+    cfg = cfg_with(n=3, k=1, ell=2, seed=1000, trials=4)
+    alive = []
+    results = run_sweep(
+        [cfg], 2, done=lambda i, rs: alive.append(len(multiprocessing.active_children()))
+    )
+    assert [len(rs) for rs in results] == [4]
+    assert alive[0] > 0  # the pool's workers, while the sweep runs
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
