@@ -47,6 +47,7 @@ from .haarhp import (
     run_sweep,
     average_error_bound,
     sample_peak_bytes,
+    sweep_workers,
     trial_peak_bytes,
 )
 from .verify import SLACK_TOL, SUITES, run_suite
@@ -430,13 +431,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_hp_run(args: argparse.Namespace) -> int:
     spec = load_config(args.config)
     total = spec.trials * len(spec.ells)
-    _check_memory(spec, min(args.threads, total), trial_peak_bytes)
+    cfgs = [spec.config_for(ell) for ell in spec.ells]
+    workers = sweep_workers(cfgs, args.threads)
+    _check_memory(spec, workers, trial_peak_bytes)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from None
-    cfgs = [spec.config_for(ell) for ell in spec.ells]
     t0 = time.monotonic()
 
     def progress(i: int, results: list[TrialResult]) -> None:
@@ -470,7 +472,8 @@ def cmd_hp_run(args: argparse.Namespace) -> int:
         (out_dir / "results.csv").write_text(_dump_csv(per_ell))
 
     print(f"wrote {out_dir / 'results.jsonl'} ({len(rows)} rows)")
-    print(f"elapsed {time.monotonic() - t0:.1f}s", file=sys.stderr)
+    ran = "in process" if workers == 1 else f"{workers} workers"
+    print(f"elapsed {time.monotonic() - t0:.1f}s ({ran})", file=sys.stderr)
     return 0
 
 
@@ -560,9 +563,9 @@ def run() -> NoReturn:
     ``os._exit`` skips the interpreter's teardown of modules and objects,
     tens of milliseconds in which a BLAS worker thread can spin on a second
     core.  Nothing is left to finish by then: each output file is written
-    and closed, and a sweep's pool has joined its workers.  An exception,
-    and the ``SystemExit`` of ``--help`` or a usage error, take the normal
-    exit.
+    and closed, and a sweep that started a pool has joined its workers.  An
+    exception, and the ``SystemExit`` of ``--help`` or a usage error, take
+    the normal exit.
     """
     status = main()
     sys.stdout.flush()

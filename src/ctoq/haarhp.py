@@ -55,6 +55,7 @@ __all__ = [
     "haar_mean_pairwise_overlap",
     "average_error_bound",
     "run_sweep",
+    "sweep_workers",
     "trial_peak_bytes",
     "sample_peak_bytes",
 ]
@@ -447,14 +448,47 @@ def sample_peak_bytes(cfg: HpConfig) -> int:
     return _peak_bytes((4 * iso, 2 * iso + 2 * kraus, 3 * kraus + side))
 
 
+SMALL_TRIAL_ENTRIES = 10_000
+POOL_MIN_TRIALS = 300
+
+
+def sweep_workers(cfgs: list[HpConfig], n_jobs: int) -> int:
+    """The processes :func:`run_sweep` runs ``cfgs`` on for ``n_jobs``:
+    ``min(n_jobs, total trials)``, or 1, in process, when every point peaks
+    under ``SMALL_TRIAL_ENTRIES`` complex entries (:func:`_stage_entries`)
+    and the sweep weighs under ``POOL_MIN_TRIALS``, a trial of ``e`` entries
+    weighing ``1 + e / SMALL_TRIAL_ENTRIES``.
+
+    Measured on a 2-core Xeon with one BLAS thread.  Every ``(2,1,.)`` and
+    ``(3,1,.)`` point peaks at 4624 entries or fewer and takes 0.7 to 2 ms a
+    trial, ``(4,1,2..4)`` maximally mixed at about 9000 takes 1.5 to 2.6 ms,
+    while the first points above are ``(5,2,3)`` maximally mixed (144k
+    entries, about 15 ms) and ``(10,2,10)`` pure (253k, about 6 ms).  At
+    two workers the pool costs 100 to 220 ms more CPU than a run in process
+    at every size measured: its imports, forks and cold first trials of 11
+    to 16 ms.  It matched the wall time of a run in process at about 300
+    trials of ``(3,1,2..4)`` pure (weight 1.06 a trial) and at 150 of
+    ``(4,1,2..4)`` maximally mixed (weight 1.9), and was faster above.
+    """
+    total = sum(cfg.trials for cfg in cfgs)
+    sizes = [max(_stage_entries(cfg)) for cfg in cfgs]
+    weight = sum(
+        cfg.trials * (1 + e / SMALL_TRIAL_ENTRIES) for cfg, e in zip(cfgs, sizes)
+    )
+    if max(sizes, default=0) < SMALL_TRIAL_ENTRIES and weight < POOL_MIN_TRIALS:
+        return 1
+    return min(n_jobs, total)
+
+
 def run_sweep(
     cfgs: list[HpConfig], n_jobs: int = 1, done: Callable = lambda i, rs: None
 ) -> list[list[TrialResult]]:
-    """Each config's trials in trial order, the same for any ``n_jobs``:
-    above 1, one pool of at most one process per trial runs the whole sweep
-    in chunks.  ``done(i, results)`` gets config ``i``'s trials on arrival."""
+    """Each config's trials in trial order, the same for any ``n_jobs``: when
+    :func:`sweep_workers` gives more than 1, one pool of that many processes
+    runs the whole sweep in chunks.  ``done(i, results)`` gets config ``i``'s
+    trials on arrival."""
     tasks = [(cfg, t) for cfg in cfgs for t in range(cfg.trials)]
-    workers = min(n_jobs, len(tasks))
+    workers = sweep_workers(cfgs, n_jobs)
     with contextlib.ExitStack() as stack:
         results = map(run_trial, *zip(*tasks))
         if workers > 1:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -501,16 +502,42 @@ def test_hp_run_sizes_memory_by_the_workers_of_the_whole_sweep(
 ):
     # one trial at each of two sweep points: at --threads 2 the sweep's one
     # pool runs both at once, so memory for one trial is not enough
+    import ctoq.haarhp as haarhp
+
     cfg = write_config(tmp_path, "n_bh = 2\nn_msg = 1\nell = 1,2\ntrials = 1\n")
     need = max(trial_peak_bytes(HpConfig(2, 1, ell, [1.0])) for ell in (1, 2)) // 2**20
     fields = {"MemAvailable": need + need // 2, "VmSize": 0}
     monkeypatch.setattr(cli, "_proc_mib", lambda path, key: fields[key])
     out = tmp_path / "o"
+    # so short a sweep of such small trials runs in process, a trial at a time
+    assert main(["hp-run", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+    assert capsys.readouterr().err.endswith(" (in process)\n")
+    shutil.rmtree(out)
+    monkeypatch.setattr(haarhp, "POOL_MIN_TRIALS", 0)  # a pool for any sweep
     assert main(["hp-run", "--config", cfg, "--out", str(out), "--threads", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: 2 trial(s) at once need about {2 * need} MiB")
     assert not out.exists()
     assert main(["hp-run", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+
+
+def test_hp_run_pool_writes_the_bytes_of_a_run_in_process(tmp_path, capsys, monkeypatch):
+    # criterion 11's sweep, which runs in process at any thread count, on a
+    # pool of two workers
+    import ctoq.haarhp as haarhp
+
+    cfg = write_config(
+        tmp_path,
+        "n_bh = 2\nn_msg = 1\nell = 0..3\ntrials = 30\nseed = 12345\nxi = maximally_mixed\n",
+    )
+    one, two = tmp_path / "t1", tmp_path / "t2"
+    assert main(["hp-run", "--config", cfg, "--out", str(one), "--threads", "1", "--csv"]) == 0
+    assert capsys.readouterr().err.endswith(" (in process)\n")
+    monkeypatch.setattr(haarhp, "POOL_MIN_TRIALS", 0)  # a pool for any sweep
+    assert main(["hp-run", "--config", cfg, "--out", str(two), "--threads", "2", "--csv"]) == 0
+    assert capsys.readouterr().err.endswith(" (2 workers)\n")
+    for name in ("results.jsonl", "manifest.json", "results.csv"):
+        assert (two / name).read_bytes() == (one / name).read_bytes()
 
 
 # hp-run in a process that runs one small trial, so that numpy and LAPACK
@@ -589,6 +616,24 @@ def test_importing_the_cli_loads_no_process_pool():
     proc = run_cli(entry=("-c", probe))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_hp_run_of_the_benchmark_sweep_loads_no_process_pool(tmp_path):
+    # the benchmark's hp-pure-sweep at --threads 2: 60 trials of about 1 ms,
+    # too few for a pool to repay its start-up, so none is imported
+    cfg = write_config(tmp_path, "n_bh = 3\nn_msg = 1\nell = 2..4\ntrials = 20\nseed = 1\n")
+    probe = (
+        "import sys; from ctoq.cli import main; status = main(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent'))); sys.exit(status)"
+    )
+    out = tmp_path / "o"
+    proc = run_cli(
+        "hp-run", "--config", cfg, "--out", str(out), "--threads", "2", entry=("-c", probe)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stderr.splitlines()[-1].endswith(" (in process)")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ctoq.haarhp as haarhp
 from ctoq.decoder import ctoq_delta_q, delta_cl
 from ctoq.haarhp import (
     HpConfig,
@@ -19,6 +20,7 @@ from ctoq.haarhp import (
     run_trial,
     average_error_bound,
     sample_peak_bytes,
+    sweep_workers,
     trial_peak_bytes,
 )
 from ctoq.linop import Operator
@@ -61,6 +63,12 @@ def cfg_with(n=2, k=1, ell=1, xi=PURE, seed=0, trials=1):
         seed=seed,
         trials=trials,
     )
+
+
+def force_pool(monkeypatch):
+    """Make :func:`run_sweep` start a pool for any sweep of more than one
+    trial at ``n_jobs`` above 1, however short."""
+    monkeypatch.setattr(haarhp, "POOL_MIN_TRIALS", 0)
 
 
 def sample_isometry(cfg, rng):
@@ -337,11 +345,12 @@ def test_run_sweep_perfect_retrieval_at_full_radiation():
             assert 0.0 <= r.delta_q_ctoq < 1e-6
 
 
-def test_run_sweep_deterministic_and_parallel_consistent():
+def test_run_sweep_deterministic_and_parallel_consistent(monkeypatch):
     cfg = cfg_with(n=2, k=1, ell=1, xi=flat_spectrum(2), seed=17, trials=6)
     a = run_sweep([cfg])[0]
     b = run_sweep([cfg])[0]
     assert a == b
+    force_pool(monkeypatch)
     c = run_sweep([cfg], n_jobs=2)[0]
     assert a == c
 
@@ -512,6 +521,7 @@ def test_run_sweep_forks_one_pool_of_at_most_one_worker_per_trial(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    force_pool(monkeypatch)
     cfg = cfg_with(n=2, k=1, ell=1, seed=47, trials=5)
     cfgs = [cfg, dataclasses.replace(cfg, n_rad=2)]
     serial = run_sweep(cfgs, n_jobs=1)
@@ -529,9 +539,10 @@ def test_run_sweep_forks_one_pool_of_at_most_one_worker_per_trial(monkeypatch):
     assert seen == list(enumerate(serial))
 
 
-def test_run_sweep_leaves_no_worker_alive():
+def test_run_sweep_leaves_no_worker_alive(monkeypatch):
     # the CLI ends its process with os._exit once main returns, which would
     # leave running any worker that outlived the sweep
+    force_pool(monkeypatch)
     cfg = cfg_with(n=3, k=1, ell=2, seed=1000, trials=4)
     alive = []
     results = run_sweep(
@@ -540,6 +551,38 @@ def test_run_sweep_leaves_no_worker_alive():
     assert [len(rs) for rs in results] == [4]
     assert alive[0] > 0  # the pool's workers, while the sweep runs
     assert multiprocessing.active_children() == []
+
+
+def test_run_sweep_runs_a_short_sweep_of_small_trials_in_process(monkeypatch):
+    # the benchmark's hp-pure-sweep: 60 trials of about 1 ms, which a pool
+    # of two workers would finish no sooner and at a higher CPU cost
+    import concurrent.futures
+
+    built = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda **kw: built.append(kw)
+    )
+    cfgs = [cfg_with(n=3, k=1, ell=ell, seed=1000, trials=20) for ell in (2, 3, 4)]
+    assert sweep_workers(cfgs, 2) == 1
+    assert [len(rs) for rs in run_sweep(cfgs, 2)] == [20, 20, 20]
+    assert built == []
+
+
+def test_sweep_workers_pools_a_large_point_or_a_long_sweep():
+    small = [cfg_with(n=3, k=1, ell=ell, trials=20) for ell in (2, 3, 4)]
+    mixed = cfg_with(n=5, k=2, ell=3, xi=flat_spectrum(5))  # 144k entries
+    assert sweep_workers(small + [mixed], 2) == 2
+    assert sweep_workers([mixed], 2) == 1  # one trial
+    assert sweep_workers(small + [mixed], 1) == 1
+    # each of criterion 09's calls: 500 trials of (3,1,ell) pure
+    assert sweep_workers([cfg_with(n=3, k=1, ell=2, trials=500)], 2) == 2
+    assert sweep_workers([cfg_with(n=3, k=1, ell=2, trials=500)], 64) == 64
+    # 180 trials of (4,1,2..4): about 1.1 small trials each when xi is pure,
+    # about 1.9 when it is maximally mixed
+    pure = [cfg_with(n=4, k=1, ell=ell, trials=60) for ell in (2, 3, 4)]
+    flat = [dataclasses.replace(c, xi_spectrum=flat_spectrum(4)) for c in pure]
+    assert sweep_workers(pure, 2) == 1
+    assert sweep_workers(flat, 2) == 2
 
 
 # ---------------------------------------------------------------------------
