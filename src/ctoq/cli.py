@@ -237,11 +237,12 @@ def _check_memory(
 
 
 def _num(x: float | None) -> float | None:
-    """JSON-safe float: None and non-finite values become null."""
+    """JSON-safe float: None and non-finite values become null, and a
+    negative zero becomes 0.0."""
     if x is None:
         return None
     x = float(x)
-    return x if math.isfinite(x) else None
+    return x + 0.0 if math.isfinite(x) else None
 
 
 def _trial_row(seed: int, ell: int, r: TrialResult) -> dict[str, Any]:

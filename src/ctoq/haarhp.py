@@ -390,34 +390,36 @@ def _sizes(cfg: HpConfig) -> tuple[int, int, int, int, int]:
 
 
 def _stage_entries(cfg: HpConfig) -> tuple[int, ...]:
-    """Complex entries alive at the peak of each stage of a trial, with
-    ``d = 2^k``, ``n`` Kraus operators and ``s`` compressed output dimensions,
-    at most ``min(rank(xi) 2^ell, n d) + 1``: the isometry with its Ginibre and
-    QR copies; the Kraus stack, its copy and their thin SVD; four points of
+    """Complex entries alive at the peak of each stage of a trial that can
+    set its peak, with ``d = 2^k``, ``n`` Kraus operators and ``s`` compressed
+    output dimensions, at most ``min(rank(xi) 2^ell, n d) + 1``: the isometry
+    beside the Kraus stack, its copy and their thin SVD; two points of
     :func:`ctoq.ppgm.build_ppgm`, which holds both bases' arrays at once: one
-    basis's outputs beside the branch products ``K U`` and a copy, then the
-    ``(d, s, m)`` support factors (``m = min(s, n)``) with the right singular
-    vectors of the branch matrices, then the factors with ``Q`` and its SVD
-    ``X S Y^dag``, ``X`` up to ``s x s``, then, a basis at a time, the ``(d,
-    s, m + 1)`` POVM factors with the last basis's and a copy, the branch
-    product with a copy and their ``d (m + 1) x n d`` product with its moduli,
-    or the completeness check's ``s x s`` arrays; and the decoder (both POVMs'
-    factors with a copy, the branches in the E factors' coordinates and one E
-    outcome's block, ``d^2 n (m + 1)`` each, three ``d (m + 1)``-square
-    matrices, and two ``d^2 x d^2`` arrays: the state, left in the E frame
-    and overwritten by its difference to ``Phi``, beside ``Phi Phi^dag``
-    while it is subtracted or beside ``eigvalsh``'s copy)."""
+    basis's outputs beside the branch products ``K U`` and a copy, then, a
+    basis at a time, the ``(d, s, w)`` POVM factors (``w = m + 1``, ``m =
+    min(s, n)``) with the last basis's and a copy, the branch product with a
+    copy and their ``d w x n d`` product with its moduli, or the completeness
+    check's ``s x s`` arrays; and the decoder (both POVMs' factors with a
+    copy, the branches in the E factors' coordinates and one E outcome's
+    block, ``d^2 n w`` each, three ``d w``-square matrices, and two ``d^2 x
+    d^2`` arrays: the state, left in the E frame and overwritten by its
+    difference to ``Phi``, beside ``Phi Phi^dag`` while it is subtracted or
+    beside ``eigvalsh``'s copy).  Stages that never hold more are left out:
+    the isometry with its Ginibre and QR copies, ``4 iso`` entries, below the
+    channel stage's ``iso + 3 kraus`` as ``dim_past >= rank(xi)``; and,
+    between the two points of :func:`ctoq.ppgm.build_ppgm`, its support
+    factors with the branch matrices' right singular vectors, ``3 n s d + 2 d
+    m (n + s)``, and the factors with ``Q`` and its SVD, ``3 n s d + (6 d m +
+    2 s) s``, below the POVM factors' stage, whose ``3 d^2 w n / 2`` tops ``2
+    d m n`` (``d >= 2``) and ``3 d w s`` tops ``2 d m s``."""
     d, n, iso, kraus, dc = _sizes(cfg)
     m = min(dc, n * d)
     s = min(min(cfg.rank * 2**cfg.n_rad, m) + 1, dc)
     w = min(s, n) + 1
     dm = d * min(s, n)
     return (
-        4 * iso,
         iso + 3 * kraus + (dc + n * d) * m + 3 * dc * s + 2 * n * s * d,
         2 * d * s * s + 3 * n * s * d,
-        3 * n * s * d + 2 * dm * (n + s),
-        3 * n * s * d + (6 * dm + 2 * s) * s,
         4 * n * s * d + (4 * dm + 5 * s + 3 * d * w) * s + 3 * d * d * w * n // 2,
         2 * s * s + n * s * d + 4 * d * s * w
         + 2 * d * d * n * w + 3 * (d * w) ** 2 + 2 * d**4,
@@ -439,13 +441,14 @@ def trial_peak_bytes(cfg: HpConfig) -> int:
 
 def sample_peak_bytes(cfg: HpConfig) -> int:
     """Upper estimate of the bytes one sample of
-    :func:`pairwise_overlap_samples` holds at its peak: the isometry with
-    its Ginibre and QR copies; two of each of it and the Kraus stack while
-    the channel is built; the stack with two copies and the ``(n d)^2`` Gram
-    matrix and its moduli or the ``d dC^2`` outputs, by side."""
+    :func:`pairwise_overlap_samples` holds at its peak: two of each of the
+    isometry and the Kraus stack while the channel is built; the stack with
+    two copies and the ``(n d)^2`` Gram matrix and its moduli or the ``d
+    dC^2`` outputs, by side.  The isometry with its Ginibre and QR copies,
+    ``4 iso`` entries, never tops the first, as ``kraus >= iso``."""
     d, n, iso, kraus, dc = _sizes(cfg)
     side = 3 * (n * d) ** 2 // 2 if _gram_side(n, dc, d) else d * dc * dc
-    return _peak_bytes((4 * iso, 2 * iso + 2 * kraus, 3 * kraus + side))
+    return _peak_bytes((2 * iso + 2 * kraus, 3 * kraus + side))
 
 
 SMALL_TRIAL_ENTRIES = 10_000

@@ -81,11 +81,12 @@ def _check_hermitian(data: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
 
 
-def _check_density(rho: Operator, name: str) -> None:
-    if not rho.is_square:
-        raise ValueError(f"{name} must be square")
-    if abs(rho.trace() - 1.0) > DEFAULT_TOLS.state_trace:
-        raise ValueError(f"{name} has trace {rho.trace():.6g}, expected 1")
+def _half_trace_norm(diff: np.ndarray) -> float:
+    """Half the sum of ``|eigenvalues|`` of a difference of states, checked
+    Hermitian first."""
+    _check_hermitian(diff, "difference")
+    w = np.linalg.eigvalsh(diff)
+    return float(0.5 * np.sum(np.abs(w)))
 
 
 def trace_distance(rho: Operator, sigma: Operator) -> float:
@@ -98,12 +99,12 @@ def trace_distance(rho: Operator, sigma: Operator) -> float:
         raise ValueError(
             f"dimension mismatch: {rho.row_dims} vs {sigma.row_dims}"
         )
-    _check_density(sigma, "sigma")
-    _check_density(rho, "rho")
-    diff = rho.data - sigma.data
-    _check_hermitian(diff, "difference")
-    w = np.linalg.eigvalsh(diff)
-    return float(0.5 * np.sum(np.abs(w)))
+    for name, op in (("sigma", sigma), ("rho", rho)):
+        if not op.is_square:
+            raise ValueError(f"{name} must be square")
+        if abs(op.trace() - 1.0) > DEFAULT_TOLS.state_trace:
+            raise ValueError(f"{name} has trace {op.trace():.6g}, expected 1")
+    return _half_trace_norm(rho.data - sigma.data)
 
 
 def pure_state_distance(psi: np.ndarray, rho: np.ndarray) -> float:
@@ -116,7 +117,4 @@ def pure_state_distance(psi: np.ndarray, rho: np.ndarray) -> float:
         raise ValueError(f"psi has norm {np.linalg.norm(psi):.6g}, expected 1")
     if abs(np.trace(rho) - 1.0) > DEFAULT_TOLS.state_trace:
         raise ValueError(f"rho has trace {np.trace(rho):.6g}, expected 1")
-    diff = np.subtract(np.outer(psi, psi.conj()), rho, out=rho)
-    _check_hermitian(diff, "difference")
-    w = np.linalg.eigvalsh(diff)
-    return float(0.5 * np.sum(np.abs(w)))
+    return _half_trace_norm(np.subtract(np.outer(psi, psi.conj()), rho, out=rho))

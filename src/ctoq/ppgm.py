@@ -86,14 +86,14 @@ def build_ppgm(
     matrices ``B_j = [K_n|j>]_n`` of one product ``K U`` per basis.  One
     batched thin SVD, over the bases too, gives each support factor ``U_j``, the
     left singular vectors at ``s^2 > rank_tol s_max^2`` (the singular values
-    squared are the spectrum of ``tau_j = B_j B_j^dag``).  The singular
-    values alone, from their own SVD, give the smallest nonzero eigenvalue
-    of each output, to ``eps sqrt(lambda_max / lambda_min)`` relative where
-    the eigenvalues of the output fix it only to ``eps lambda_max /
-    lambda_min``.  One more SVD, ``Q = X S Y^dag`` of ``Q = [U_1 ... U_d]``
-    for each basis in one call, gives the polar factor ``F = X_r Y_r^dag``,
-    which is ``Pi^{-1/2} Q`` on ``supp Pi`` for ``Pi = Q Q^dag``, with ``r =
-    rank Pi`` the count of ``s^2 > rank_tol s_max^2``, at most ``sum_j r_j``.
+    squared are the spectrum of ``tau_j = B_j B_j^dag``).  The same singular
+    values give the smallest nonzero eigenvalue of each output, to ``eps
+    sqrt(lambda_max / lambda_min)`` relative where the eigenvalues of the
+    output fix it only to ``eps lambda_max / lambda_min``.  One more SVD,
+    ``Q = X S Y^dag`` of ``Q = [U_1 ... U_d]`` for each basis in one call,
+    gives the polar factor ``F = X_r Y_r^dag``, which is ``Pi^{-1/2} Q`` on
+    ``supp Pi`` for ``Pi = Q Q^dag``, with ``r = rank Pi`` the count of ``s^2
+    > rank_tol s_max^2``, at most ``sum_j r_j``.
     Its column blocks ``F_j`` are the POVM's factors: ``F_j F_j^dag =
     Pi^{-1/2} Pi_j Pi^{-1/2}``.  No ``Pi`` is formed, so the rounding follows
     the condition number of ``Q``, not its square.  The columns of ``X`` past
@@ -127,17 +127,11 @@ def build_ppgm(
         h2_avg = -math.log2(float(np.einsum("ij,ji->", avg, avg).real))
         stats.append((cross_overlap(taus, taus), purities, h2_avg))
         del taus, avg  # one basis's stack at a time, gone before the SVDs
-    branches = kb.transpose(0, 3, 2, 1)
-    # singular values without vectors, as the dense construction kept in
-    # the tests reads them, so lambda_min equals its value bit for bit; an
-    # SVD with vectors rounds them differently in the last bits
-    sv = np.linalg.svd(branches, compute_uv=False)
+    u, sv = np.linalg.svd(kb.transpose(0, 3, 2, 1), full_matrices=False)[:2]
     ranks = np.count_nonzero(sv**2 > rank_tol * sv[..., :1] ** 2, axis=-1)
     nb, d, m = sv.shape
     if not ranks.all():
         raise ValueError(f"output state {int(np.argmin(ranks)) % d} is numerically zero")
-
-    u = np.linalg.svd(branches, full_matrices=False)[0]
     u *= np.arange(m) < ranks[..., None, None]  # drop the columns off the support
     q = u.transpose(0, 2, 1, 3).reshape(nb, dc, d * m)
     x, sq, yh = np.linalg.svd(q, full_matrices=dc > d * m)  # X holds the null vectors

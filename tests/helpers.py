@@ -11,9 +11,9 @@ to the naming:
   eigendecomposition per output and a ``(d, dC, dC)`` stack of support
   projectors, and they return and read a ``DensePpgmBundle``, the bundle of
   that time.  The library builds the same measurement from the orthonormal
-  factors ``U_j`` of the supports, as the blocks of ``Pi^{-1/2} [U_1 ...
-  U_d]``, with ``Pi`` and its null space from one eigendecomposition of
-  ``Pi = sum_j U_j U_j^dag``.
+  factors ``U_j`` of the supports, as the blocks of the polar factor of
+  ``Q = [U_1 ... U_d]``, with the null space of ``Pi = Q Q^dag`` from the
+  same SVD of ``Q``.
   ``dense_pairwise_bound`` is ``ctoq.ppgm.pairwise_bound`` as it was before
   the bundle kept the statistics of its outputs in place of the outputs: it
   reads the ``(d, dC, dC)`` stack and its mean.  The library's bundle now
@@ -69,6 +69,10 @@ to the naming:
   overlap off the uncompressed branch matrices: each sample's channel
   compressed by ``_trial_channel``, its ``(d, s, s)`` outputs and their
   ``cross_overlap``.
+* ``all_stage_entries`` and ``all_stage_sample_peak_bytes`` are
+  ``ctoq.haarhp._stage_entries`` and ``sample_peak_bytes`` as they were
+  before the stage counts that never set the peak left them: seven counts
+  and three.
 """
 
 from __future__ import annotations
@@ -81,7 +85,14 @@ import numpy as np
 
 from ctoq.config import DEFAULT_TOLS
 from ctoq.decoder import _check_povms, _check_r_marginal, _ctoq_state
-from ctoq.haarhp import HpConfig, _trial_isometry, hp_channel
+from ctoq.haarhp import (
+    HpConfig,
+    _gram_side,
+    _peak_bytes,
+    _sizes,
+    _trial_isometry,
+    hp_channel,
+)
 from ctoq.linop import Operator, _check_hermitian, trace_distance
 from ctoq.qcore import (
     Channel,
@@ -716,6 +727,38 @@ def compressed_pairwise_overlap_samples(cfg: HpConfig) -> np.ndarray:
         taus = basis_outputs(_trial_channel(cfg, t), basis)
         out[t] = cross_overlap(taus, taus)
     return out
+
+
+def all_stage_entries(cfg: HpConfig) -> tuple[int, ...]:
+    """The complex entries alive at the peak of each of the seven stages of
+    a trial that ``_stage_entries`` once counted: the isometry with its
+    Ginibre and QR copies; the channel; four points of ``build_ppgm``, the
+    outputs beside the branch products, the support factors with the right
+    singular vectors, the factors with ``Q`` and its SVD, and the POVM
+    factors; and the decoder."""
+    d, n, iso, kraus, dc = _sizes(cfg)
+    m = min(dc, n * d)
+    s = min(min(cfg.rank * 2**cfg.n_rad, m) + 1, dc)
+    w = min(s, n) + 1
+    dm = d * min(s, n)
+    return (
+        4 * iso,
+        iso + 3 * kraus + (dc + n * d) * m + 3 * dc * s + 2 * n * s * d,
+        2 * d * s * s + 3 * n * s * d,
+        3 * n * s * d + 2 * dm * (n + s),
+        3 * n * s * d + (6 * dm + 2 * s) * s,
+        4 * n * s * d + (4 * dm + 5 * s + 3 * d * w) * s + 3 * d * d * w * n // 2,
+        2 * s * s + n * s * d + 4 * d * s * w
+        + 2 * d * d * n * w + 3 * (d * w) ** 2 + 2 * d**4,
+    )
+
+
+def all_stage_sample_peak_bytes(cfg: HpConfig) -> int:
+    """``sample_peak_bytes`` over its three stages: the isometry with its
+    Ginibre and QR copies, the channel being built, and the overlap."""
+    d, n, iso, kraus, dc = _sizes(cfg)
+    side = 3 * (n * d) ** 2 // 2 if _gram_side(n, dc, d) else d * dc * dc
+    return _peak_bytes((4 * iso, 2 * iso + 2 * kraus, 3 * kraus + side))
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,18 @@ def test_hp_run_outputs(tmp_path):
     assert len(csv_lines) == 16
 
 
+def test_hp_run_writes_no_negative_zero(tmp_path):
+    # a pure xi has H2 = -log2(1) = -0.0, and so do outputs of purity 1
+    cfg = write_config(tmp_path, CONFIG.replace("maximally_mixed", "pure"))
+    out = tmp_path / "out"
+    assert main(["hp-run", "--config", cfg, "--out", str(out), "--csv"]) == 0
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert all(math.copysign(1.0, r["h2_initial"]) == 1.0 for r in rows if r["kind"] == "summary")
+    for name in ("results.jsonl", "results.csv"):
+        assert "-0.0" not in (out / name).read_text()
+    assert cli._num(-0.0) == 0.0 and math.copysign(1.0, cli._num(-0.0)) == 1.0
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_hp_run_thread_count_below_one_is_usage_error(tmp_path, capsys, threads):
     cfg = write_config(tmp_path)

@@ -511,16 +511,20 @@ def test_overlap_samples_match_the_compressed_outputs_at_wide_shapes(
 
 def check_support_sum_ppgm(ch, basis, rank_tol=None):
     """The pPGM built from the support factors against the dense
-    construction it replaced: every input of the pairwise bound, and so the
-    bound, bit for bit; the elements, the support projectors and the other
-    bounds to 1e-12."""
+    construction it replaced: the output statistics the pairwise bound reads
+    and the ill-conditioning flag bit for bit; ``lambda_min``, which the
+    library reads from the singular values that give its support factors
+    and the oracle from an SVD without vectors, and the two pairwise forms
+    divided by it, to 1e-12 relative; the elements, the support projectors
+    and the other bounds to 1e-12."""
     got = build_ppgm(ch, [basis], rank_tol)[0]
     want = dense_build_ppgm(ch, basis, rank_tol)
     check_statistics(got, want.tau_states, exact=True)
-    assert got.lambda_min == want.lambda_min
     assert got.ill_conditioned == want.ill_conditioned
     forms = (got.pairwise_sum, got.pairwise_entropy, got.lambda_min)
-    assert forms == dense_pairwise_bound(want)
+    names = ("pairwise_sum", "pairwise_entropy", "lambda_min")
+    for name, g, w in zip(names, forms, dense_pairwise_bound(want)):
+        assert_close(g, w, name, rel_to=w)
     np.testing.assert_allclose(
         elements(got.povm), want.elements, rtol=0, atol=TOL
     )
@@ -614,19 +618,26 @@ def test_ppgm_of_several_bases_equals_each_basis_alone(case):
         check_batched_ppgm(_trial_channel(cfg, t), bases, hp_rank_tol(cfg))
 
 
-@pytest.mark.parametrize("seed, trial", [(5017, 9), (3078, 1)])
-def test_ppgm_keeps_the_pairwise_forms_where_lambda_min_is_small(seed, trial):
-    # (3,1,2) pure trials whose X-basis lambda_min is below 1e-7, so the two
-    # pairwise forms are of order 1e6 and differ by a few of their ulps; at
-    # seed 3078 by 2.8e-9, more than an absolute 1e-9.  Their numerators,
-    # which verify prop2 compares, agree to rounding
+@pytest.mark.parametrize(
+    "seed, trial, which, lam_below",
+    [(5017, 9, "x", 1e-7), (3078, 1, "x", 1e-7), (10029, 9, "z", 1e-6), (2092, 3, "z", 1e-6)],
+    ids=["5017-9", "3078-1", "10029-9", "2092-3"],
+)
+def test_ppgm_keeps_the_pairwise_forms_where_lambda_min_is_small(seed, trial, which, lam_below):
+    # (3,1,2) pure trials whose lambda_min in one basis is 7e-8 to 6e-7, so
+    # the two pairwise forms there are large and differ by a few of their
+    # ulps: by 3.3e-9 at seed 3078, more than an absolute 1e-9, and by
+    # 4.7e-10 to 9.3e-10 at the others, the trials nearest that gate.  Their
+    # numerators, which verify prop2 compares, agree to rounding
     cfg = HpConfig(3, 1, 2, [1.0], seed=seed, trials=trial + 1)
     ch = _trial_channel(cfg, trial)
-    check_support_sum_ppgm(ch, pauli_basis(1, "z"), hp_rank_tol(cfg))
-    bundle_x = check_support_sum_ppgm(ch, pauli_basis(1, "x"), hp_rank_tol(cfg))
-    assert bundle_x.lambda_min < 1e-7 and not bundle_x.ill_conditioned
-    gap = abs(bundle_x.pairwise_sum - bundle_x.pairwise_entropy)
-    assert bundle_x.lambda_min * gap <= 1e-10
+    bundles = {
+        b: check_support_sum_ppgm(ch, pauli_basis(1, b), hp_rank_tol(cfg)) for b in "zx"
+    }
+    bundle = bundles[which]
+    assert bundle.lambda_min < lam_below and not bundle.ill_conditioned
+    gap = abs(bundle.pairwise_sum - bundle.pairwise_entropy)
+    assert bundle.lambda_min * gap <= 1e-10
 
 
 def test_ppgm_is_complete_where_pi_is_badly_conditioned():

@@ -12,6 +12,7 @@ from ctoq.haarhp import (
     HpConfig,
     _gram_side,
     _sizes,
+    _stage_entries,
     _trial_rng,
     haar_mean_pairwise_overlap,
     hp_channel,
@@ -28,6 +29,8 @@ from ctoq.ppgm import build_ppgm
 from ctoq.qcore import pauli_basis
 from ctoq.sampling import haar_isometry
 from tests.helpers import (
+    all_stage_entries,
+    all_stage_sample_peak_bytes,
     apply_channel,
     basis_outputs,
     haar_unitary,
@@ -699,3 +702,18 @@ def test_sample_peak_bytes_bounds_the_traced_peak(n_bh, n_msg, ell, rank, gram):
     assert estimate >= peak
     if peak >= 16 * 2**20:
         assert estimate <= 4 * peak
+
+
+def test_memory_model_keeps_its_peak_without_the_stages_that_never_set_it():
+    # the isometry's count and two of build_ppgm's never top another stage
+    # (see _stage_entries), so dropping them leaves every estimate as it was
+    for n_bh in range(1, 17):
+        spectra = [[1.0]]  # pure, then half rank and maximally mixed
+        if n_bh <= 12:
+            spectra += [flat_spectrum(n_bh - 1), flat_spectrum(n_bh)]
+        for n_msg in range(1, 9):
+            for ell in range(n_bh + n_msg + 1):
+                for xi in spectra:
+                    cfg = cfg_with(n=n_bh, k=n_msg, ell=ell, xi=xi)
+                    assert max(_stage_entries(cfg)) == max(all_stage_entries(cfg))
+                    assert sample_peak_bytes(cfg) == all_stage_sample_peak_bytes(cfg)

@@ -146,3 +146,21 @@ def test_ill_conditioned_flag():
     assert bundle.lambda_min == pytest.approx(tiny, rel=0.5)
     # vacuous bound is reported raw, not clamped
     assert bundle.pairwise_sum > 1.0
+
+
+def test_ppgm_decomposes_each_branch_stack_once(monkeypatch):
+    # one batched SVD of both bases' branch matrices gives the support
+    # factors and lambda_min, and one more of Q the polar factors
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(6)
+    chan = random_channel(rng, 3, 4, 2)
+    build_ppgm(chan, [random_basis(rng, 3), random_basis(rng, 3)])
+    # the (bases, inputs, dC, Kraus) branch stack, then the (bases, dC, d m) Q
+    assert calls == [(2, 3, 4, 2), (2, 4, 6)]
